@@ -8,8 +8,8 @@ Collatz map.
 
 __version__ = "0.1.0"
 
-from .fields import QQ, Matrix, PrimeField, field_inv
-from .poly import GREVLEX, LEX, MonomialOrder, MPoly, poly_arith, poly_parse, reduce_mod_p
+from .fields import QQ, Matrix, PrimeField
+from .poly import GREVLEX, LEX, MonomialOrder, MPoly, poly_parse, reduce_mod_p
 from .weyl import StabilityReport, WeylOperator, is_d_stable, weyl_parse
 from .groebner import (
     INFINITE,

@@ -39,7 +39,7 @@ from .groebner import (
     tame_wild_split,
 )
 from .inertia import QuotientModule, inertia_membership
-from .poly import GREVLEX, LEX, MonomialOrder, MPoly, default_var_names, poly_parse, reduce_mod_p
+from .poly import MonomialOrder, MPoly, default_var_names, poly_parse, reduce_mod_p
 from .weyl import weyl_parse
 
 import os
@@ -105,10 +105,6 @@ def _vars_arg(text: Optional[str], fallback_n: int = 2) -> List[str]:
 
 def _dim_json(d):
     return "infinite" if d == INFINITE else int(d)
-
-
-def _order_arg(name: str) -> MonomialOrder:
-    return {"grevlex": GREVLEX, "lex": LEX, "local-degree-anti": MonomialOrder("local-degree-anti")}[name]
 
 
 def _infer_vars(texts: Sequence[str], explicit: Optional[str]) -> List[str]:
@@ -245,7 +241,7 @@ def _cmd_groebner(args) -> dict:
     texts = [t for t in args.gens.split(";") if t.strip()]
     names = _infer_vars(texts, args.vars)
     gens = [poly_parse(t, names, domain) for t in texts]
-    order = _order_arg(args.order)
+    order = MonomialOrder(args.order)
     G = buchberger(gens, order)
     sm = standard_monomials(G)
     payload = {
@@ -261,13 +257,11 @@ def _cmd_groebner(args) -> dict:
 
 
 def _parse_module_spec(text: str, p: int) -> QuotientModule:
-    text = text.strip()
-    if "^" in text:
-        var, power = text.split("^", 1)
-        m = int(power)
-    else:
-        var, m = text, 1
-    del var
+    """F_p[x]/(x^m) from the monomial `x^m` with m >= 1, or `x`."""
+    f = poly_parse(text, ["x"], QQ)
+    m = f.total_degree()
+    if m < 1 or f != MPoly.monomial(1, QQ, (m,)):
+        raise ParseError(f"--module must be a monomial x^m with m >= 1, not {text!r}", 0)
     return QuotientModule(p, m, nvars=1)
 
 
@@ -452,7 +446,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if args.cmd == "curve-sweep":
             return _cmd_curve_sweep(args, args.format)
         payload = _HANDLERS[args.cmd](args)
-    except ParseError as exc:
+    except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WildcyclesError as exc:

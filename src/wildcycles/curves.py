@@ -9,12 +9,13 @@ with i = 1..p modulo p and is recorded in the report.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .backend import kernels
 from .errors import NotPrime, SingularCurve, StateBudgetExceeded
-from .fields import is_prime, isqrt_floor
+from .fields import is_prime
 from .poly import MPoly
 
 
@@ -86,7 +87,7 @@ def hasse_check(c: CurveSpec) -> bool:
     if singularity_check(c):
         raise SingularCurve(f"curve p={c.p} a={c.a} b={c.b} is singular")
     n = naive_count(c)
-    return abs(n - (c.p + 1)) <= 2 * isqrt_floor(c.p) + 1
+    return abs(n - (c.p + 1)) <= 2 * math.isqrt(c.p) + 1
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def verify_identity(c: CurveSpec) -> SliceCountReport:
     singular = singularity_check(c)
     hasse_ok = None
     if not singular:
-        hasse_ok = abs(rhs - (c.p + 1)) <= 2 * isqrt_floor(c.p) + 1
+        hasse_ok = abs(rhs - (c.p + 1)) <= 2 * math.isqrt(c.p) + 1
     return SliceCountReport(
         p=c.p,
         a=c.a,

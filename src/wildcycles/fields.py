@@ -8,7 +8,6 @@ domain-agnostic.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import List, Sequence
 
@@ -139,11 +138,6 @@ class RationalField:
 QQ = RationalField()
 
 
-def field_inv(domain, a):
-    """Multiplicative inverse in the given domain (errors on zero)."""
-    return domain.inv(a)
-
-
 class Matrix:
     """Dense row-major matrix over a single coefficient domain."""
 
@@ -266,7 +260,3 @@ class Matrix:
                         for v, w in zip(rows[i], rows[c])
                     ]
         return det
-
-
-def isqrt_floor(n: int) -> int:
-    return math.isqrt(n)

@@ -170,16 +170,13 @@ def annihilation_check(
     return value, value.is_zero()
 
 
-def morse_check(f: MPoly, domain=None) -> bool:
+def morse_check(f: MPoly) -> bool:
     """True iff f has a nondegenerate Hessian at the origin.
 
     Precondition: the origin is critical, i.e. f has no constant or linear
     part (NotCritical otherwise). Nondegeneracy is determinant != 0 in the
     coefficient domain, so e.g. x^2 + y^2 is degenerate mod 2.
     """
-    dom = domain if domain is not None else f.domain
-    if dom != f.domain:
-        raise DomainMismatch("domain tag disagrees with the polynomial")
     for e in f.terms:
         if sum(e) < 2:
             raise NotCritical("f has constant or linear terms; origin not critical")
@@ -188,4 +185,4 @@ def morse_check(f: MPoly, domain=None) -> bool:
     for i in range(n):
         for j in range(n):
             entries.append(f.derivative(i).derivative(j).constant_term())
-    return Matrix(n, n, entries, dom).determinant() != dom.zero
+    return Matrix(n, n, entries, f.domain).determinant() != f.domain.zero

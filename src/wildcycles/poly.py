@@ -7,56 +7,34 @@ deterministic.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainMismatch, IndexOutOfRange, ParseError, UnknownVariable
-from .fields import QQ, PrimeField
+from .fields import PrimeField
 
 Exponents = Tuple[int, ...]
 
 
 class MonomialOrder:
-    """Total multiplicative order on exponent vectors.
+    """Total multiplicative order on exponent vectors: 'grevlex' or 'lex'."""
 
-    kind: 'grevlex', 'lex' or 'local-degree-anti' (degree-anticompatible,
-    used for inspecting local staircases). An optional permutation reorders
-    variable priority: perm[i] is the priority slot of variable i.
-    """
-
-    def __init__(self, kind: str = "grevlex", perm: Optional[Sequence[int]] = None):
-        if kind not in ("grevlex", "lex", "local-degree-anti"):
+    def __init__(self, kind: str = "grevlex"):
+        if kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown monomial order {kind!r}")
         self.kind = kind
-        self.perm = tuple(perm) if perm is not None else None
-
-    def _permuted(self, e: Exponents) -> Exponents:
-        if self.perm is None:
-            return e
-        out = [0] * len(e)
-        for i, slot in enumerate(self.perm):
-            out[slot] = e[i]
-        return tuple(out)
 
     def key(self, e: Exponents):
         """Sort key: larger key = larger monomial."""
-        pe = self._permuted(e)
         if self.kind == "lex":
-            return pe
-        deg = sum(pe)
-        tie = tuple(-v for v in reversed(pe))
-        if self.kind == "grevlex":
-            return (deg, tie)
-        return (-deg, tie)
+            return e
+        return (sum(e), tuple(-v for v in reversed(e)))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MonomialOrder)
-            and other.kind == self.kind
-            and other.perm == self.perm
-        )
+        return isinstance(other, MonomialOrder) and other.kind == self.kind
 
     def __repr__(self):
-        return self.kind if self.perm is None else f"{self.kind}{list(self.perm)}"
+        return self.kind
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -304,46 +282,98 @@ def default_var_names(nvars: int) -> List[str]:
 
 # -- parsing ------------------------------------------------------------
 #
-# poly   := term (('+'|'-') term)*
+# One grammar for polynomials, Weyl operators and module specs:
+#
+# text   := ('+'|'-')? term (('+'|'-') term)*
 # term   := coeff ('*' factor)* | factor ('*' factor)*
-# factor := var ('^' nat)?
-# coeff  := integer | integer '/' integer
+# factor := name ('^' nat)?
+# coeff  := nat ('/' nat)?
+#
+# A name is a variable or, in operator text, a derivative token: d1..dn, or
+# 'd' before a variable name (dx, dy, dz).
+
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|(\S))")
+_NAT, _NAME = 1, 2
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _parse_terms(
+    text: str, var_names: Sequence[str], domain, d_tokens: bool
+) -> List[Tuple[object, Exponents, Exponents]]:
+    """The terms of text as (coefficient, exponents, derivative multi-index).
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    d-tokens are names only when d_tokens is set; then they win over a
+    variable of the same spelling, and d1..dn over d<name>. Raises
+    ParseError with the offending position, UnknownVariable for any other
+    name.
+    """
+    nvars = len(var_names)
+    slots = {n: (0, i) for i, n in enumerate(var_names)}
+    if d_tokens:
+        slots.update({f"d{n}": (1, i) for i, n in enumerate(var_names)})
+        slots.update({f"d{i+1}": (1, i) for i in range(nvars)})
+    # (position, kind, text); kind is the regex group: _NAT, _NAME or a symbol
+    toks = [(m.start(m.lastindex), m.lastindex, m.group(m.lastindex)) for m in _TOKEN.finditer(text)]
+    toks.append((len(text), 0, ""))
+    at = 0
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def take(kind: int, what: str) -> Tuple[int, str]:
+        nonlocal at
+        pos, k, s = toks[at]
+        if k != kind:
+            raise ParseError(f"expected {what}", pos)
+        at += 1
+        return pos, s
 
-    def take_int(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            raise ParseError("expected integer", start)
-        return self.text[start : self.pos]
+    def skip(symbol: str) -> bool:
+        nonlocal at
+        if toks[at][2] == symbol:
+            at += 1
+            return True
+        return False
 
-    def take_name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected name", start)
-        return self.text[start : self.pos]
+    def factor(vectors, what: str):
+        pos, name = take(_NAME, what)
+        if name not in slots:
+            raise UnknownVariable(f"unknown variable {name!r}", pos)
+        which, i = slots[name]
+        vectors[which][i] += int(take(_NAT, "a natural-number exponent")[1]) if skip("^") else 1
+
+    def coefficient():
+        num = domain.from_int(int(take(_NAT, "a coefficient")[1]))
+        if not skip("/"):
+            return num
+        pos, den = take(_NAT, "a natural-number denominator")
+        den = domain.from_int(int(den))
+        if den == domain.zero:
+            raise ParseError(f"denominator is zero in {domain!r}", pos)
+        return domain.div(num, den)
+
+    def term(sign):
+        vectors = ([0] * nvars, [0] * nvars)
+        if toks[at][1] == _NAT:
+            coeff = domain.mul(sign, coefficient())
+        else:
+            coeff = sign
+            factor(vectors, "a coefficient or a variable")
+        while skip("*"):
+            factor(vectors, "a variable")
+        return coeff, tuple(vectors[0]), tuple(vectors[1])
+
+    signs = {"+": domain.one, "-": domain.neg(domain.one)}
+    sign = signs["+"]
+    if toks[0][2] in signs:
+        sign = signs[toks[0][2]]
+        at = 1
+    terms = []
+    while True:
+        terms.append(term(sign))
+        pos, kind, s = toks[at]
+        if not kind:
+            return terms
+        if s not in signs:
+            raise ParseError(f"unexpected {s!r}", pos)
+        sign = signs[s]
+        at += 1
 
 
 def poly_parse(text: str, var_names: Sequence[str], domain) -> MPoly:
@@ -352,87 +382,11 @@ def poly_parse(text: str, var_names: Sequence[str], domain) -> MPoly:
     Raises ParseError with the offending position, UnknownVariable for
     names outside var_names.
     """
-    names = list(var_names)
-    index = {n: i for i, n in enumerate(names)}
-    nvars = len(names)
-    tok = _Tokenizer(text)
+    nvars = len(var_names)
     result = MPoly.zero(nvars, domain)
-
-    def parse_factor():
-        start = tok.pos
-        name = tok.take_name()
-        if name not in index:
-            raise UnknownVariable(f"unknown variable {name!r}", start)
-        k = 1
-        if tok.peek() == "^":
-            tok.pos += 1
-            k = int(tok.take_int())
-            if k < 0:
-                raise ParseError("negative exponent", tok.pos)
-        return index[name], k
-
-    def parse_term(sign: int) -> MPoly:
-        tok.skip_ws()
-        coeff = domain.one if sign > 0 else domain.neg(domain.one)
-        exps = [0] * nvars
-        ch = tok.peek()
-        if ch.isdigit():
-            num = tok.take_int()
-            if tok.peek() == "/":
-                tok.pos += 1
-                den = tok.take_int()
-                c = domain.parse(f"{num}/{den}")
-            else:
-                c = domain.parse(num)
-            coeff = domain.mul(coeff, c)
-            saw_factor = False
-        elif ch.isalpha() or ch == "_":
-            i, k = parse_factor()
-            exps[i] += k
-            saw_factor = True
-        else:
-            raise ParseError("expected coefficient or variable", tok.pos)
-        while tok.peek() == "*":
-            tok.pos += 1
-            i, k = parse_factor()
-            exps[i] += k
-            saw_factor = True
-        del saw_factor
-        return MPoly(nvars, domain, {tuple(exps): coeff})
-
-    sign = 1
-    if tok.peek() == "-":
-        tok.pos += 1
-        sign = -1
-    elif tok.peek() == "+":
-        tok.pos += 1
-    if tok.peek() == "" and text.strip() in ("0",):
-        pass
-    result = result + parse_term(sign)
-    while True:
-        ch = tok.peek()
-        if ch == "":
-            break
-        if ch == "+":
-            tok.pos += 1
-            result = result + parse_term(1)
-        elif ch == "-":
-            tok.pos += 1
-            result = result + parse_term(-1)
-        else:
-            raise ParseError(f"unexpected character {ch!r}", tok.pos)
+    for c, e, _ in _parse_terms(text, var_names, domain, d_tokens=False):
+        result = result + MPoly(nvars, domain, {e: c})
     return result
-
-
-def poly_arith(f: MPoly, g: MPoly, op: str) -> MPoly:
-    """Named entry point for add/sub/mul."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown op {op!r}")
 
 
 def reduce_mod_p(f: MPoly, p: int) -> MPoly:

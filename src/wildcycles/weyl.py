@@ -9,10 +9,10 @@ realized at operator level as  d_i ∘ (g d^beta) = (d_i g) d^beta + g d^(beta+e
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from .errors import DomainMismatch, ParseError, UnknownVariable
-from .poly import MPoly, _Tokenizer, default_var_names
+from .errors import DomainMismatch
+from .poly import MPoly, _parse_terms, default_var_names
 
 MultiIndex = Tuple[int, ...]
 
@@ -140,16 +140,15 @@ class WeylOperator:
         if not self.terms:
             return "0"
         names = list(var_names) if var_names else default_var_names(self.nvars)
-        dnames = _d_names(self.nvars, names)
         parts = []
         for a in sorted(self.terms, key=lambda a: (sum(a), a), reverse=True):
             f = self.terms[a]
             dfac = []
-            for dn, k in zip(dnames, a):
+            for i, k in enumerate(a):
                 if k == 1:
-                    dfac.append(dn)
+                    dfac.append(f"d{i+1}")
                 elif k > 1:
-                    dfac.append(f"{dn}^{k}")
+                    dfac.append(f"d{i+1}^{k}")
             fs = f.to_str(names)
             if not dfac:
                 parts.append(fs)
@@ -174,85 +173,15 @@ class WeylOperator:
         return {"vars": names, "terms": entries}
 
 
-def _d_names(nvars: int, names: Sequence[str]) -> List[str]:
-    """Accepted derivative tokens, one canonical name per variable."""
-    return [f"d{i+1}" for i in range(nvars)]
-
-
 def weyl_parse(text: str, var_names: Sequence[str], domain) -> WeylOperator:
     """Parse operator text: polynomial grammar plus d-tokens (d1..dn, dx, dy).
 
     Example: "x^2*d1^2 + d2".
     """
-    names = list(var_names)
-    nvars = len(names)
-    var_index = {n: i for i, n in enumerate(names)}
-    d_index = {f"d{i+1}": i for i in range(nvars)}
-    for i, n in enumerate(names):
-        d_index.setdefault(f"d{n}", i)
-    tok = _Tokenizer(text)
-
-    def parse_term(sign: int) -> WeylOperator:
-        tok.skip_ws()
-        coeff = domain.one if sign > 0 else domain.neg(domain.one)
-        exps = [0] * nvars
-        alpha = [0] * nvars
-
-        def take_power() -> int:
-            if tok.peek() == "^":
-                tok.pos += 1
-                return int(tok.take_int())
-            return 1
-
-        def parse_factor():
-            start = tok.pos
-            name = tok.take_name()
-            if name in d_index:
-                alpha[d_index[name]] += take_power()
-            elif name in var_index:
-                exps[var_index[name]] += take_power()
-            else:
-                raise UnknownVariable(f"unknown variable {name!r}", start)
-
-        ch = tok.peek()
-        if ch.isdigit():
-            num = tok.take_int()
-            if tok.peek() == "/":
-                tok.pos += 1
-                den = tok.take_int()
-                c = domain.parse(f"{num}/{den}")
-            else:
-                c = domain.parse(num)
-            coeff = domain.mul(coeff, c)
-        elif ch.isalpha() or ch == "_":
-            parse_factor()
-        else:
-            raise ParseError("expected coefficient, variable or d-token", tok.pos)
-        while tok.peek() == "*":
-            tok.pos += 1
-            parse_factor()
-        f = MPoly(nvars, domain, {tuple(exps): coeff})
-        return WeylOperator(nvars, domain, {tuple(alpha): f})
-
-    sign = 1
-    if tok.peek() == "-":
-        tok.pos += 1
-        sign = -1
-    elif tok.peek() == "+":
-        tok.pos += 1
-    result = parse_term(sign)
-    while True:
-        ch = tok.peek()
-        if ch == "":
-            break
-        if ch == "+":
-            tok.pos += 1
-            result = result + parse_term(1)
-        elif ch == "-":
-            tok.pos += 1
-            result = result + parse_term(-1)
-        else:
-            raise ParseError(f"unexpected character {ch!r}", tok.pos)
+    nvars = len(var_names)
+    result = WeylOperator.zero(nvars, domain)
+    for c, e, a in _parse_terms(text, var_names, domain, d_tokens=True):
+        result = result + WeylOperator(nvars, domain, {a: MPoly(nvars, domain, {e: c})})
     return result
 
 
@@ -268,7 +197,7 @@ class StabilityReport:
     witness: Optional[Tuple[int, int, MPoly]] = None
 
 
-def is_d_stable(gens: Sequence[MPoly], domain=None) -> StabilityReport:
+def is_d_stable(gens: Sequence[MPoly]) -> StabilityReport:
     """True iff every partial derivative of every generator stays in the ideal.
 
     A proper D-stable ideal of k[x1..xn] certifies the polynomial ring is not
@@ -279,7 +208,6 @@ def is_d_stable(gens: Sequence[MPoly], domain=None) -> StabilityReport:
 
     if not gens:
         raise ValueError("need at least one generator")
-    dom = domain if domain is not None else gens[0].domain
     nvars = gens[0].nvars
     basis = buchberger(gens)
     for gi, g in enumerate(gens):
@@ -290,5 +218,4 @@ def is_d_stable(gens: Sequence[MPoly], domain=None) -> StabilityReport:
             residue = normal_form(dg, basis)
             if not residue.is_zero():
                 return StabilityReport(stable=False, witness=(gi, i, residue))
-    del dom
     return StabilityReport(stable=True)

@@ -39,10 +39,34 @@ def test_curve_count(capsys):
 
 
 def test_malformed_poly_exit_2(capsys):
-    code = run(["milnor", "--f", "y^3+", "--p", "2"])
-    err = capsys.readouterr().err
+    for argv in (
+        ["milnor", "--f", "y^3+", "--p", "2"],
+        ["milnor", "--f", "1/0*x^2 + y^2", "--p", "5"],
+        ["weyl-apply", "--op", "x^-1*d1", "--f", "x^3"],
+        ["weyl-apply", "--op", "d1", "--f", "1/0"],
+        ["inertia", "--p", "5", "--module", "x^4", "--op", "d1^-1", "--level", "1"],
+    ):
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert "position" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve-count", "--p", "5", "--a", "0", "--b", "1"],
+    ["collatz", "--start", "-3"],
+    ["collatz-bijection", "--k", "30"],
+    ["groebner", "--gens", "0"],
+    ["inertia", "--p", "5", "--module", "x^0", "--op", "d1", "--level", "1"],
+    ["inertia", "--p", "5", "--module", "x^y", "--op", "d1", "--level", "1"],
+    ["inertia", "--p", "5", "--module", "q^4", "--op", "d1", "--level", "1"],
+])
+def test_bad_argument_is_one_line_usage_error(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
     assert code == 2
-    assert "position" in err
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_unknown_flag_exit_2(capsys):

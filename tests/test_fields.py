@@ -4,29 +4,29 @@ from fractions import Fraction
 import pytest
 
 from wildcycles.errors import NotPrime, ZeroInverse
-from wildcycles.fields import QQ, Matrix, PrimeField, field_inv, is_prime
+from wildcycles.fields import QQ, Matrix, PrimeField, is_prime
 
 
 def test_inv_identity_f7():
     f7 = PrimeField(7)
-    assert field_inv(f7, 1) == 1
+    assert f7.inv(1) == 1
 
 
 def test_inv_2_mod_5():
     f5 = PrimeField(5)
     # oracle: 2*3 = 6 = 1 mod 5
-    assert field_inv(f5, 2) == 3
+    assert f5.inv(2) == 3
 
 
 def test_inv_rational():
-    assert field_inv(QQ, Fraction(3, 4)) == Fraction(4, 3)
+    assert QQ.inv(Fraction(3, 4)) == Fraction(4, 3)
 
 
 def test_inv_zero_raises():
     with pytest.raises(ZeroInverse):
-        field_inv(PrimeField(5), 0)
+        PrimeField(5).inv(0)
     with pytest.raises(ZeroInverse):
-        field_inv(QQ, Fraction(0))
+        QQ.inv(Fraction(0))
 
 
 def test_not_prime_rejected():

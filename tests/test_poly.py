@@ -6,7 +6,8 @@ import pytest
 from helpers import random_poly
 from wildcycles.errors import DomainMismatch, IndexOutOfRange, ParseError, UnknownVariable
 from wildcycles.fields import QQ, PrimeField
-from wildcycles.poly import MPoly, poly_arith, poly_parse
+from wildcycles.poly import MPoly, poly_parse
+from wildcycles.weyl import WeylOperator, weyl_parse
 
 
 F2 = PrimeField(2)
@@ -39,6 +40,19 @@ def test_parse_errors():
     assert exc.value.position == 4
     with pytest.raises(UnknownVariable):
         poly_parse("x + w", ["x", "y"], QQ)
+    # negative powers and zero denominators, in both grammars
+    for parse, text, dom, position in (
+        (poly_parse, "x^-1", QQ, 2),
+        (weyl_parse, "x^-1*d1", QQ, 2),
+        (weyl_parse, "d1^-1", F5, 3),
+        (poly_parse, "1/0*x^2 + y^2", QQ, 2),
+        (weyl_parse, "1/0*d1", QQ, 2),
+        (poly_parse, "1/5*x", F5, 2),
+        (poly_parse, "3/-2*x", QQ, 2),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse(text, ["x", "y"], dom)
+        assert exc.value.position == position, text
 
 
 def test_derivative_examples():
@@ -70,7 +84,7 @@ def test_eval_domain_mismatch():
 
 def test_arith_examples():
     f = poly_parse("x^2+y", ["x", "y"], QQ)
-    assert poly_arith(f, MPoly.zero(2, QQ), "add") == f
+    assert f + MPoly.zero(2, QQ) == f
     s = poly_parse("x+y", ["x", "y"], F2)
     assert s * s == poly_parse("x^2+y^2", ["x", "y"], F2)  # Frobenius
     a = poly_parse("x-1", ["x"], QQ)
@@ -126,6 +140,7 @@ def test_parse_serialize_roundtrip():
         for _ in range(40):
             f = random_poly(rng, 2, dom)
             assert poly_parse(f.to_str(), ["x", "y"], dom) == f
+            assert weyl_parse(f.to_str(), ["x", "y"], dom) == WeylOperator.from_poly(f)
 
 
 def test_json_roundtrip():
