@@ -33,7 +33,7 @@ from .fields import QQ, PrimeField
 from .groebner import (
     INFINITE,
     buchberger,
-    milnor_number_detailed,
+    milnor_number,
     quotient_dimension,
     standard_monomials,
     tame_wild_split,
@@ -97,10 +97,11 @@ def _flat(v) -> str:
     return str(v)
 
 
-def _vars_arg(text: Optional[str], fallback_n: int = 2) -> List[str]:
-    if text:
-        return [v.strip() for v in text.split(",") if v.strip()]
-    return default_var_names(fallback_n)
+def _vars_arg(text: str) -> List[str]:
+    names = [v.strip() for v in text.split(",") if v.strip()]
+    if len(set(names)) < len(names):
+        raise ValueError(f"--vars repeats a name: {text!r}")
+    return names
 
 
 def _dim_json(d):
@@ -296,6 +297,8 @@ def _parse_system(args) -> DynamicalSystem:
     fp = PrimeField(args.p)
     texts = [t for t in args.system.split(";") if t.strip()]
     names = _infer_vars(texts, args.vars)
+    if args.vars and len(names) != len(texts):
+        raise ValueError(f"--vars has {len(names)} names for {len(texts)} components")
     if len(names) < len(texts):
         names = default_var_names(len(texts))
     comps = tuple(poly_parse(t, names, fp) for t in texts)
@@ -378,8 +381,8 @@ def _cmd_theorem1_probe(args) -> dict:
     names = _infer_vars([args.f], args.vars)
     f = poly_parse(args.f, names, QQ)
     rf = f * f  # r(t) = t^2 composed with f
-    dim_q, at_q = milnor_number_detailed(rf)
-    dim_p, at_p = milnor_number_detailed(reduce_mod_p(rf, args.p))
+    dim_q = milnor_number(rf)
+    dim_p = milnor_number(reduce_mod_p(rf, args.p))
     fp = PrimeField(args.p)
     f_p = reduce_mod_p(f, args.p)
     gradient = tuple(f_p.derivative(i) for i in range(f_p.nvars))
@@ -394,9 +397,7 @@ def _cmd_theorem1_probe(args) -> dict:
         "p": args.p,
         "h": args.h,
         "milnor_r_of_f_char0": _dim_json(dim_q),
-        "milnor_r_of_f_char0_stabilized_at": at_q,
         "milnor_r_of_f_charp": _dim_json(dim_p),
-        "milnor_r_of_f_charp_stabilized_at": at_p,
         "gradient_system": [g.to_str(names) for g in gradient],
         "periodic_point_count": dec.periodic_count,
         "cycle_lengths": dec.cycle_lengths,

@@ -41,10 +41,6 @@ class NotCritical(WildcyclesError):
     """Polynomial has constant or linear part; origin is not critical."""
 
 
-class NoStabilization(WildcyclesError):
-    """Truncated local dimensions did not stabilize within the bound."""
-
-
 class StateBudgetExceeded(WildcyclesError):
     """Requested state space exceeds the configured budget."""
 

@@ -1,20 +1,22 @@
 """Buchberger's algorithm, quotient dimensions, Milnor numbers, tame/wild split.
 
-Local dimensions at the origin are computed by adjoining all monomials of
-degree N (truncating by a power of the maximal ideal) and growing N until two
-consecutive dimensions agree. Truncation stabilizes for isolated
-singularities; non-stabilization within the bound is reported as an infinite
-dimension by the Milnor layer.
+Global quotients come from reduced Groebner bases under grevlex or lex.
+Local dimensions at the origin come from one standard basis under a local
+degree order, built by the same pair loop with Mora's ecart-based weak normal
+form in place of full reduction. The local dimension is the number of
+standard monomials of that basis, and it is infinite exactly when the
+staircase is unbounded (Mora 1982; Greuel & Pfister, A Singular Introduction
+to Commutative Algebra, sections 1.6-1.7).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .errors import DomainMismatch, NoStabilization
-from .fields import QQ, PrimeField
+from .errors import DomainMismatch
+from .fields import QQ
 from .poly import GREVLEX, Exponents, MonomialOrder, MPoly, reduce_mod_p
 
 INFINITE = float("inf")
@@ -23,7 +25,8 @@ Dimension = Union[int, float]
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced basis: monic generators, sorted by leading monomial ascending."""
+    """Monic generators with their order. `buchberger` returns the reduced
+    basis, sorted by leading monomial ascending."""
 
     generators: Tuple[MPoly, ...]
     order: MonomialOrder
@@ -36,8 +39,20 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.generators)
 
-    def contains_one(self) -> bool:
-        return any(g.is_constant() and not g.is_zero() for g in self.generators)
+
+class _LocalDegreeOrder(MonomialOrder):
+    """Lower total degree is larger, ties as in grevlex, so every monomial is
+    below 1. Private: division does not terminate under it, so only Mora's
+    weak normal form is used with it."""
+
+    def __init__(self):
+        self.kind = "local"
+
+    def key(self, e: Exponents):
+        return (-sum(e), tuple(-v for v in reversed(e)))
+
+
+_LOCAL = _LocalDegreeOrder()
 
 
 def _divides(a: Exponents, b: Exponents) -> bool:
@@ -51,6 +66,10 @@ def _lcm(a: Exponents, b: Exponents) -> Exponents:
 def _monic(f: MPoly, order: MonomialOrder) -> MPoly:
     _, c = f.leading(order)
     return f.scale(f.domain.inv(c))
+
+
+def _ecart(f: MPoly, order: MonomialOrder) -> int:
+    return f.total_degree() - sum(f.leading(order)[0])
 
 
 def normal_form(f: MPoly, G, order: Optional[MonomialOrder] = None) -> MPoly:
@@ -91,6 +110,30 @@ def normal_form(f: MPoly, G, order: Optional[MonomialOrder] = None) -> MPoly:
     return remainder
 
 
+def _mora_normal_form(f: MPoly, G: Sequence[MPoly], order: MonomialOrder) -> MPoly:
+    """Mora's weak normal form of f by G under a local degree order.
+
+    Returns h, zero or with a leading monomial that no leading monomial of G
+    divides, such that u*f - h lies in the ideal of G for a unit u of the
+    local ring. The reducer of least ecart goes first, and the running h
+    joins the reducers whenever that ecart exceeds its own; this is what
+    makes the loop terminate (Greuel & Pfister, Algorithm 1.7.6).
+    """
+    reducers = [(_ecart(g, order), g.leading(order)[0], g) for g in G]
+    h = f
+    while not h.is_zero():
+        le = h.leading(order)[0]
+        candidates = [r for r in reducers if _divides(r[1], le)]
+        if not candidates:
+            break
+        ecart, _, g = min(candidates, key=lambda r: r[0])
+        h_ecart = _ecart(h, order)
+        if ecart > h_ecart:
+            reducers.append((h_ecart, le, h))
+        h = _s_poly(h, g, order)
+    return h
+
+
 def _s_poly(f: MPoly, g: MPoly, order: MonomialOrder) -> MPoly:
     fe, fc = f.leading(order)
     ge, gc = g.leading(order)
@@ -101,42 +144,54 @@ def _s_poly(f: MPoly, g: MPoly, order: MonomialOrder) -> MPoly:
     return mf - mg
 
 
-def buchberger(gens: Sequence[MPoly], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
-    """Reduced Groebner basis, normal selection strategy.
+def _close_under_s_pairs(
+    gens: Sequence[MPoly],
+    order: MonomialOrder,
+    reduce: Callable[[MPoly, Sequence[MPoly], MonomialOrder], MPoly],
+) -> List[MPoly]:
+    """Monic generators whose S-polynomials all reduce to zero by `reduce`.
 
     Pairs are processed by minimal lcm total degree, ties broken by the lex
-    order on pair indices; coprime leading terms are skipped (first Buchberger
-    criterion).
+    order on pair indices. A pair with coprime leading monomials is skipped
+    when one of the two has ecart 0 (first Buchberger criterion); the ecart
+    condition keeps the criterion valid under local orders and always holds
+    under grevlex.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("need at least one nonzero generator")
-    nvars = gens[0].nvars
-    dom = gens[0].domain
-    for g in gens:
-        if g.nvars != nvars or g.domain != dom:
-            raise DomainMismatch("generators over different rings")
+    if any(g.nvars != gens[0].nvars or g.domain != gens[0].domain for g in gens):
+        raise DomainMismatch("generators over different rings")
     G = [_monic(g, order) for g in gens]
+    leads = [g.leading(order)[0] for g in G]
+    zero_ecart = [_ecart(g, order) == 0 for g in G]
     pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
 
     def pair_key(p):
         i, j = p
-        lcm = _lcm(G[i].leading(order)[0], G[j].leading(order)[0])
-        return (sum(lcm), p)
+        return (sum(_lcm(leads[i], leads[j])), p)
 
     while pairs:
         i, j = min(pairs, key=pair_key)
         pairs.discard((i, j))
-        fe = G[i].leading(order)[0]
-        ge = G[j].leading(order)[0]
-        if _lcm(fe, ge) == tuple(a + b for a, b in zip(fe, ge)):
+        fe, ge = leads[i], leads[j]
+        coprime = _lcm(fe, ge) == tuple(a + b for a, b in zip(fe, ge))
+        if coprime and (zero_ecart[i] or zero_ecart[j]):
             continue
-        r = normal_form(_s_poly(G[i], G[j], order), G, order)
+        r = reduce(_s_poly(G[i], G[j], order), G, order)
         if not r.is_zero():
             r = _monic(r, order)
             G.append(r)
+            leads.append(r.leading(order)[0])
+            zero_ecart.append(_ecart(r, order) == 0)
             k = len(G) - 1
             pairs.update((i2, k) for i2 in range(k))
+    return G
+
+
+def buchberger(gens: Sequence[MPoly], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
+    """Reduced Groebner basis, normal selection strategy."""
+    G = _close_under_s_pairs(gens, order, normal_form)
     # interreduce to the unique reduced basis
     changed = True
     while changed:
@@ -154,17 +209,16 @@ def buchberger(gens: Sequence[MPoly], order: MonomialOrder = GREVLEX) -> Groebne
                     G[idx] = _monic(r, order)
                 break
     G.sort(key=lambda g: order.key(g.leading(order)[0]))
-    return GroebnerBasis(tuple(G), order, nvars, dom)
+    return GroebnerBasis(tuple(G), order, G[0].nvars, G[0].domain)
 
 
 def standard_monomials(G: GroebnerBasis) -> Optional[List[Exponents]]:
     """Monomials divisible by no leading term, or None if infinitely many.
 
     Finite iff the staircase is bounded in every variable, i.e. some leading
-    term is a pure power of each variable.
+    term is a pure power of each variable. A leading monomial 1 (a unit
+    generator) leaves none.
     """
-    if G.contains_one():
-        return []
     leads = [g.leading(G.order)[0] for g in G.generators]
     n = G.nvars
     bounds = []
@@ -187,73 +241,25 @@ def quotient_dimension(G: GroebnerBasis) -> Dimension:
     return INFINITE if sm is None else len(sm)
 
 
-def _degree_monomials(nvars: int, d: int) -> List[Exponents]:
-    return [
-        e
-        for e in itertools.product(range(d + 1), repeat=nvars)
-        if sum(e) == d
-    ]
+def local_dimension(gens: Sequence[MPoly]) -> Dimension:
+    """Dimension of the quotient of the local ring at the origin, or INFINITE.
 
-
-def local_dimension(
-    gens: Sequence[MPoly],
-    n_max: int = 20,
-    order: MonomialOrder = GREVLEX,
-) -> Tuple[int, int]:
-    """Dimension of the local quotient at the origin via m^N truncation.
-
-    Adjoins all monomials of degree N for N = 2, 3, ... and returns the first
-    dimension repeated twice in a row, together with the N where it
-    stabilized. Raises NoStabilization when n_max is reached first.
+    Counts the standard monomials of one standard basis under the local
+    degree order; the count is exact, with no truncation bound.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
-    gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    nvars = gens[0].nvars
-    dom = gens[0].domain
-    prev = None
-    for N in range(2, n_max + 2):
-        trunc = [
-            MPoly.monomial(nvars, dom, e) for e in _degree_monomials(nvars, N)
-        ]
-        d = quotient_dimension(buchberger(gens + trunc, order))
-        if prev is not None and d == prev:
-            return int(prev), N - 1
-        prev = d
-        if N - 1 >= n_max:
-            break
-    raise NoStabilization(f"no stabilization up to N = {n_max}")
+    G = _close_under_s_pairs(gens, _LOCAL, _mora_normal_form)
+    return quotient_dimension(GroebnerBasis(tuple(G), _LOCAL, G[0].nvars, G[0].domain))
 
 
 def jacobian_ideal(f: MPoly) -> List[MPoly]:
     return [f.derivative(i) for i in range(f.nvars)]
 
 
-def milnor_number(f: MPoly, n_max: int = 20) -> Dimension:
+def milnor_number(f: MPoly) -> Dimension:
     """Local dimension of the Jacobian ideal quotient; INFINITE if the
-    singularity is not isolated (truncated dimensions never stabilize)."""
+    singularity is not isolated."""
     gens = [g for g in jacobian_ideal(f) if not g.is_zero()]
-    if not gens:
-        return INFINITE
-    try:
-        dim, _ = local_dimension(gens, n_max=n_max)
-    except NoStabilization:
-        return INFINITE
-    return dim
-
-
-def milnor_number_detailed(f: MPoly, n_max: int = 20) -> Tuple[Dimension, Optional[int]]:
-    """Milnor number plus the truncation order it stabilized at."""
-    gens = [g for g in jacobian_ideal(f) if not g.is_zero()]
-    if not gens:
-        return INFINITE, None
-    try:
-        dim, at = local_dimension(gens, n_max=n_max)
-    except NoStabilization:
-        return INFINITE, None
-    return dim, at
+    return local_dimension(gens) if gens else INFINITE
 
 
 @dataclass(frozen=True)
@@ -266,7 +272,6 @@ class MilnorReport:
     char_0_dimension: Dimension
     tame: Dimension
     wild: Dimension
-    truncation_order: Optional[int]
     anomaly: Optional[str] = None
 
     def to_json(self) -> dict:
@@ -280,12 +285,11 @@ class MilnorReport:
             "char_0_dimension": enc(self.char_0_dimension),
             "tame": enc(self.tame),
             "wild": enc(self.wild),
-            "truncation_order": self.truncation_order,
             "anomaly": self.anomaly,
         }
 
 
-def tame_wild_split(f: MPoly, p: int, n_max: int = 20) -> MilnorReport:
+def tame_wild_split(f: MPoly, p: int) -> MilnorReport:
     """Split the char-p Milnor dimension into tame (char-0) and wild parts.
 
     f must have integer coefficients so it can be read both mod p and over
@@ -294,9 +298,8 @@ def tame_wild_split(f: MPoly, p: int, n_max: int = 20) -> MilnorReport:
     """
     if f.domain != QQ:
         raise DomainMismatch("tame/wild split needs an integer polynomial over QQ")
-    f_p = reduce_mod_p(f, p)
-    dim_p, at_p = milnor_number_detailed(f_p, n_max=n_max)
-    dim_0 = milnor_number(f, n_max=n_max)
+    dim_p = milnor_number(reduce_mod_p(f, p))
+    dim_0 = milnor_number(f)
     anomaly = None
     if dim_p == INFINITE:
         tame, wild = dim_0, INFINITE
@@ -316,6 +319,5 @@ def tame_wild_split(f: MPoly, p: int, n_max: int = 20) -> MilnorReport:
         char_0_dimension=dim_0,
         tame=tame,
         wild=wild,
-        truncation_order=at_p,
         anomaly=anomaly,
     )

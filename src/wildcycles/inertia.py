@@ -126,6 +126,8 @@ def inertia_membership(
     carries the element-annihilation values for audit; they do not affect
     membership.
     """
+    if level < 0:
+        raise ValueError(f"level must be >= 0, not {level}")
     if D.has_zero_order_term():
         raise ZeroOrderTerm("operator has a zero-order (multiplication) term")
     per_k = []

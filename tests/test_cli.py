@@ -60,6 +60,10 @@ def test_malformed_poly_exit_2(capsys):
     ["inertia", "--p", "5", "--module", "x^0", "--op", "d1", "--level", "1"],
     ["inertia", "--p", "5", "--module", "x^y", "--op", "d1", "--level", "1"],
     ["inertia", "--p", "5", "--module", "q^4", "--op", "d1", "--level", "1"],
+    ["weyl-apply", "--op", "d1", "--f", "x", "--vars", "x,x"],
+    ["inertia", "--p", "5", "--module", "x^4", "--op", "d1", "--level", "-1"],
+    ["orbits", "--p", "7", "--system", "x^2;y", "--vars", "x"],
+    ["orbits", "--p", "7", "--system", "x^2", "--vars", "x,y"],
 ])
 def test_bad_argument_is_one_line_usage_error(capsys, argv):
     code = run(argv)
@@ -120,6 +124,8 @@ def test_theorem1_probe_runs(capsys):
     payload = env["payload"]
     assert "EXPLORATORY" in payload["note"]
     assert payload["critical_locus_charp"] == [[0, 0]]
+    # (x^2 + y^2)^2 is singular along a curve, so both Milnor numbers are infinite
+    assert payload["milnor_r_of_f_char0"] == payload["milnor_r_of_f_charp"] == "infinite"
 
 
 def test_curve_sweep_deterministic(capsys):

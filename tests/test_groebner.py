@@ -1,9 +1,7 @@
+import itertools
 import random
 
-import pytest
-
 from helpers import membership_oracle, random_poly
-from wildcycles.errors import NoStabilization
 from wildcycles.fields import QQ, PrimeField
 from wildcycles.groebner import (
     INFINITE,
@@ -130,35 +128,58 @@ def test_membership_agrees_with_cofactor_oracle():
 
 def test_local_dimension_jacobian_example():
     # Jacobian of y^3 + x^2 + x^3 over QQ
-    dim, at = local_dimension([P("3*y^2"), P("2*x + 3*x^2")])
-    assert dim == 2
-    assert at >= 2
+    assert local_dimension([P("3*y^2"), P("2*x + 3*x^2")]) == 2
 
 
 def test_local_dimension_morse():
-    dim, _ = local_dimension([P("2*x"), P("2*y")])
-    assert dim == 1
+    assert local_dimension([P("2*x"), P("2*y")]) == 1
 
 
 def test_local_dimension_cusp():
-    dim, _ = local_dimension([P("3*x^2"), P("-2*y")])
-    assert dim == 2  # standard monomials {1, x}
+    assert local_dimension([P("3*x^2"), P("-2*y")]) == 2  # standard monomials {1, x}
 
 
-def test_local_dimension_stable_one_extra_step():
-    gens = [P("3*y^2"), P("2*x + 3*x^2")]
-    dim, at = local_dimension(gens)
-    import itertools
+def test_local_dimension_matches_global_truncation_oracle():
+    # If dim k[x]/J = d is finite, the local ring at the origin is a factor
+    # of k[x]/J whose maximal ideal has m^d = 0 there, while m is the unit
+    # ideal at every other zero of J; so dim k[x]/(J + m^d) is the local
+    # dimension. Global Buchberger only.
+    rng = random.Random(71)
+    checked = 0
+    while checked < 40:
+        n = rng.choice((2, 2, 3))
+        dom = rng.choice((QQ, F2, F3, PrimeField(5)))
+        terms = {}
+        for i in range(n):
+            e = [0] * n
+            e[i] = rng.randrange(2, 6 if n == 2 else 4)
+            terms[tuple(e)] = dom.one
+        for _ in range(rng.randrange(1, 4)):
+            e = tuple(rng.randrange(0, 4) for _ in range(n))
+            if sum(e) >= 2:
+                terms[e] = dom.from_int(rng.randrange(1, 5))
+        J = [g for g in (MPoly(n, dom, terms).derivative(i) for i in range(n)) if not g.is_zero()]
+        if not J:
+            continue
+        d = quotient_dimension(buchberger(J))
+        if d == INFINITE or d > (12 if n == 2 else 6):
+            continue
+        m_d = [
+            MPoly.monomial(n, dom, e)
+            for e in itertools.product(range(d + 1), repeat=n)
+            if sum(e) == d
+        ]
+        assert local_dimension(J) == quotient_dimension(buchberger(J + m_d)), [g.to_str() for g in J]
+        checked += 1
 
-    from wildcycles.groebner import _degree_monomials
 
-    trunc = [MPoly.monomial(2, QQ, e) for e in _degree_monomials(2, at + 2)]
-    assert quotient_dimension(buchberger(gens + trunc)) == dim
-
-
-def test_local_dimension_no_stabilization():
-    with pytest.raises(NoStabilization):
-        local_dimension([P("x*y")], n_max=5)
+def test_milnor_exact_beyond_any_truncation_bound():
+    assert milnor_number(P("x^23 + y^2")) == 22
+    assert milnor_number(P("x^23 + y^2", dom=PrimeField(5))) == 22
+    assert milnor_number(P("x^4 + y^4 + z^4", names=["x", "y", "z"])) == 27
+    assert local_dimension([P("x*y")]) == INFINITE
+    f = P("x^2 + y^3")
+    assert milnor_number(f * f) == INFINITE
 
 
 def test_milnor_examples():
