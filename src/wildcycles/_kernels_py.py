@@ -13,24 +13,20 @@ BACKEND_NAME = "pure"
 
 
 def curve_affine_count(p: int, a: int, b: int) -> int:
-    """#{(x, y) in F_p^2 : y^2 + a x^3 + b x = 0} by full 2D enumeration."""
-    count = 0
-    for x in range(p):
-        rhs = (a * x * x * x + b * x) % p
-        for y in range(p):
-            if (y * y + rhs) % p == 0:
-                count += 1
-    return count
+    """#{(x, y) in F_p^2 : y^2 + a x^3 + b x = 0} by full 2D enumeration.
+
+    Every (x, y) pair is visited: list.count scans all p squares."""
+    squares = [y * y % p for y in range(p)]
+    return sum(squares.count(-(a * x * x * x + b * x) % p) for x in range(p))
 
 
 def curve_slice_counts(p: int, a: int, b: int) -> List[int]:
-    """l_i = #{x : a x^3 + b x + i^2 = 0 in F_p} for i = 0..p-1."""
-    values = [(a * x * x * x + b * x) % p for x in range(p)]
-    out = []
-    for i in range(p):
-        c = (i * i) % p
-        out.append(sum(1 for v in values if (v + c) % p == 0))
-    return out
+    """l_i = #{x : a x^3 + b x + i^2 = 0 in F_p} for i = 0..p-1, from one
+    histogram of a x^3 + b x: l_i is its count at -i^2."""
+    hist = [0] * p
+    for x in range(p):
+        hist[(a * x * x * x + b * x) % p] += 1
+    return [hist[-i * i % p] for i in range(p)]
 
 
 def curve_is_singular(p: int, a: int, b: int) -> bool:

@@ -297,10 +297,9 @@ def _parse_system(args) -> DynamicalSystem:
     fp = PrimeField(args.p)
     texts = [t for t in args.system.split(";") if t.strip()]
     names = _infer_vars(texts, args.vars)
-    if args.vars and len(names) != len(texts):
-        raise ValueError(f"--vars has {len(names)} names for {len(texts)} components")
-    if len(names) < len(texts):
-        names = default_var_names(len(texts))
+    if len(names) != len(texts):
+        source = "--vars names" if args.vars else "--system uses"
+        raise ValueError(f"{source} {len(names)} variables for {len(texts)} components")
     comps = tuple(poly_parse(t, names, fp) for t in texts)
     return DynamicalSystem(p=args.p, n=len(texts), components=comps, mode=args.mode)
 

@@ -2,7 +2,10 @@
 
 Curves follow the sign convention y^2 + a*x^3 + b*x = 0 verbatim. The slice
 sum and the naive point count are computed by disjoint code paths so the
-identity doubles as a bug detector. The summation range i = 0..p-1 coincides
+identity doubles as a bug detector: the pure kernels take the slice counts in
+O(p) from one histogram of a*x^3 + b*x, while the naive count visits all p^2
+pairs (x, y) on either lane. Multiplicities come in O(p) from a table of
+square roots and Hasse derivatives. The summation range i = 0..p-1 coincides
 with i = 1..p modulo p and is recorded in the report.
 """
 
@@ -46,32 +49,26 @@ def slice_counts(c: CurveSpec) -> List[int]:
 
 def slice_counts_with_multiplicity(c: CurveSpec) -> List[int]:
     """Root count weighted by multiplicity, for comparison with the
-    distinct-root counts the identity uses."""
+    distinct-root counts the identity uses.
+
+    x is a root of slice i iff i^2 = -(a*x^3 + b*x), so a table of square
+    roots sends each x to at most two slices. Its multiplicity there is the
+    order of the first nonzero Hasse derivative 3*a*x^2 + b, 3*a*x, a, which
+    does not depend on i and is valid in every characteristic."""
     p, a, b = c.p, c.a, c.b
-    out = []
+    roots: List[List[int]] = [[] for _ in range(p)]
     for i in range(p):
-        total = 0
-        for x in range(p):
-            v = (a * x * x * x + b * x + i * i) % p
-            if v != 0:
-                continue
-            # multiplicity via repeated synthetic division by (X - x)
-            coeffs = [a, 0, b, (i * i) % p]
-            mult = 0
-            while True:
-                rem = 0
-                quot = []
-                for cf in coeffs:
-                    rem = (rem * x + cf) % p
-                    quot.append(rem)
-                if quot.pop() != 0:
-                    break
-                mult += 1
-                coeffs = quot
-                if not coeffs:
-                    break
-            total += mult
-        out.append(total)
+        roots[i * i % p].append(i)
+    out = [0] * p
+    for x in range(p):
+        if (3 * a * x * x + b) % p:
+            mult = 1
+        elif 3 * a * x % p:
+            mult = 2
+        else:
+            mult = 3
+        for i in roots[-(a * x * x * x + b * x) % p]:
+            out[i] += mult
     return out
 
 

@@ -8,8 +8,8 @@ dx/ds = g(x); the step h is recorded in every report rather than hidden.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from .backend import kernels
 from .errors import DomainMismatch, StateBudgetExceeded
@@ -96,19 +96,32 @@ class OrbitDecomposition:
         }
 
 
-def _state_of_index(idx: int, p: int, n: int) -> State:
-    out = []
-    for _ in range(n):
-        out.append(idx % p)
-        idx //= p
-    return tuple(out)
+def _value_table(g: MPoly, p: int, n: int) -> List[int]:
+    """g at every state of F_p^n, in state-index order (variable 0 least
+    significant): per term, the outer product of per-variable power tables."""
+    acc = [0] * p**n
+    for e, c in g.terms.items():
+        vec = [c]
+        for k in e:
+            if k == 0:
+                vec = vec * p
+            else:
+                powers = [pow(x, k, p) for x in range(p)]
+                vec = [w * v % p for w in powers for v in vec]
+        acc = [(u + v) % p for u, v in zip(acc, vec)]
+    return acc
 
 
-def _index_of_state(state: State, p: int) -> int:
-    idx = 0
-    for v in reversed(state):
-        idx = idx * p + v
-    return idx
+def _transition_table(F: SelfMap) -> List[int]:
+    """nxt[index(s)] = index(F(s)) for every state s."""
+    p, n = F.p, F.n
+    fp = PrimeField(p)
+    if any(g.nvars != n or g.domain != fp for g in F.components):
+        raise DomainMismatch("component over the wrong ring")
+    nxt = [0] * p**n
+    for g in reversed(F.components):
+        nxt = [i * p + v for i, v in zip(nxt, _value_table(g, p, n))]
+    return nxt
 
 
 def orbit_decomposition(
@@ -117,17 +130,18 @@ def orbit_decomposition(
 ) -> OrbitDecomposition:
     """Decompose the functional graph of F on all p^n states.
 
-    The transition table is built by direct evaluation; the pointer-chasing
-    classification runs in the selected kernel backend. Cycles are rotated to
-    start at, and sorted by, their minimal state index, so output is
-    deterministic regardless of traversal order.
+    State index sum_i x_i p^i numbers the states. The transition table is
+    built one component at a time from per-variable power tables, with no
+    per-state polynomial evaluation; the pointer-chasing classification runs
+    in the selected kernel backend. Cycles are rotated to start at, and
+    sorted by, their minimal state index, so output is deterministic
+    regardless of traversal order.
     """
     p, n = F.p, F.n
     total = p**n
     if total > budget:
         raise StateBudgetExceeded(f"{p}^{n} = {total} exceeds budget {budget}")
-    states = [_state_of_index(i, p, n) for i in range(total)]
-    nxt = [_index_of_state(F(s), p) for s in states]
+    nxt = _transition_table(F)
     on_cycle, dist = kernels.functional_graph_decompose(nxt)
     seen = [False] * total
     cycles = []
@@ -141,13 +155,17 @@ def orbit_decomposition(
             cyc.append(j)
             j = nxt[j]
         start = cyc.index(min(cyc))
-        cyc = cyc[start:] + cyc[:start]
-        cycles.append(tuple(states[k] for k in cyc))
-    cycles.sort(key=lambda c: _index_of_state(c[0], p))
+        cycles.append(cyc[start:] + cyc[:start])
+    cycles.sort()
+    states = [s[::-1] for s in itertools.product(range(p), repeat=n)]
     tails = {states[i]: dist[i] for i in range(total) if not on_cycle[i]}
     periodic = sum(1 for f in on_cycle if f)
     return OrbitDecomposition(
-        p=p, n=n, cycles=tuple(cycles), tail_lengths=tails, periodic_count=periodic
+        p=p,
+        n=n,
+        cycles=tuple(tuple(states[k] for k in cyc) for cyc in cycles),
+        tail_lengths=tails,
+        periodic_count=periodic,
     )
 
 

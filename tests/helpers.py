@@ -89,3 +89,37 @@ def decode(idx, p, n):
         out.append(idx % p)
         idx //= p
     return tuple(out)
+
+
+def slice_counts_oracle(p, a, b):
+    """l_i by testing every x against every slice: O(p^2)."""
+    values = [(a * x * x * x + b * x) % p for x in range(p)]
+    return [sum(1 for v in values if (v + i * i) % p == 0) for i in range(p)]
+
+
+def multiplicity_oracle(p, a, b):
+    """Roots of a x^3 + b x + i^2 per slice, each counted with its
+    multiplicity, found by repeated synthetic division by (X - x)."""
+    out = []
+    for i in range(p):
+        total = 0
+        for x in range(p):
+            if (a * x * x * x + b * x + i * i) % p != 0:
+                continue
+            coeffs = [a, 0, b, (i * i) % p]
+            mult = 0
+            while True:
+                rem = 0
+                quot = []
+                for cf in coeffs:
+                    rem = (rem * x + cf) % p
+                    quot.append(rem)
+                if quot.pop() != 0:
+                    break
+                mult += 1
+                coeffs = quot
+                if not coeffs:
+                    break
+            total += mult
+        out.append(total)
+    return out

@@ -64,6 +64,7 @@ def test_malformed_poly_exit_2(capsys):
     ["inertia", "--p", "5", "--module", "x^4", "--op", "d1", "--level", "-1"],
     ["orbits", "--p", "7", "--system", "x^2;y", "--vars", "x"],
     ["orbits", "--p", "7", "--system", "x^2", "--vars", "x,y"],
+    ["orbits", "--p", "7", "--system", "x*y"],
 ])
 def test_bad_argument_is_one_line_usage_error(capsys, argv):
     code = run(argv)

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from helpers import multiplicity_oracle, slice_counts_oracle
+from wildcycles import _kernels_py
 from wildcycles.curves import (
     CurveSpec,
     critical_locus,
@@ -122,6 +124,24 @@ def test_multiplicity_counts_at_least_distinct():
     spec2 = CurveSpec(5, 1, 0)
     assert slice_counts(spec2)[0] == 1
     assert slice_counts_with_multiplicity(spec2)[0] == 3
+
+
+def test_linear_time_curve_paths_match_quadratic_oracles():
+    def check(p, a, b):
+        spec = CurveSpec(p, a, b)
+        assert _kernels_py.curve_slice_counts(p, a, b) == slice_counts_oracle(p, a, b)
+        assert slice_counts_with_multiplicity(spec) == multiplicity_oracle(p, a, b)
+
+    for p in (2, 3, 5, 7, 11, 13):
+        for a in range(1, p):
+            for b in range(p):
+                check(p, a, b)
+                assert _kernels_py.curve_affine_count(p, a, b) == brute_affine(p, a, b)
+    rng = random.Random(79)
+    for p in (97, 211, 1201):
+        for _ in range(3):
+            check(p, rng.randrange(1, p), rng.randrange(0, p))
+        check(p, rng.randrange(1, p), 0)
 
 
 def test_curvespec_validation():

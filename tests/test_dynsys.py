@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from helpers import brute_periodic_count, random_poly
+from helpers import brute_periodic_count, decode, random_poly
 from wildcycles.dynsys import (
     DynamicalSystem,
     SelfMap,
+    _transition_table,
     as_self_map,
     collatz_all_reach_one,
     collatz_orbit,
@@ -92,6 +93,30 @@ def test_partition_property_random_maps():
         for cyc in dec.cycles:
             for i, s in enumerate(cyc):
                 assert F(s) == cyc[(i + 1) % len(cyc)]
+
+
+def test_transition_table_matches_pointwise_evaluation():
+    rng = random.Random(89)
+    for _ in range(40):
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.choice([1, 2, 3])
+        fp = PrimeField(p)
+        comps = []
+        for _ in range(n):
+            kind = rng.choice(["zero", "constant", "random"])
+            if kind == "zero":
+                comps.append(MPoly.zero(n, fp))
+            elif kind == "constant":
+                comps.append(MPoly.constant(n, fp, rng.randrange(1, p)))
+            else:
+                # total degree up to 2p, so exponents >= p occur
+                comps.append(random_poly(rng, n, fp, max_deg=2 * p, max_terms=5))
+        F = SelfMap(p, n, tuple(comps))
+        nxt = _transition_table(F)
+        assert len(nxt) == p**n
+        for idx in range(p**n):
+            image = F(decode(idx, p, n))
+            assert nxt[idx] == sum(v * p**k for k, v in enumerate(image))
 
 
 def test_periodic_count_matches_brute_force():
