@@ -11,7 +11,9 @@ Exit codes: 0 success, 1 computation error, 2 usage/parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import random
 import sys
 import time
@@ -23,26 +25,25 @@ from .curves import CurveSpec, critical_locus, verify_identity
 from .dynsys import (
     DEFAULT_STATE_BUDGET,
     DynamicalSystem,
+    as_self_map,
     collatz_orbit,
     euler_discretize,
     orbit_decomposition,
     parity_bijection_check,
 )
 from .errors import ParseError, RefuseChar2, WildcyclesError
-from .fields import QQ, PrimeField
+from .fields import QQ, PrimeField, is_prime
 from .groebner import (
-    INFINITE,
     buchberger,
+    dimension_json,
     milnor_number,
     quotient_dimension,
     standard_monomials,
     tame_wild_split,
 )
 from .inertia import QuotientModule, inertia_membership
-from .poly import MonomialOrder, MPoly, default_var_names, poly_parse, reduce_mod_p
+from .poly import MonomialOrder, MPoly, default_var_names, infer_var_names, poly_parse, reduce_mod_p
 from .weyl import weyl_parse
-
-import os
 
 ENV_BUDGET = "WILDCYCLES_STATE_BUDGET"
 
@@ -97,43 +98,19 @@ def _flat(v) -> str:
     return str(v)
 
 
-def _vars_arg(text: str) -> List[str]:
-    names = [v.strip() for v in text.split(",") if v.strip()]
+def _var_names(args, polys: Sequence[str], operators: Sequence[str] = ()) -> List[str]:
+    """The names given by --vars, else those the texts use."""
+    if not args.vars:
+        return infer_var_names(polys, operators)
+    names = [v.strip() for v in args.vars.split(",") if v.strip()]
     if len(set(names)) < len(names):
-        raise ValueError(f"--vars repeats a name: {text!r}")
+        raise ValueError(f"--vars repeats a name: {args.vars!r}")
     return names
 
 
-def _dim_json(d):
-    return "infinite" if d == INFINITE else int(d)
-
-
-def _infer_vars(texts: Sequence[str], explicit: Optional[str]) -> List[str]:
-    if explicit:
-        return _vars_arg(explicit)
-    joined = " ".join(texts)
-    names = []
-    for candidate in ("x", "y", "z"):
-        if candidate in joined:
-            names.append(candidate)
-    return names or ["x"]
-
-
-def _read_config_file(path: str) -> dict:
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"config line without '=': {line!r}", 0)
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
-
-
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process; treat it as read-only."""
     top = argparse.ArgumentParser(
         prog="wildcycles",
         description="Computational probes: Weyl operators in char p, Milnor "
@@ -149,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget",
             type=int,
-            default=int(os.environ.get(ENV_BUDGET, DEFAULT_STATE_BUDGET)),
             help="state budget for exhaustive enumeration",
         )
 
@@ -232,15 +208,14 @@ def _config_dict(args: argparse.Namespace) -> dict:
 
 
 def _cmd_milnor(args) -> dict:
-    names = _infer_vars([args.f], args.vars)
-    f = poly_parse(args.f, names, QQ)
+    f = poly_parse(args.f, _var_names(args, [args.f]), QQ)
     return tame_wild_split(f, args.p).to_json()
 
 
 def _cmd_groebner(args) -> dict:
     domain = PrimeField(args.p) if args.p else QQ
     texts = [t for t in args.gens.split(";") if t.strip()]
-    names = _infer_vars(texts, args.vars)
+    names = _var_names(args, texts)
     gens = [poly_parse(t, names, domain) for t in texts]
     order = MonomialOrder(args.order)
     G = buchberger(gens, order)
@@ -248,7 +223,7 @@ def _cmd_groebner(args) -> dict:
     payload = {
         "basis": [g.to_str(names) for g in G],
         "order": args.order,
-        "quotient_dimension": _dim_json(quotient_dimension(G)),
+        "quotient_dimension": dimension_json(quotient_dimension(G)),
     }
     if sm is not None:
         payload["standard_monomials"] = [
@@ -281,7 +256,7 @@ def _cmd_inertia(args) -> dict:
 
 def _cmd_weyl_apply(args) -> dict:
     domain = PrimeField(args.p) if args.p else QQ
-    names = _infer_vars([args.op, args.f], args.vars)
+    names = _var_names(args, [args.f], [args.op])
     P = weyl_parse(args.op, names, domain)
     f = poly_parse(args.f, names, domain)
     result = P.apply(f)
@@ -296,7 +271,7 @@ def _cmd_weyl_apply(args) -> dict:
 def _parse_system(args) -> DynamicalSystem:
     fp = PrimeField(args.p)
     texts = [t for t in args.system.split(";") if t.strip()]
-    names = _infer_vars(texts, args.vars)
+    names = _var_names(args, texts)
     if len(names) != len(texts):
         source = "--vars names" if args.vars else "--system uses"
         raise ValueError(f"{source} {len(names)} variables for {len(texts)} components")
@@ -306,12 +281,7 @@ def _parse_system(args) -> DynamicalSystem:
 
 def _cmd_orbits(args) -> dict:
     sys_ = _parse_system(args)
-    if sys_.mode == "vector-field":
-        F = euler_discretize(sys_, args.h)
-    else:
-        from .dynsys import as_self_map
-
-        F = as_self_map(sys_)
+    F = euler_discretize(sys_, args.h) if sys_.mode == "vector-field" else as_self_map(sys_)
     dec = orbit_decomposition(F, budget=args.budget)
     payload = dec.to_json()
     payload["h"] = args.h
@@ -332,8 +302,6 @@ def _cmd_curve_count(args) -> dict:
 
 
 def _sweep_cases(pmax: int, samples: int, seed: int):
-    from .fields import is_prime
-
     rng = random.Random(seed)
     for p in range(2, pmax + 1):
         if not is_prime(p):
@@ -377,7 +345,7 @@ def _cmd_curve_sweep(args, fmt: str) -> int:
 def _cmd_theorem1_probe(args) -> dict:
     if args.p == 2:
         raise RefuseChar2("the probe assumes characteristic distinct from 2")
-    names = _infer_vars([args.f], args.vars)
+    names = _var_names(args, [args.f])
     f = poly_parse(args.f, names, QQ)
     rf = f * f  # r(t) = t^2 composed with f
     dim_q = milnor_number(rf)
@@ -395,8 +363,8 @@ def _cmd_theorem1_probe(args) -> dict:
         "r_of_f": rf.to_str(names),
         "p": args.p,
         "h": args.h,
-        "milnor_r_of_f_char0": _dim_json(dim_q),
-        "milnor_r_of_f_charp": _dim_json(dim_p),
+        "milnor_r_of_f_char0": dimension_json(dim_q),
+        "milnor_r_of_f_charp": dimension_json(dim_p),
         "gradient_system": [g.to_str(names) for g in gradient],
         "periodic_point_count": dec.periodic_count,
         "cycle_lengths": dec.cycle_lengths,
@@ -417,32 +385,43 @@ _HANDLERS = {
 }
 
 
+def _with_config(argv: List[str]) -> List[str]:
+    """argv with the key=value lines of its --config file appended as flags;
+    explicit flags win."""
+    if "--config" not in argv:
+        return argv
+    at = argv.index("--config")
+    if at + 1 == len(argv):
+        raise ValueError("--config needs a path")
+    try:
+        with open(argv[at + 1]) as fh:
+            lines = [line.strip() for line in fh]
+    except OSError as exc:
+        raise ValueError(f"cannot read config: {exc}") from None
+    defaults = {}
+    for line in lines:
+        if line and not line.startswith("#"):
+            if "=" not in line:
+                raise ValueError(f"config line without '=': {line!r}")
+            key, value = line.split("=", 1)
+            defaults[f"--{key.strip()}"] = value.strip()
+    extra = [part for flag, value in defaults.items() if flag not in argv for part in (flag, value)]
+    return argv[:at] + argv[at + 2 :] + extra
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # a config file pre-populates flags; explicit flags win
-    if "--config" in argv:
-        at = argv.index("--config")
-        try:
-            path = argv[at + 1]
-        except IndexError:
-            parser.error("--config needs a path")
-        try:
-            defaults = _read_config_file(path)
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 2
-        extra = []
-        for key, value in defaults.items():
-            flag = f"--{key}"
-            if flag not in argv:
-                extra.extend([flag, value])
-        argv = argv[:at] + argv[at + 2 :] + extra
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        argv = _with_config(list(sys.argv[1:] if argv is None else argv))
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        if args.budget is None:
+            budget = os.environ.get(ENV_BUDGET, str(DEFAULT_STATE_BUDGET))
+            try:
+                args.budget = int(budget)
+            except ValueError:
+                raise ValueError(f"{ENV_BUDGET} is not an integer: {budget!r}") from None
         if args.cmd == "curve-sweep":
             return _cmd_curve_sweep(args, args.format)
         payload = _HANDLERS[args.cmd](args)

@@ -23,6 +23,11 @@ INFINITE = float("inf")
 Dimension = Union[int, float]
 
 
+def dimension_json(d: Dimension):
+    """A dimension as JSON: an int, or "infinite"."""
+    return "infinite" if d == INFINITE else int(d)
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Monic generators with their order. `buchberger` returns the reduced
@@ -192,23 +197,15 @@ def _close_under_s_pairs(
 def buchberger(gens: Sequence[MPoly], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis, normal selection strategy."""
     G = _close_under_s_pairs(gens, order, normal_form)
-    # interreduce to the unique reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(G)):
-            others = G[:idx] + G[idx + 1 :]
-            if not others:
-                continue
-            r = normal_form(G[idx], others, order)
-            if r != G[idx]:
-                changed = True
-                if r.is_zero():
-                    G.pop(idx)
-                else:
-                    G[idx] = _monic(r, order)
-                break
     G.sort(key=lambda g: order.key(g.leading(order)[0]))
+    # a minimal basis: a divisor of a leading monomial sorts before it
+    minimal = []
+    for g in G:
+        if not any(_divides(h.leading(order)[0], g.leading(order)[0]) for h in minimal):
+            minimal.append(g)
+    # reducing the monic generators of a minimal basis by each other keeps
+    # every leading term, so one pass gives the unique reduced basis
+    G = [normal_form(g, minimal[:i] + minimal[i + 1 :], order) for i, g in enumerate(minimal)]
     return GroebnerBasis(tuple(G), order, G[0].nvars, G[0].domain)
 
 
@@ -275,16 +272,13 @@ class MilnorReport:
     anomaly: Optional[str] = None
 
     def to_json(self) -> dict:
-        def enc(d):
-            return "infinite" if d == INFINITE else int(d)
-
         return {
             "f": self.f_text,
             "p": self.p,
-            "char_p_dimension": enc(self.char_p_dimension),
-            "char_0_dimension": enc(self.char_0_dimension),
-            "tame": enc(self.tame),
-            "wild": enc(self.wild),
+            "char_p_dimension": dimension_json(self.char_p_dimension),
+            "char_0_dimension": dimension_json(self.char_0_dimension),
+            "tame": dimension_json(self.tame),
+            "wild": dimension_json(self.wild),
             "anomaly": self.anomaly,
         }
 

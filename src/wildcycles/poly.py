@@ -376,6 +376,30 @@ def _parse_terms(
         at += 1
 
 
+def infer_var_names(polys: Sequence[str], operators: Sequence[str] = ()) -> List[str]:
+    """The variable names that polynomial and operator texts use, sorted,
+    or ["x"] when they use none.
+
+    In operator text d<digits> is a derivative by index and names nothing,
+    and d<name> is the derivative in <name>. A name v beside a name dv is a
+    ValueError: operator text could not tell the two apart.
+    """
+    names = set()
+    for text, d_tokens in [(t, False) for t in polys] + [(t, True) for t in operators]:
+        for _, name, _ in _TOKEN.findall(text):
+            if name and d_tokens and name[0] == "d":
+                if name[1:].isdecimal():
+                    continue
+                if name[1:] and not name[1].isdecimal():
+                    name = name[1:]
+            if name:
+                names.add(name)
+    for v in sorted(names):
+        if "d" + v in names:
+            raise ValueError(f"variable {v!r} clashes with the derivative token {'d' + v!r}")
+    return sorted(names) or ["x"]
+
+
 def poly_parse(text: str, var_names: Sequence[str], domain) -> MPoly:
     """Parse the text grammar into a canonical MPoly.
 

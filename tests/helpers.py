@@ -23,6 +23,13 @@ def random_poly(rng, nvars, domain, max_deg=3, max_terms=4):
     return MPoly(nvars, domain, terms)
 
 
+def substring_var_names(texts):
+    """The CLI's former naming rule, kept as an oracle: each of x, y and z
+    that occurs anywhere in the texts, even inside another token such as dx."""
+    joined = " ".join(texts)
+    return [v for v in ("x", "y", "z") if v in joined] or ["x"]
+
+
 def membership_oracle(f, gens, bounds=(4, 6, 8, 10)):
     """Escalating-bound cofactor search: a certificate found at any bound
     proves membership; absence at the largest bound is read as non-membership

@@ -1,8 +1,16 @@
+import argparse
 import json
+import random
 
 import pytest
 
-from wildcycles.cli import build_parser, run
+from helpers import random_poly, substring_var_names
+from wildcycles.cli import ENV_BUDGET, build_parser, run
+from wildcycles.dynsys import DEFAULT_STATE_BUDGET
+from wildcycles.errors import ParseError
+from wildcycles.fields import QQ
+from wildcycles.poly import infer_var_names, poly_parse
+from wildcycles.weyl import weyl_parse
 
 
 def run_lines(capsys, *argv):
@@ -15,6 +23,13 @@ def run_json(capsys, *argv):
     code, out = run_lines(capsys, *argv)
     assert code == 0, out
     return json.loads(out)
+
+
+def assert_one_line_usage_error(capsys, code):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def strip_timestamp(env):
@@ -65,13 +80,19 @@ def test_malformed_poly_exit_2(capsys):
     ["orbits", "--p", "7", "--system", "x^2;y", "--vars", "x"],
     ["orbits", "--p", "7", "--system", "x^2", "--vars", "x,y"],
     ["orbits", "--p", "7", "--system", "x*y"],
+    ["weyl-apply", "--op", "d1", "--f", "dx + x"],
 ])
 def test_bad_argument_is_one_line_usage_error(capsys, argv):
-    code = run(argv)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert_one_line_usage_error(capsys, run(argv))
+
+
+def test_front_end_failures_are_one_line_usage_errors(tmp_path, monkeypatch, capsys):
+    assert_one_line_usage_error(capsys, run(["--config"]))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 2\nno equals sign\n")
+    assert_one_line_usage_error(capsys, run(["milnor", "--f", "x^2", "--config", str(cfg)]))
+    monkeypatch.setenv(ENV_BUDGET, "abc")
+    assert_one_line_usage_error(capsys, run(["collatz", "--start", "3"]))
 
 
 def test_unknown_flag_exit_2(capsys):
@@ -170,3 +191,61 @@ def test_every_subcommand_has_help(capsys):
             parser.parse_args([name, "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out
+
+
+def test_names_outside_x_y_z(capsys):
+    env = run_json(capsys, "groebner", "--gens", "a + b; a*b - 1")
+    assert env["payload"]["basis"] == ["a + b", "b^2 + 1"]
+    env = run_json(capsys, "milnor", "--f", "x1^2 + x2^3", "--p", "3")
+    assert env["payload"]["char_0_dimension"] == 2
+
+
+def test_inferred_names_keep_the_substring_rule_where_it_worked():
+    """Wherever the former substring rule named variables that parse every
+    text, the grammar's names are the same, in the same order."""
+    rng = random.Random(73)
+    factors = ["d1", "d2", "d3", "dx", "dy", "dz"]
+    compared = 0
+    for _ in range(600):
+        names = sorted(rng.sample(["x", "y", "z"], rng.randrange(1, 4)))
+        polys = [random_poly(rng, len(names), QQ).to_str(names) for _ in range(rng.randrange(1, 3))]
+        operators = []
+        for _ in range(rng.randrange(0, 2)):
+            pool = factors + names
+            terms = ["*".join(rng.choice(pool) for _ in range(rng.randrange(1, 3))) for _ in range(rng.randrange(1, 3))]
+            operators.append(" + ".join(terms))
+        oracle = substring_var_names(polys + operators)
+        try:
+            for t in polys:
+                poly_parse(t, oracle, QQ)
+            for t in operators:
+                weyl_parse(t, oracle, QQ)
+        except ParseError:
+            continue
+        assert infer_var_names(polys, operators) == oracle, (polys, operators)
+        compared += 1
+    assert compared >= 300
+
+
+def test_budget_is_read_on_every_run(monkeypatch, capsys):
+    argv = ["orbits", "--p", "7", "--system", "x; y"]
+    monkeypatch.setenv(ENV_BUDGET, "10")
+    assert run(argv) == 1
+    monkeypatch.delenv(ENV_BUDGET)
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["budget"] == DEFAULT_STATE_BUDGET
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    tops = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        tops.append(kwargs.get("prog") == "wildcycles")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    for argv in (["collatz", "--start", "6"], ["curve-count", "--p", "5", "--a", "1", "--b", "1"], ["milnor", "--nope"]):
+        run(argv)
+    assert sum(tops) == 1

@@ -5,6 +5,7 @@ from helpers import membership_oracle, random_poly
 from wildcycles.fields import QQ, PrimeField
 from wildcycles.groebner import (
     INFINITE,
+    _divides,
     _s_poly,
     buchberger,
     local_dimension,
@@ -230,3 +231,28 @@ def test_tame_plus_wild_equals_total():
 def test_lex_order_basis():
     G = buchberger([P("x^2 - y"), P("y^2")], LEX)
     assert normal_form(P("x^4"), G).is_zero() == (normal_form(P("x^4"), buchberger([P("x^2 - y"), P("y^2")], GREVLEX)).is_zero())
+
+
+def test_buchberger_basis_is_reduced():
+    rng = random.Random(71)
+    checked = 0
+    for dom in (QQ, F2, F3):
+        for order in (GREVLEX, LEX):
+            for _ in range(12):
+                nvars = rng.choice((2, 3))
+                gens = [g for g in (random_poly(rng, nvars, dom) for _ in range(3)) if not g.is_zero()]
+                if not gens:
+                    continue
+                G = buchberger(gens, order)
+                leads = [g.leading(order) for g in G]
+                basis = ([g.to_str() for g in G], order)
+                # monic
+                assert all(c == dom.one for _, c in leads), basis
+                for i, g in enumerate(G):
+                    others = [le for j, (le, _) in enumerate(leads) if j != i]
+                    # no leading monomial divides another
+                    assert not any(_divides(le, leads[i][0]) for le in others), basis
+                    # no term of a generator lies in another's leading ideal
+                    assert not any(_divides(le, e) for le in others for e in g.terms), basis
+                checked += 1
+    assert checked >= 50

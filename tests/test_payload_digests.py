@@ -1,0 +1,83 @@
+"""Payload identity as a tier-1 check.
+
+`payload_digests.json` maps each README CLI line and each line of FLAG_LINES
+to the exit code and the SHA-256 of its payloads: every stdout line of a JSON run parsed, its `payload`
+re-serialized compact with sorted keys, the list of them hashed. A text run
+hashes stdout as printed. A change that moves a payload must edit the table
+on purpose; regenerate it with
+
+    PYTHONPATH=src python tests/test_payload_digests.py --write
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+import shlex
+import sys
+from pathlib import Path
+
+import pytest
+
+from wildcycles.cli import run
+
+HERE = Path(__file__).resolve().parent
+TABLE = HERE / "payload_digests.json"
+README = HERE.parent / "README.md"
+
+# one argv per subcommand that sets its non-default flags
+FLAG_LINES = [
+    'wildcycles milnor --f "u^2 + v^3" --p 3 --vars u,v --seed 5 --budget 1000',
+    'wildcycles milnor --f "x^3 - y^2" --p 3 --format text',
+    'wildcycles groebner --gens "x^2 + y; y^2 + x" --order lex --p 7 --vars y,x',
+    'wildcycles groebner --gens "x*y - 1; x^2 - 2/3*y" --order lex',
+    'wildcycles inertia --p 3 --module x^4 --op "d1^3" --level 3 --element "1 + x^2"',
+    'wildcycles weyl-apply --op "dy*x + dx" --f "x*y^2" --p 5 --vars x,y',
+    'wildcycles weyl-apply --op "x*d1 + 1/2" --f "x^3"',
+    'wildcycles orbits --p 5 --system "y; -x" --h 2 --mode vector-field --vars x,y --budget 100',
+    'wildcycles collatz --start 27 --variant accelerated --step-budget 50',
+    'wildcycles collatz-bijection --k 6 --format text',
+    'wildcycles curve-count --p 7 --a 3 --b 0',
+    'wildcycles curve-sweep --pmax 23 --samples 3 --seed 5',
+    'wildcycles curve-sweep --pmax 13 --samples 2 --seed 1 --format text',
+    'wildcycles theorem1-probe --f "x^2 + y^3" --p 3 --h 2 --vars x,y',
+]
+
+
+def readme_lines():
+    (block,) = [b for b in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S) if b.startswith("wildcycles ")]
+    return block.splitlines()
+
+
+def digest(line: str) -> dict:
+    argv = shlex.split(line)[1:]
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        code = run(argv)
+    out = buf.getvalue()
+    if "text" in argv:
+        data = out
+    else:
+        payloads = [json.loads(l)["payload"] for l in out.splitlines()]
+        data = json.dumps(payloads, sort_keys=True, separators=(",", ":"))
+    return {"exit": code, "sha256": hashlib.sha256(data.encode()).hexdigest()}
+
+
+def all_lines():
+    return list(dict.fromkeys(readme_lines() + FLAG_LINES))
+
+
+def test_every_readme_and_flag_line_is_in_the_table():
+    table = json.loads(TABLE.read_text())
+    assert set(all_lines()) <= set(table)
+
+
+@pytest.mark.parametrize("line", sorted(json.loads(TABLE.read_text())))
+def test_payload_digest_unchanged(line):
+    assert digest(line) == json.loads(TABLE.read_text())[line]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    table = {line: digest(line) for line in all_lines()}
+    TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(table)} digests to {TABLE}")
