@@ -208,8 +208,11 @@ def _config_dict(args: argparse.Namespace) -> dict:
 
 
 def _cmd_milnor(args) -> dict:
-    f = poly_parse(args.f, _var_names(args, [args.f]), QQ)
-    return tame_wild_split(f, args.p).to_json()
+    names = _var_names(args, [args.f])
+    f = poly_parse(args.f, names, QQ)
+    payload = tame_wild_split(f, args.p).to_json()
+    payload["f"] = f.to_str(names)
+    return payload
 
 
 def _cmd_groebner(args) -> dict:
@@ -347,10 +350,12 @@ def _cmd_theorem1_probe(args) -> dict:
         raise RefuseChar2("the probe assumes characteristic distinct from 2")
     names = _var_names(args, [args.f])
     f = poly_parse(args.f, names, QQ)
+    fp = PrimeField(args.p)
+    if fp.from_int(args.h) == fp.zero:
+        raise ValueError(f"--h {args.h} is 0 mod {args.p}: the Euler map would be the identity")
     rf = f * f  # r(t) = t^2 composed with f
     dim_q = milnor_number(rf)
     dim_p = milnor_number(reduce_mod_p(rf, args.p))
-    fp = PrimeField(args.p)
     f_p = reduce_mod_p(f, args.p)
     gradient = tuple(f_p.derivative(i) for i in range(f_p.nvars))
     sys_ = DynamicalSystem(p=args.p, n=f_p.nvars, components=gradient)

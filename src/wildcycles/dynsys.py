@@ -266,12 +266,39 @@ def parity_vector(start: int, k: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def _parity_vectors(k: int) -> List[int]:
+    """parity_vector(r, k) for every r < 2^k, in residue order, each encoded
+    as an int with bit j the parity at step j.
+
+    Level j + 1 is lifted from level j by Terras's identity
+    T^j(r + 2^j) = T^j(r) + 3^(o_j(r)), o_j(r) the number of odd steps among
+    the first j, so each level costs one step per residue: O(2^k) in all.
+    """
+    values, odds, vecs = [0], [0], [0]
+    pow3 = [1]
+    for j in range(k):
+        values += [v + pow3[o] for v, o in zip(values, odds)]
+        odds += odds
+        vecs += vecs
+        pow3.append(3 * pow3[-1])
+        bit = 1 << j
+        next_values, next_odds, next_vecs = [], [], []
+        for v, o, w in zip(values, odds, vecs):
+            if v & 1:
+                next_values.append((3 * v + 1) >> 1)
+                next_odds.append(o + 1)
+                next_vecs.append(w | bit)
+            else:
+                next_values.append(v >> 1)
+                next_odds.append(o)
+                next_vecs.append(w)
+        values, odds, vecs = next_values, next_odds, next_vecs
+    return vecs
+
+
 def parity_bijection_check(k: int) -> bool:
     """True iff residues mod 2^k map bijectively onto parity vectors of
     length k (the finite shadow of 2-adic continuity of the accelerated map)."""
     if not 0 <= k <= 24:
         raise ValueError("k out of supported range")
-    seen = set()
-    for r in range(1 << k):
-        seen.add(parity_vector(r, k))
-    return len(seen) == 1 << k
+    return len(set(_parity_vectors(k))) == 1 << k

@@ -382,18 +382,23 @@ def infer_var_names(polys: Sequence[str], operators: Sequence[str] = ()) -> List
 
     In operator text d<digits> is a derivative by index and names nothing,
     and d<name> is the derivative in <name>. A name v beside a name dv is a
-    ValueError: operator text could not tell the two apart.
+    ValueError: operator text could not tell the two apart. So is a name
+    d<digits> in polynomial text beside operator text, which reads it as a
+    derivative.
     """
     names = set()
     for text, d_tokens in [(t, False) for t in polys] + [(t, True) for t in operators]:
         for _, name, _ in _TOKEN.findall(text):
-            if name and d_tokens and name[0] == "d":
-                if name[1:].isdecimal():
+            if not name:
+                continue
+            if name[0] == "d" and name[1:].isdecimal():
+                if d_tokens:
                     continue
-                if name[1:] and not name[1].isdecimal():
-                    name = name[1:]
-            if name:
-                names.add(name)
+                if operators:
+                    raise ValueError(f"variable {name!r} reads as a derivative beside operator text")
+            elif d_tokens and name[0] == "d" and name[1:] and not name[1].isdecimal():
+                name = name[1:]
+            names.add(name)
     for v in sorted(names):
         if "d" + v in names:
             raise ValueError(f"variable {v!r} clashes with the derivative token {'d' + v!r}")

@@ -130,3 +130,34 @@ def multiplicity_oracle(p, a, b):
             total += mult
         out.append(total)
     return out
+
+
+def operator_matrix_oracle(M, P):
+    """Matrix of P on the basis of the quotient module M, one column per
+    basis monomial by applying P to it and truncating: independent of the
+    closed-form falling factorials of QuotientModule.operator_matrix."""
+    from wildcycles.fields import Matrix
+
+    cols = []
+    for e in M.basis:
+        image = P.apply(MPoly.monomial(M.nvars, M.field, e))
+        cols.append(M.to_vector(image))
+    n = M.dimension
+    entries = [cols[j][i] for i in range(n) for j in range(n)]
+    return Matrix(n, n, entries, M.field)
+
+
+def random_operator(rng, nvars, domain, max_order):
+    """A seeded nonzero Weyl operator with no zero-order term: up to four
+    derivative multi-indices of order 1..max_order, each with a random
+    nonzero polynomial coefficient."""
+    from wildcycles.weyl import WeylOperator
+
+    terms = {}
+    for _ in range(rng.randrange(1, 5)):
+        a = [0] * nvars
+        for _ in range(rng.randrange(1, max_order + 1)):
+            a[rng.randrange(nvars)] += 1
+        f = random_poly(rng, nvars, domain, max_terms=3)
+        terms[tuple(a)] = f if f.terms else MPoly.one(nvars, domain)
+    return WeylOperator(nvars, domain, terms)

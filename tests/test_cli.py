@@ -81,6 +81,8 @@ def test_malformed_poly_exit_2(capsys):
     ["orbits", "--p", "7", "--system", "x^2", "--vars", "x,y"],
     ["orbits", "--p", "7", "--system", "x*y"],
     ["weyl-apply", "--op", "d1", "--f", "dx + x"],
+    ["weyl-apply", "--op", "x", "--f", "d1"],
+    ["theorem1-probe", "--f", "x^2+y^3", "--p", "5", "--h", "5"],
 ])
 def test_bad_argument_is_one_line_usage_error(capsys, argv):
     assert_one_line_usage_error(capsys, run(argv))
@@ -198,6 +200,12 @@ def test_names_outside_x_y_z(capsys):
     assert env["payload"]["basis"] == ["a + b", "b^2 + 1"]
     env = run_json(capsys, "milnor", "--f", "x1^2 + x2^3", "--p", "3")
     assert env["payload"]["char_0_dimension"] == 2
+    assert env["payload"]["f"] == "x2^3 + x1^2"
+
+
+def test_milnor_reports_f_under_the_given_names(capsys):
+    env = run_json(capsys, "milnor", "--f", "u^2 + v^3", "--vars", "u,v", "--p", "5")
+    assert env["payload"]["f"] == "v^3 + u^2"
 
 
 def test_inferred_names_keep_the_substring_rule_where_it_worked():

@@ -7,6 +7,7 @@ from helpers import brute_periodic_count, decode, random_poly
 from wildcycles.dynsys import (
     DynamicalSystem,
     SelfMap,
+    _parity_vectors,
     _transition_table,
     as_self_map,
     collatz_all_reach_one,
@@ -223,3 +224,18 @@ def test_parity_bijection_projection_consistency():
     for k in range(2, 9):
         assert parity_bijection_check(k)
         assert parity_bijection_check(k - 1)
+
+
+def test_parity_vectors_match_stepwise_parity_vector():
+    for k in range(13):
+        vecs = _parity_vectors(k)
+        assert len(vecs) == 1 << k
+        for r in range(1 << k):
+            assert vecs[r] == sum(b << j for j, b in enumerate(parity_vector(r, k)))
+
+
+def test_parity_bijection_range_guard():
+    assert parity_bijection_check(0)
+    for k in (-1, 25):
+        with pytest.raises(ValueError):
+            parity_bijection_check(k)

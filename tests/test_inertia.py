@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from helpers import operator_matrix_oracle, random_operator, random_poly
 from wildcycles.errors import NotCritical, ZeroOrderTerm
 from wildcycles.fields import QQ, PrimeField
 from wildcycles.inertia import (
@@ -126,3 +129,40 @@ def test_morse_examples():
 def test_morse_rejects_linear_part():
     with pytest.raises(NotCritical):
         morse_check(poly_parse("x + x^2", ["x"], QQ))
+
+
+def test_operator_matrix_matches_apply_oracle():
+    # about a third of the operators also carry a d_i^p term, whose falling
+    # factorials k!/(k - p)! all vanish mod p
+    rng = random.Random(2024)
+    largest_m = {1: 60, 2: 11, 3: 7}
+    for trial in range(360):
+        p = (2, 3, 5, 7, 11, 13)[trial % 6]
+        nvars = rng.choice((1, 1, 2, 3))
+        m = largest_m[nvars] if trial % 5 == 0 else rng.randrange(1, largest_m[nvars] + 1)
+        M = QuotientModule(p, m, nvars)
+        P = random_operator(rng, nvars, M.field, max_order=4)
+        if rng.randrange(3) == 0:
+            a = [0] * nvars
+            a[rng.randrange(nvars)] = p
+            coeff = random_poly(rng, nvars, M.field) + MPoly.one(nvars, M.field)
+            P = P + WeylOperator(nvars, M.field, {tuple(a): coeff})
+        assert M.operator_matrix(P).entries == operator_matrix_oracle(M, P).entries, (p, m, P)
+
+
+def test_membership_matches_kernel_on_quotient():
+    rng = random.Random(7)
+    for trial in range(60):
+        p = (2, 3, 5, 7, 11, 13)[trial % 6]
+        nvars = rng.randrange(1, 3)
+        M = QuotientModule(p, rng.randrange(1, 16 if nvars == 1 else 7), nvars)
+        D = random_operator(rng, nvars, M.field, max_order=3)
+        level = rng.randrange(0, 4)
+        dvar = rng.randrange(nvars)
+        report = inertia_membership(D, level, M, dvar=dvar)
+        one = MPoly.one(nvars, M.field)
+        for k, dim, ok in report.per_k:
+            Dk = D.compose(WeylOperator.partial(nvars, M.field, dvar, k))
+            kernel = kernel_on_quotient(Dk, M)
+            assert (dim, ok) == (len(kernel), kernel == [one])
+        assert report.member == all(ok for _, _, ok in report.per_k)
