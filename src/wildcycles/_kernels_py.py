@@ -44,39 +44,41 @@ def functional_graph_decompose(nxt: Sequence[int]) -> Tuple[List[bool], List[int
     """Classify every state of a finite self-map.
 
     Returns (on_cycle, dist): on_cycle[s] marks periodic states, dist[s] is
-    the number of steps from s to its cycle (0 on the cycle). Iterative path
-    walking with three-state coloring; no recursion.
+    the number of steps from s to its cycle (0 on the cycle). dist is the
+    only mark: -1 is unvisited and -2 is on the current path. A start whose
+    successor is already classified takes that distance plus one; any other
+    start walks forward, without recursion, until it meets -2 (it closed a
+    new cycle) or some d >= 0 (it joined a known tree), then numbers its
+    path backward from there.
     """
     n = len(nxt)
     on_cycle = [False] * n
     dist = [-1] * n
-    state = [0] * n  # 0 unvisited, 1 on current path, 2 done
     for start in range(n):
-        if state[start] != 0:
+        if dist[start] != -1:
             continue
-        path = []
-        s = start
-        while state[s] == 0:
-            state[s] = 1
+        s = nxt[start]
+        d = dist[s]
+        if d >= 0:
+            dist[start] = d + 1
+            continue
+        dist[start] = -2
+        path = [start]
+        while d == -1:
+            dist[s] = -2
             path.append(s)
             s = nxt[s]
-        if state[s] == 1:
-            # new cycle: everything from s onward in the path
+            d = dist[s]
+        if d == -2:
             at = path.index(s)
             for c in path[at:]:
                 on_cycle[c] = True
                 dist[c] = 0
-                state[c] = 2
-            tail = path[:at]
-            base = 0
-        else:
-            tail = path
-            base = dist[s]
-        d = base
-        for t in reversed(tail):
+            del path[at:]
+            d = 0
+        for t in reversed(path):
             d += 1
             dist[t] = d
-            state[t] = 2
     return on_cycle, dist
 
 

@@ -350,16 +350,13 @@ def _cmd_theorem1_probe(args) -> dict:
         raise RefuseChar2("the probe assumes characteristic distinct from 2")
     names = _var_names(args, [args.f])
     f = poly_parse(args.f, names, QQ)
-    fp = PrimeField(args.p)
-    if fp.from_int(args.h) == fp.zero:
-        raise ValueError(f"--h {args.h} is 0 mod {args.p}: the Euler map would be the identity")
-    rf = f * f  # r(t) = t^2 composed with f
-    dim_q = milnor_number(rf)
-    dim_p = milnor_number(reduce_mod_p(rf, args.p))
     f_p = reduce_mod_p(f, args.p)
     gradient = tuple(f_p.derivative(i) for i in range(f_p.nvars))
     sys_ = DynamicalSystem(p=args.p, n=f_p.nvars, components=gradient)
     F = euler_discretize(sys_, args.h)
+    rf = f * f  # r(t) = t^2 composed with f
+    dim_q = milnor_number(rf)
+    dim_p = milnor_number(reduce_mod_p(rf, args.p))
     dec = orbit_decomposition(F, budget=args.budget)
     locus = critical_locus(f_p, args.p, budget=args.budget)
     return {

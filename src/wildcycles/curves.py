@@ -11,15 +11,15 @@ with i = 1..p modulo p and is recorded in the report.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import List, Optional, Tuple
 
 from .backend import kernels
-from .errors import NotPrime, SingularCurve, StateBudgetExceeded
-from .fields import is_prime
-from .poly import MPoly
+from .errors import DomainMismatch, NotPrime, SingularCurve, StateBudgetExceeded
+from .fields import PrimeField, is_prime
+from .poly import MPoly, grid_point, grid_values
 
 
 @dataclass(frozen=True)
@@ -141,13 +141,15 @@ def verify_identity(c: CurveSpec) -> SliceCountReport:
 
 
 def critical_locus(f: MPoly, p: int, budget: int = 10**7) -> List[Tuple[int, ...]]:
-    """All points of F_p^n where every partial derivative of f vanishes."""
+    """All points of F_p^n where every partial derivative of f vanishes, in
+    lexicographic order, read off the grid values of the partials (f over
+    F_p)."""
     n = f.nvars
     if p**n > budget:
         raise StateBudgetExceeded(f"{p}^{n} exceeds budget {budget}")
-    partials = [f.derivative(i) for i in range(n)]
-    out = []
-    for point in itertools.product(range(p), repeat=n):
-        if all(g.eval(point) == 0 for g in partials):
-            out.append(point)
-    return out
+    if f.domain != PrimeField(p):
+        raise DomainMismatch(f"critical_locus needs f over F_{p}")
+    zero = [True] * p**n
+    for i in range(n):
+        zero = [z and not v % p for z, v in zip(zero, grid_values(f.derivative(i)))]
+    return sorted(grid_point(idx, p, n) for idx in compress(range(p**n), zero))

@@ -7,14 +7,14 @@ dx/ds = g(x); the step h is recorded in every report rather than hidden.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 from .backend import kernels
 from .errors import DomainMismatch, StateBudgetExceeded
 from .fields import PrimeField
-from .poly import MPoly
+from .poly import MPoly, grid_point, grid_values
 
 State = Tuple[int, ...]
 
@@ -55,11 +55,16 @@ class SelfMap:
 
 
 def euler_discretize(sys: DynamicalSystem, h: int = 1) -> SelfMap:
-    """F(x) = x + h*g(x) componentwise over F_p."""
+    """F(x) = x + h*g(x) componentwise over F_p.
+
+    Raises ValueError when h is 0 mod p: F would be the identity whatever g
+    is, and its orbits would say nothing about the field."""
     if sys.mode != "vector-field":
         raise ValueError("euler_discretize needs a vector field")
     fp = PrimeField(sys.p)
     hh = fp.from_int(h)
+    if hh == fp.zero:
+        raise ValueError(f"h = {h} is 0 mod {sys.p}: the Euler map would be the identity")
     comps = []
     for i, g in enumerate(sys.components):
         comps.append(MPoly.variable(sys.n, fp, i) + g.scale(hh))
@@ -72,17 +77,28 @@ def as_self_map(sys: DynamicalSystem) -> SelfMap:
 
 @dataclass(frozen=True)
 class OrbitDecomposition:
-    """Complete partition of the state space into cycles and tails."""
+    """Complete partition of the state space into cycles and tails.
+
+    dist[i] is the number of steps from the state with index i to its cycle
+    (0 on a cycle), the list as the graph kernel returned it."""
 
     p: int
     n: int
     cycles: Tuple[Tuple[State, ...], ...]
-    tail_lengths: Dict[State, int]
+    dist: List[int] = field(repr=False)
     periodic_count: int
 
     @property
     def cycle_lengths(self) -> List[int]:
         return [len(c) for c in self.cycles]
+
+    @property
+    def tail_lengths(self) -> Dict[State, int]:
+        """{state: steps to its cycle} for every state off the cycles, built
+        from dist on each access; the report needs only its size and
+        maximum, which to_json reads off dist directly."""
+        p, n = self.p, self.n
+        return {grid_point(i, p, n): d for i, d in enumerate(self.dist) if d}
 
     def to_json(self) -> dict:
         return {
@@ -91,36 +107,22 @@ class OrbitDecomposition:
             "cycles": [[list(s) for s in c] for c in self.cycles],
             "cycle_lengths": self.cycle_lengths,
             "periodic_count": self.periodic_count,
-            "tail_state_count": len(self.tail_lengths),
-            "max_tail_length": max(self.tail_lengths.values(), default=0),
+            "tail_state_count": self.p**self.n - self.periodic_count,
+            "max_tail_length": max(self.dist),
         }
 
 
-def _value_table(g: MPoly, p: int, n: int) -> List[int]:
-    """g at every state of F_p^n, in state-index order (variable 0 least
-    significant): per term, the outer product of per-variable power tables."""
-    acc = [0] * p**n
-    for e, c in g.terms.items():
-        vec = [c]
-        for k in e:
-            if k == 0:
-                vec = vec * p
-            else:
-                powers = [pow(x, k, p) for x in range(p)]
-                vec = [w * v % p for w in powers for v in vec]
-        acc = [(u + v) % p for u, v in zip(acc, vec)]
-    return acc
-
-
 def _transition_table(F: SelfMap) -> List[int]:
-    """nxt[index(s)] = index(F(s)) for every state s."""
+    """nxt[index(s)] = index(F(s)) for every state s: each component's grid
+    values, reduced mod p once here, as one base-p digit."""
     p, n = F.p, F.n
     fp = PrimeField(p)
     if any(g.nvars != n or g.domain != fp for g in F.components):
         raise DomainMismatch("component over the wrong ring")
     nxt = [0] * p**n
-    for g in reversed(F.components):
-        nxt = [i * p + v for i, v in zip(nxt, _value_table(g, p, n))]
+    for k, g in enumerate(reversed(F.components)):
+        values = grid_values(g)
+        nxt = [i * p + v % p for i, v in zip(nxt, values)] if k else [v % p for v in values]
     return nxt
 
 
@@ -130,12 +132,13 @@ def orbit_decomposition(
 ) -> OrbitDecomposition:
     """Decompose the functional graph of F on all p^n states.
 
-    State index sum_i x_i p^i numbers the states. The transition table is
-    built one component at a time from per-variable power tables, with no
-    per-state polynomial evaluation; the pointer-chasing classification runs
-    in the selected kernel backend. Cycles are rotated to start at, and
-    sorted by, their minimal state index, so output is deterministic
-    regardless of traversal order.
+    State index sum_i x_i p^i numbers the states, and the work stays on
+    indices: the transition table comes from per-variable power tables with
+    no per-state polynomial evaluation, the selected kernel backend walks
+    the graph, and only the periodic states are decoded into tuples. Each
+    cycle is traced from its least index, found by scanning the periodic
+    indices in increasing order, so cycles start at, and are sorted by,
+    their minimal state index whatever the traversal order.
     """
     p, n = F.p, F.n
     total = p**n
@@ -143,29 +146,25 @@ def orbit_decomposition(
         raise StateBudgetExceeded(f"{p}^{n} = {total} exceeds budget {budget}")
     nxt = _transition_table(F)
     on_cycle, dist = kernels.functional_graph_decompose(nxt)
-    seen = [False] * total
+    periodic = list(compress(range(total), on_cycle))
+    seen = set()
     cycles = []
-    for i in range(total):
-        if not on_cycle[i] or seen[i]:
+    for i in periodic:
+        if i in seen:
             continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
+        cyc = [i]
+        j = nxt[i]
+        while j != i:
             cyc.append(j)
             j = nxt[j]
-        start = cyc.index(min(cyc))
-        cycles.append(cyc[start:] + cyc[:start])
-    cycles.sort()
-    states = [s[::-1] for s in itertools.product(range(p), repeat=n)]
-    tails = {states[i]: dist[i] for i in range(total) if not on_cycle[i]}
-    periodic = sum(1 for f in on_cycle if f)
+        seen.update(cyc)
+        cycles.append(tuple(grid_point(k, p, n) for k in cyc))
     return OrbitDecomposition(
         p=p,
         n=n,
-        cycles=tuple(tuple(states[k] for k in cyc) for cyc in cycles),
-        tail_lengths=tails,
-        periodic_count=periodic,
+        cycles=tuple(cycles),
+        dist=dist,
+        periodic_count=len(periodic),
     )
 
 
@@ -230,7 +229,8 @@ def collatz_orbit(start: int, variant: str = "paper", budget: int = 10**4) -> Co
             y = cycle[0]
             for _ in cycle:
                 y = collatz_step(y, variant)
-            assert y == cycle[0], "cycle replay failed"
+            if y != cycle[0]:
+                raise RuntimeError(f"cycle replay from {cycle[0]} failed")
             return CollatzRecord(
                 start=start,
                 variant=variant,

@@ -8,6 +8,7 @@ deterministic.
 from __future__ import annotations
 
 import re
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainMismatch, IndexOutOfRange, ParseError, UnknownVariable
@@ -416,6 +417,48 @@ def poly_parse(text: str, var_names: Sequence[str], domain) -> MPoly:
     for c, e, _ in _parse_terms(text, var_names, domain, d_tokens=False):
         result = result + MPoly(nvars, domain, {e: c})
     return result
+
+
+def grid_values(f: MPoly) -> List[int]:
+    """f at every point x of F_p^n, f over F_p, listed by the state index
+    sum_i x_i p^i (variable 0 least significant).
+
+    The entries are congruent to f(x) mod p but not reduced; each is below
+    len(f.terms) * p^2, so a caller reduces once, where it combines tables.
+    Terms that share the exponent of the last variable share one table of
+    the others: only that table, p times smaller, is reduced, and the
+    full-size level is one outer product with a power table per exponent.
+    """
+    if not isinstance(f.domain, PrimeField):
+        raise DomainMismatch("grid values need a polynomial over F_p")
+    return _grid_values(f.terms, f.domain.p, f.nvars)
+
+
+def grid_point(idx: int, p: int, n: int) -> Exponents:
+    """The point of F_p^n at state index idx, the inverse of the numbering
+    that grid_values lists by."""
+    out = []
+    for _ in range(n):
+        idx, x = divmod(idx, p)
+        out.append(x)
+    return tuple(out)
+
+
+def _grid_values(terms: Dict[Exponents, int], p: int, n: int) -> List[int]:
+    if n == 0:
+        return [sum(terms.values())]
+    groups: Dict[int, Dict[Exponents, int]] = {}
+    for e, c in terms.items():
+        groups.setdefault(e[-1], {})[e[:-1]] = c
+    acc = None
+    for k, rest in groups.items():
+        inner = [v % p for v in _grid_values(rest, p, n - 1)]
+        if k == 0:
+            vec = inner * p
+        else:
+            vec = [w * v for w in [pow(x, k, p) for x in range(p)] for v in inner]
+        acc = vec if acc is None else list(map(add, acc, vec))
+    return [0] * p**n if acc is None else acc
 
 
 def reduce_mod_p(f: MPoly, p: int) -> MPoly:

@@ -90,12 +90,50 @@ def brute_periodic_count(F, p, n):
     return count
 
 
+def tail_distance_oracle(nxt):
+    """(on_cycle, dist) of a self-map of range(len(nxt)) by iterating each
+    state: s is periodic iff its orbit comes back to s before it repeats
+    another state, and dist[s] counts the steps until the orbit of s first
+    meets a periodic state. Quadratic in the number of states at worst."""
+    on_cycle = []
+    for s in range(len(nxt)):
+        seen = {s}
+        t = nxt[s]
+        while t not in seen:
+            seen.add(t)
+            t = nxt[t]
+        on_cycle.append(t == s)
+    dist = []
+    for s in range(len(nxt)):
+        d = 0
+        while not on_cycle[s]:
+            s = nxt[s]
+            d += 1
+        dist.append(d)
+    return on_cycle, dist
+
+
+def critical_locus_oracle(f, p):
+    """Points of F_p^n, in lexicographic order, where every partial of f
+    evaluates to 0 by MPoly.eval, one point at a time."""
+    partials = [f.derivative(i) for i in range(f.nvars)]
+    return [
+        point
+        for point in itertools.product(range(p), repeat=f.nvars)
+        if all(g.eval(point) == 0 for g in partials)
+    ]
+
+
 def decode(idx, p, n):
     out = []
     for _ in range(n):
         out.append(idx % p)
         idx //= p
     return tuple(out)
+
+
+def encode(state, p):
+    return sum(x * p**k for k, x in enumerate(state))
 
 
 def slice_counts_oracle(p, a, b):

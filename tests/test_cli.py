@@ -83,6 +83,7 @@ def test_malformed_poly_exit_2(capsys):
     ["weyl-apply", "--op", "d1", "--f", "dx + x"],
     ["weyl-apply", "--op", "x", "--f", "d1"],
     ["theorem1-probe", "--f", "x^2+y^3", "--p", "5", "--h", "5"],
+    ["orbits", "--p", "5", "--system", "x", "--h", "5"],
 ])
 def test_bad_argument_is_one_line_usage_error(capsys, argv):
     assert_one_line_usage_error(capsys, run(argv))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import multiplicity_oracle, slice_counts_oracle
+from helpers import critical_locus_oracle, multiplicity_oracle, random_poly, slice_counts_oracle
 from wildcycles import _kernels_py
 from wildcycles.curves import (
     CurveSpec,
@@ -14,7 +14,7 @@ from wildcycles.curves import (
     slice_counts_with_multiplicity,
     verify_identity,
 )
-from wildcycles.errors import NotPrime, SingularCurve, StateBudgetExceeded
+from wildcycles.errors import DomainMismatch, NotPrime, SingularCurve, StateBudgetExceeded
 from wildcycles.fields import QQ, PrimeField, is_prime
 from wildcycles.poly import poly_parse
 
@@ -161,6 +161,28 @@ def test_critical_locus_examples():
     assert critical_locus(poly_parse("x^2+y^2", ["x", "y"], F5), 5) == [(0, 0)]
     # 3x^2 + 1 = 0 needs x^2 = 3, a non-residue mod 5
     assert critical_locus(poly_parse("1+x^3+x", ["x"], F5), 5) == []
+
+
+def test_critical_locus_matches_pointwise_oracle():
+    rng = random.Random(113)
+    nonempty = 0
+    for _ in range(60):
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.choice([1, 2, 3])
+        fp = PrimeField(p)
+        # degrees up to 2p, so exponents at p and past it occur
+        f = random_poly(rng, n, fp, max_deg=2 * p, max_terms=5)
+        locus = critical_locus(f, p)
+        assert locus == critical_locus_oracle(f, p)
+        nonempty += bool(locus)
+    assert nonempty >= 20
+
+
+def test_critical_locus_needs_f_over_the_same_field():
+    with pytest.raises(DomainMismatch):
+        critical_locus(poly_parse("x^2+y^2", ["x", "y"], QQ), 5)
+    with pytest.raises(DomainMismatch):
+        critical_locus(poly_parse("x^2+y^2", ["x", "y"], PrimeField(7)), 5)
 
 
 def test_critical_locus_budget():

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from helpers import brute_periodic_count, decode, random_poly
+from helpers import brute_periodic_count, decode, encode, random_poly, tail_distance_oracle
+from wildcycles import dynsys
+from wildcycles.backend import available_backends
 from wildcycles.dynsys import (
     DynamicalSystem,
     SelfMap,
@@ -81,9 +83,9 @@ def test_orbit_squaring_mod_5():
 
 def test_partition_property_random_maps():
     rng = random.Random(79)
-    for _ in range(25):
+    for _ in range(40):
         p = rng.choice([2, 3, 5, 7])
-        n = rng.choice([1, 2])
+        n = rng.choice([1, 2, 3])
         fp = PrimeField(p)
         comps = tuple(random_poly(rng, n, fp, max_deg=3) for _ in range(n))
         F = SelfMap(p, n, comps)
@@ -94,6 +96,43 @@ def test_partition_property_random_maps():
         for cyc in dec.cycles:
             for i, s in enumerate(cyc):
                 assert F(s) == cyc[(i + 1) % len(cyc)]
+        # the report against iteration of the pointwise map
+        nxt = [encode(F(decode(i, p, n)), p) for i in range(p**n)]
+        on_cycle, dist = tail_distance_oracle(nxt)
+        report = dec.to_json()
+        assert report["tail_state_count"] == on_cycle.count(False)
+        assert report["max_tail_length"] == max(dist)
+        assert dec.tail_lengths == {decode(i, p, n): d for i, d in enumerate(dist) if d}
+        cycles = set()
+        for i in range(p**n):
+            if on_cycle[i]:
+                cyc = [i]
+                while nxt[cyc[-1]] != i:
+                    cyc.append(nxt[cyc[-1]])
+                at = cyc.index(min(cyc))
+                cycles.add(tuple(cyc[at:] + cyc[:at]))
+        assert dec.cycles == tuple(tuple(decode(k, p, n) for k in c) for c in sorted(cycles))
+
+
+def test_graph_kernel_matches_tail_distance_oracle():
+    rng = random.Random(107)
+    maps = [[rng.randrange(n) for _ in range(n)] for n in (1, 2, 3, 17, 64, 200, 343) for _ in range(4)]
+    maps += [
+        [],  # the empty map
+        list(range(125)),  # all fixed points
+        [(i + 1) % 5**3 for i in range(5**3)],  # one p^n-cycle
+        [min(i + 1, 999) for i in range(1000)],  # a chain into a self-loop
+    ]
+    for name, lane in available_backends().items():
+        for nxt in maps:
+            on_cycle, dist = lane.functional_graph_decompose(nxt)
+            assert (list(on_cycle), list(dist)) == tail_distance_oracle(nxt), name
+        # 10^5 states in one chain: too long for the quadratic oracle, so
+        # checked against its closed form
+        n = 10**5
+        on_cycle, dist = lane.functional_graph_decompose([min(i + 1, n - 1) for i in range(n)])
+        assert list(on_cycle) == [False] * (n - 1) + [True], name
+        assert list(dist) == list(range(n - 1, -1, -1)), name
 
 
 def test_transition_table_matches_pointwise_evaluation():
@@ -117,7 +156,7 @@ def test_transition_table_matches_pointwise_evaluation():
         assert len(nxt) == p**n
         for idx in range(p**n):
             image = F(decode(idx, p, n))
-            assert nxt[idx] == sum(v * p**k for k, v in enumerate(image))
+            assert nxt[idx] == encode(image, p)
 
 
 def test_periodic_count_matches_brute_force():
@@ -164,6 +203,12 @@ def test_periodic_count_negation():
     assert periodic_point_count(system(5, ["-x"])) == 1
 
 
+def test_euler_step_zero_mod_p_rejected():
+    for h in (0, 5, -10):
+        with pytest.raises(ValueError, match="identity"):
+            euler_discretize(system(5, ["x"]), h)
+
+
 def test_budget_exceeded():
     F = euler_discretize(system(7, ["x", "y"], ["x", "y"]), 1)
     with pytest.raises(StateBudgetExceeded):
@@ -194,6 +239,14 @@ def test_collatz_cycle_replay():
         for _ in rec.cycle:
             x = collatz_step(x, "paper")
         assert x == rec.cycle[0]
+
+
+def test_collatz_cycle_replay_failure_raises(monkeypatch):
+    # 0 -> 1 -> 2 -> 1 closes the cycle (1, 2); the replay then sees 1 -> 0
+    images = iter([1, 2, 1, 0, 0])
+    monkeypatch.setattr(dynsys, "collatz_step", lambda x, variant: next(images))
+    with pytest.raises(RuntimeError, match="replay"):
+        collatz_orbit(0)
 
 
 def test_collatz_accelerated():
