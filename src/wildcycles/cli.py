@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbits", help="orbit decomposition of an Euler-discretized system")
     p.add_argument("--p", required=True, type=int)
     p.add_argument("--system", required=True, help="semicolon-separated components")
-    p.add_argument("--h", type=int, default=1, help="Euler step")
+    p.add_argument("--h", type=int, default=1, help="Euler step (vector-field mode)")
     p.add_argument("--mode", choices=("vector-field", "self-map"), default="vector-field")
     p.add_argument("--vars")
     common(p)
@@ -284,10 +284,11 @@ def _parse_system(args) -> DynamicalSystem:
 
 def _cmd_orbits(args) -> dict:
     sys_ = _parse_system(args)
-    F = euler_discretize(sys_, args.h) if sys_.mode == "vector-field" else as_self_map(sys_)
-    dec = orbit_decomposition(F, budget=args.budget)
-    payload = dec.to_json()
-    payload["h"] = args.h
+    vector_field = sys_.mode == "vector-field"
+    F = euler_discretize(sys_, args.h) if vector_field else as_self_map(sys_)
+    payload = orbit_decomposition(F, budget=args.budget).to_json()
+    if vector_field:
+        payload["h"] = args.h
     payload["mode"] = sys_.mode
     return payload
 

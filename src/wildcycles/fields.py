@@ -231,32 +231,3 @@ class Matrix:
                 acc = dom.add(acc, dom.mul(a, b))
             out.append(acc)
         return out
-
-    def determinant(self):
-        """Fraction-free for QQ is unnecessary at desk scale; plain Gauss."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        dom = self.domain
-        rows = [self.row(i) for i in range(self.rows)]
-        det = dom.one
-        for c in range(self.cols):
-            pivot_row = None
-            for i in range(c, self.rows):
-                if rows[i][c] != dom.zero:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return dom.zero
-            if pivot_row != c:
-                rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-                det = dom.neg(det)
-            det = dom.mul(det, rows[c][c])
-            inv = dom.inv(rows[c][c])
-            for i in range(c + 1, self.rows):
-                if rows[i][c] != dom.zero:
-                    factor = dom.mul(rows[i][c], inv)
-                    rows[i] = [
-                        dom.sub(v, dom.mul(factor, w))
-                        for v, w in zip(rows[i], rows[c])
-                    ]
-        return det

@@ -7,6 +7,7 @@ deterministic.
 
 from __future__ import annotations
 
+import math
 import re
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -176,26 +177,21 @@ class MPoly:
 
     # -- calculus and evaluation ----------------------------------------
 
+    def diff(self, a: Exponents) -> "MPoly":
+        """d^a f: each term c*x^e goes to c*falling(e, a)*x^(e - a). Distinct
+        exponents e keep distinct e - a, so no two terms meet."""
+        dom = self.domain
+        terms = {}
+        for e, c in self.terms.items():
+            ff = falling(e, a)
+            if ff:
+                terms[tuple(k - t for k, t in zip(e, a))] = dom.mul(c, dom.from_int(ff))
+        return MPoly(self.nvars, dom, terms)
+
     def derivative(self, i: int) -> "MPoly":
         if not 0 <= i < self.nvars:
             raise IndexOutOfRange(f"variable index {i} for {self.nvars} variables")
-        dom = self.domain
-        terms: Dict[Exponents, object] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            nc = dom.mul(c, dom.from_int(e[i]))
-            if nc == dom.zero:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            ne = tuple(ne)
-            s = dom.add(terms.get(ne, dom.zero), nc)
-            if s == dom.zero:
-                terms.pop(ne, None)
-            else:
-                terms[ne] = s
-        return MPoly(self.nvars, dom, terms)
+        return self.diff(tuple(int(j == i) for j in range(self.nvars)))
 
     def eval(self, point: Sequence):
         if len(point) != self.nvars:
@@ -223,31 +219,8 @@ class MPoly:
         return e, self.terms[e]
 
     def to_str(self, var_names: Optional[Sequence[str]] = None) -> str:
-        if not self.terms:
-            return "0"
         names = list(var_names) if var_names else default_var_names(self.nvars)
-        dom = self.domain
-        parts = []
-        for e, c in self.sorted_terms():
-            factors = []
-            for name, k in zip(names, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            cs = dom.to_str(c)
-            if not factors:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append("*".join(factors))
-            elif cs == "-1" and dom.char == 0:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(cs + "*" + "*".join(factors))
-        text = parts[0]
-        for part in parts[1:]:
-            text += " - " + part[1:] if part.startswith("-") else " + " + part
-        return text
+        return terms_text(self.domain, [(c, power_factors(names, e)) for e, c in self.sorted_terms()])
 
     def __repr__(self):
         return f"MPoly({self.to_str()!r} over {self.domain!r})"
@@ -269,6 +242,39 @@ class MPoly:
         for t in data["terms"]:
             terms[tuple(t["e"])] = domain.parse(t["c"])
         return cls(nvars, domain, terms)
+
+
+def falling(e: Exponents, a: Exponents) -> int:
+    """prod_i e_i!/(e_i - a_i)!, so that d^a x^e = falling(e, a) x^(e - a);
+    0 unless a <= e."""
+    return math.prod(map(math.perm, e, a))
+
+
+def power_factors(names: Sequence[str], e: Exponents) -> List[str]:
+    """The factors name^k of a monomial, with ^1 left out and k = 0 dropped."""
+    return [name if k == 1 else f"{name}^{k}" for name, k in zip(names, e) if k]
+
+
+def terms_text(domain, terms: Sequence[Tuple[object, List[str]]]) -> str:
+    """Text in the term grammar for (coefficient, factors) pairs, in order:
+    a coefficient 1 is left out, and a negative term joins with ' - '."""
+    parts = []
+    for c, factors in terms:
+        cs = domain.to_str(c)
+        if not factors:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append("*".join(factors))
+        elif cs == "-1" and domain.char == 0:
+            parts.append("-" + "*".join(factors))
+        else:
+            parts.append(cs + "*" + "*".join(factors))
+    if not parts:
+        return "0"
+    text = parts[0]
+    for part in parts[1:]:
+        text += " - " + part[1:] if part.startswith("-") else " + " + part
+    return text
 
 
 def default_var_names(nvars: int) -> List[str]:

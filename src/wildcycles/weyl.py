@@ -1,18 +1,21 @@
 """Weyl algebra A_n(k): operators in normal form, application, composition.
 
 An operator is a finite sum of (polynomial coefficient, derivative
-multi-index) terms with all coefficients on the left. Composition is done by
-iterated single-step rewriting with the defining relation d_i x_i = x_i d_i + 1,
-realized at operator level as  d_i ∘ (g d^beta) = (d_i g) d^beta + g d^(beta+e_i).
+multi-index) terms with all coefficients on the left. Both application and
+composition rest on the one closed form d^a x^e = falling(e, a) x^(e - a)
+of MPoly.diff; composition moves each d^a past a coefficient by the Leibniz
+rule, which holds in every characteristic.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DomainMismatch
-from .poly import MPoly, _parse_terms, default_var_names
+from .poly import MPoly, _parse_terms, default_var_names, power_factors, terms_text
 
 MultiIndex = Tuple[int, ...]
 
@@ -95,81 +98,52 @@ class WeylOperator:
             raise DomainMismatch("operand over wrong ring")
         out = MPoly.zero(self.nvars, self.domain)
         for a, coeff in self.terms.items():
-            g = f
-            for i, k in enumerate(a):
-                for _ in range(k):
-                    g = g.derivative(i)
-                if g.is_zero():
-                    break
-            if not g.is_zero():
-                out = out + coeff * g
+            out = out + coeff * f.diff(a)
         return out
-
-    def left_mul_poly(self, f: MPoly) -> "WeylOperator":
-        terms = {a: f * g for a, g in self.terms.items()}
-        return WeylOperator(self.nvars, self.domain, terms)
-
-    def _d_step(self, i: int) -> "WeylOperator":
-        """d_i composed with self, one rewrite step per term."""
-        terms: Dict[MultiIndex, MPoly] = {}
-
-        def acc(a, f):
-            g = terms.get(a)
-            terms[a] = f if g is None else g + f
-
-        for a, g in self.terms.items():
-            acc(a, g.derivative(i))
-            na = list(a)
-            na[i] += 1
-            acc(tuple(na), g)
-        return WeylOperator(self.nvars, self.domain, terms)
 
     def compose(self, other: "WeylOperator") -> "WeylOperator":
-        """Normal form of self ∘ other."""
+        """Normal form of self ∘ other by the Leibniz rule
+        (f d^a)(g d^b) = sum_{beta <= a} C(a, beta) f d^beta(g) d^(a - beta + b)."""
         self._check(other)
-        out = WeylOperator.zero(self.nvars, self.domain)
+        dom = self.domain
+        terms: Dict[MultiIndex, MPoly] = {}
         for a, f in self.terms.items():
-            piece = other
-            for i, k in enumerate(a):
-                for _ in range(k):
-                    piece = piece._d_step(i)
-            out = out + piece.left_mul_poly(f)
-        return out
+            for beta in itertools.product(*(range(t + 1) for t in a)):
+                binom = dom.from_int(math.prod(map(math.comb, a, beta)))
+                if binom == dom.zero:
+                    continue
+                for b, g in other.terms.items():
+                    piece = f * g.diff(beta).scale(binom)
+                    target = tuple(t - u + v for t, u, v in zip(a, beta, b))
+                    terms[target] = piece + terms[target] if target in terms else piece
+        return WeylOperator(self.nvars, dom, terms)
+
+    def _sorted_terms(self):
+        """(alpha, exponents, coefficient) in alpha-major order: alphas by
+        descending (order, alpha), each coefficient in grevlex-descending order."""
+        for a in sorted(self.terms, key=lambda a: (sum(a), a), reverse=True):
+            for e, c in self.terms[a].sorted_terms():
+                yield a, e, c
 
     def to_str(self, var_names: Optional[Sequence[str]] = None) -> str:
-        if not self.terms:
-            return "0"
+        """One term c*x^e*d^alpha per coefficient monomial, in the grammar
+        weyl_parse reads."""
         names = list(var_names) if var_names else default_var_names(self.nvars)
-        parts = []
-        for a in sorted(self.terms, key=lambda a: (sum(a), a), reverse=True):
-            f = self.terms[a]
-            dfac = []
-            for i, k in enumerate(a):
-                if k == 1:
-                    dfac.append(f"d{i+1}")
-                elif k > 1:
-                    dfac.append(f"d{i+1}^{k}")
-            fs = f.to_str(names)
-            if not dfac:
-                parts.append(fs)
-            elif fs == "1":
-                parts.append("*".join(dfac))
-            else:
-                fs_wrapped = f"({fs})" if (" + " in fs or " - " in fs) else fs
-                parts.append(fs_wrapped + "*" + "*".join(dfac))
-        return " + ".join(parts)
+        dnames = [f"d{i+1}" for i in range(self.nvars)]
+        return terms_text(
+            self.domain,
+            [(c, power_factors(names, e) + power_factors(dnames, a)) for a, e, c in self._sorted_terms()],
+        )
 
     def __repr__(self):
         return f"WeylOperator({self.to_str()!r})"
 
     def to_json(self, var_names: Optional[Sequence[str]] = None) -> dict:
         names = list(var_names) if var_names else default_var_names(self.nvars)
-        entries = []
-        for a in sorted(self.terms, key=lambda a: (sum(a), a), reverse=True):
-            for e, c in self.terms[a].sorted_terms():
-                entries.append(
-                    {"c": self.domain.to_str(c), "e": list(e), "alpha": list(a)}
-                )
+        entries = [
+            {"c": self.domain.to_str(c), "e": list(e), "alpha": list(a)}
+            for a, e, c in self._sorted_terms()
+        ]
         return {"vars": names, "terms": entries}
 
 

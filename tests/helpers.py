@@ -170,15 +170,62 @@ def multiplicity_oracle(p, a, b):
     return out
 
 
+def derivative_oracle(f, i):
+    """d_i f one term at a time, each c*x^e to (c*e_i)*x^(e - e_i) summed
+    into an accumulator: no falling factorials."""
+    dom = f.domain
+    out = MPoly.zero(f.nvars, dom)
+    for e, c in f.terms.items():
+        if e[i]:
+            ne = tuple(k - (j == i) for j, k in enumerate(e))
+            out = out + MPoly(f.nvars, dom, {ne: dom.mul(c, dom.from_int(e[i]))})
+    return out
+
+
+def apply_oracle(P, f):
+    """P(f) by taking each d^alpha as alpha_i single derivatives in turn."""
+    out = MPoly.zero(P.nvars, P.domain)
+    for a, coeff in P.terms.items():
+        g = f
+        for i, k in enumerate(a):
+            for _ in range(k):
+                g = derivative_oracle(g, i)
+        out = out + coeff * g
+    return out
+
+
+def compose_oracle(P, Q):
+    """Normal form of P∘Q by rewriting one d_i at a time with the defining
+    relation d_i ∘ (g d^beta) = (d_i g) d^beta + g d^(beta + e_i), then
+    multiplying by each coefficient of P on the left."""
+    from wildcycles.weyl import WeylOperator
+
+    n, dom = P.nvars, P.domain
+    out = WeylOperator.zero(n, dom)
+    for a, f in P.terms.items():
+        piece = Q
+        for i, k in enumerate(a):
+            for _ in range(k):
+                terms = {}
+                for b, g in piece.terms.items():
+                    up = tuple(t + (j == i) for j, t in enumerate(b))
+                    for c, h in ((b, derivative_oracle(g, i)), (up, g)):
+                        terms[c] = terms[c] + h if c in terms else h
+                piece = WeylOperator(n, dom, terms)
+        out = out + WeylOperator(n, dom, {b: f * g for b, g in piece.terms.items()})
+    return out
+
+
 def operator_matrix_oracle(M, P):
     """Matrix of P on the basis of the quotient module M, one column per
-    basis monomial by applying P to it and truncating: independent of the
-    closed-form falling factorials of QuotientModule.operator_matrix."""
+    basis monomial by applying P to it with apply_oracle and truncating:
+    independent of the closed-form falling factorials of
+    QuotientModule.operator_matrix."""
     from wildcycles.fields import Matrix
 
     cols = []
     for e in M.basis:
-        image = P.apply(MPoly.monomial(M.nvars, M.field, e))
+        image = apply_oracle(P, MPoly.monomial(M.nvars, M.field, e))
         cols.append(M.to_vector(image))
     n = M.dimension
     entries = [cols[j][i] for i in range(n) for j in range(n)]

@@ -123,6 +123,13 @@ def test_orbits_subcommand(capsys):
     assert env["payload"]["periodic_count"] == 10
 
 
+def test_orbits_reports_h_only_for_a_vector_field(capsys):
+    env = run_json(capsys, "orbits", "--p", "5", "--system", "x^2", "--mode", "self-map", "--h", "0")
+    assert "h" not in env["payload"]
+    env = run_json(capsys, "orbits", "--p", "5", "--system", "x^2", "--h", "2")
+    assert env["payload"]["h"] == 2
+
+
 def test_collatz_subcommand(capsys):
     env = run_json(capsys, "collatz", "--start", "27", "--variant", "paper")
     assert env["payload"]["cycle"] == [4, 2, 1]

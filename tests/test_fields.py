@@ -103,8 +103,3 @@ def test_rational_arithmetic_exact_two_routes():
 
         assert gcd(direct.numerator, direct.denominator) == 1
 
-
-def test_determinant():
-    f5 = PrimeField(5)
-    assert Matrix.from_rows([[1, 2], [3, 4]], f5).determinant() == (4 - 6) % 5
-    assert Matrix.from_rows([[1, 2], [2, 4]], f5).determinant() == 0

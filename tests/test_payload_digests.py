@@ -35,6 +35,8 @@ FLAG_LINES = [
     'wildcycles inertia --p 3 --module x^4 --op "d1^3" --level 3 --element "1 + x^2"',
     'wildcycles weyl-apply --op "dy*x + dx" --f "x*y^2" --p 5 --vars x,y',
     'wildcycles weyl-apply --op "x*d1 + 1/2" --f "x^3"',
+    'wildcycles weyl-apply --op "x^2*d1^5 + 3*d1^3" --f "x^7 + x^5 + x^3" --p 5',
+    'wildcycles weyl-apply --op "x*dx*dy^2 + y^3*dx^2" --f "x^4*y^3 + x*y^2" --p 3 --vars x,y',
     'wildcycles orbits --p 5 --system "y; -x" --h 2 --mode vector-field --vars x,y --budget 100',
     'wildcycles collatz --start 27 --variant accelerated --step-budget 50',
     'wildcycles collatz-bijection --k 6 --format text',

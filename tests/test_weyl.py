@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import random_poly
+from helpers import apply_oracle, compose_oracle, random_poly
 from wildcycles.errors import DomainMismatch
 from wildcycles.fields import QQ, PrimeField
 from wildcycles.poly import MPoly, poly_parse
@@ -74,6 +74,43 @@ def test_compose_apply_consistency_random():
             Q = random_operator(rng, 2, dom)
             f = random_poly(rng, 2, dom, max_deg=3)
             assert P.compose(Q).apply(f) == P.apply(Q.apply(f))
+
+
+def test_apply_and_compose_match_oracles():
+    # half the operators also carry a high d_i^k term: k from p - 2 to
+    # p + 2 over F_p, where the falling factorials e!/(e - k)! all vanish
+    # mod p once k >= p, and k from 4 to 8 over QQ
+    rng = random.Random(90)
+    domains = [PrimeField(p) for p in (2, 3, 5, 7, 11, 13)] + [QQ]
+    for trial in range(280):
+        dom = domains[trial % len(domains)]
+        top = dom.char + 2 if dom.char else 8
+        nvars = rng.randrange(1, 4)
+        P, Q = (random_operator(rng, nvars, dom, max_order=3) for _ in range(2))
+        if trial % 2:
+            a = [0] * nvars
+            a[rng.randrange(nvars)] = rng.randrange(max(1, top - 4), top + 1)
+            P = P + WeylOperator(nvars, dom, {tuple(a): random_poly(rng, nvars, dom, max_deg=2) + MPoly.one(nvars, dom)})
+        f = random_poly(rng, nvars, dom, max_deg=top + 2, max_terms=5)
+        assert P.apply(f) == apply_oracle(P, f), (P, f)
+        assert P.compose(Q) == compose_oracle(P, Q), (P, Q)
+
+
+def test_to_str_round_trips_through_the_grammar():
+    rng = random.Random(91)
+    for trial in range(200):
+        dom = (F2, F3, F5, PrimeField(13), QQ)[trial % 5]
+        nvars = rng.randrange(1, 4)
+        names = (["x", "y", "z"], ["u", "v", "w"])[trial % 2][:nvars]
+        P = random_operator(rng, nvars, dom, max_order=3)
+        assert weyl_parse(P.to_str(names), names, dom) == P, P.to_str(names)
+
+
+def test_to_str_one_term_per_coefficient_monomial():
+    assert weyl_parse("x*d1^2 - d1", ["x"], QQ).to_str() == "x*d1^2 - d1"
+    assert weyl_parse("-1/2*x*d1 + x^2*d1 - 3", ["x"], QQ).to_str() == "x^2*d1 - 1/2*x*d1 - 3"
+    assert weyl_parse("x*d1 + d1 + 4*y*d1", ["x", "y"], F5).to_str() == "x*d1 + 4*y*d1 + d1"
+    assert WeylOperator.zero(2, F3).to_str() == "0"
 
 
 def test_normal_form_canonical():
