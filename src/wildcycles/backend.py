@@ -15,7 +15,7 @@ _forced = os.environ.get("WILDCYCLES_BACKEND", "").strip().lower()
 
 if _forced == "pure":
     kernels = _kernels_py
-elif _forced in ("c", "compiled"):
+elif _forced == "c":
     from . import _ckernels as kernels  # type: ignore[no-redef]
 elif _forced:
     raise ValueError(f"WILDCYCLES_BACKEND must be 'pure' or 'c', not {_forced!r}")

@@ -31,7 +31,7 @@ from .dynsys import (
     orbit_decomposition,
     parity_bijection_check,
 )
-from .errors import ParseError, RefuseChar2, WildcyclesError
+from .errors import ParseError, RefuseChar2, WildcyclesError, ZeroOrderTerm
 from .fields import QQ, PrimeField, is_prime
 from .groebner import (
     buchberger,
@@ -210,9 +210,7 @@ def _config_dict(args: argparse.Namespace) -> dict:
 def _cmd_milnor(args) -> dict:
     names = _var_names(args, [args.f])
     f = poly_parse(args.f, names, QQ)
-    payload = tame_wild_split(f, args.p).to_json()
-    payload["f"] = f.to_str(names)
-    return payload
+    return {"f": f.to_str(names), **tame_wild_split(f, args.p).to_json()}
 
 
 def _cmd_groebner(args) -> dict:
@@ -248,7 +246,7 @@ def _cmd_inertia(args) -> dict:
     M = _parse_module_spec(args.module, args.p)
     fp = M.field
     names = default_var_names(M.nvars)
-    D = weyl_parse(args.op, names, fp).drop_zero_order()
+    D = weyl_parse(args.op, names, fp)
     element = poly_parse(args.element, names, fp) if args.element else None
     report = inertia_membership(D, args.level, M, element=element)
     payload = report.to_json()
@@ -428,7 +426,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if args.cmd == "curve-sweep":
             return _cmd_curve_sweep(args, args.format)
         payload = _HANDLERS[args.cmd](args)
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ZeroOrderTerm, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WildcyclesError as exc:

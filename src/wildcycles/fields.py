@@ -73,18 +73,8 @@ class PrimeField:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def parse(self, text: str):
-        """Coefficient literal: integer or integer/integer."""
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return self.div(int(num) % self.p, int(den) % self.p)
-        return int(text) % self.p
-
     def to_str(self, a) -> str:
         return str(a % self.p)
-
-    def elements(self):
-        return range(self.p)
 
 
 class RationalField:
@@ -128,9 +118,6 @@ class RationalField:
             raise ZeroInverse("division by 0")
         return Fraction(a) / b
 
-    def parse(self, text: str) -> Fraction:
-        return Fraction(text)
-
     def to_str(self, a) -> str:
         return str(a)
 
@@ -159,10 +146,6 @@ class Matrix:
                 raise ValueError("ragged rows")
             flat.extend(r)
         return cls(nr, nc, flat, domain)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
 
     def row(self, i) -> list:
         return self.entries[i * self.cols : (i + 1) * self.cols]

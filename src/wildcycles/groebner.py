@@ -2,11 +2,12 @@
 
 Global quotients come from reduced Groebner bases under grevlex or lex.
 Local dimensions at the origin come from one standard basis under a local
-degree order, built by the same pair loop with Mora's ecart-based weak normal
-form in place of full reduction. The local dimension is the number of
-standard monomials of that basis, and it is infinite exactly when the
-staircase is unbounded (Mora 1982; Greuel & Pfister, A Singular Introduction
-to Commutative Algebra, sections 1.6-1.7).
+degree order, built by the same pair loop. Both rest on one reduction step,
+Mora's ecart-based weak normal form: plain top reduction under grevlex and
+lex, where the pair loop also reduces the tail. The local dimension is the
+number of standard monomials of that basis, and it is infinite exactly when
+the staircase is unbounded (Mora 1982; Greuel & Pfister, A Singular
+Introduction to Commutative Algebra, sections 1.6-1.7).
 """
 
 from __future__ import annotations
@@ -68,13 +69,63 @@ def _lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _monic(f: MPoly, order: MonomialOrder) -> MPoly:
-    _, c = f.leading(order)
-    return f.scale(f.domain.inv(c))
+Record = Tuple[int, Exponents, object, MPoly]
 
 
-def _ecart(f: MPoly, order: MonomialOrder) -> int:
-    return f.total_degree() - sum(f.leading(order)[0])
+def _record(g: MPoly, order: MonomialOrder) -> Record:
+    """What reduction reads of g, computed once: (ecart, leading monomial,
+    leading coefficient, g). The ecart deg g - deg LM(g) matters only under
+    the local order; under grevlex and lex, where division terminates
+    without it, it is 0."""
+    le, lc = g.leading(order)
+    return (g.total_degree() - sum(le) if order is _LOCAL else 0), le, lc, g
+
+
+def _monic(g: MPoly, order: MonomialOrder) -> Record:
+    ecart, le, lc, _ = _record(g, order)
+    return ecart, le, g.domain.one, g.scale(g.domain.inv(lc))
+
+
+def _reduce(f: MPoly, reducers: Sequence[Record], order: MonomialOrder) -> MPoly:
+    """Mora's weak normal form of f by the reducer records.
+
+    Returns h, zero or with a leading monomial that no reducer's divides,
+    such that u*f - h lies in the ideal of the reducers for a unit u. Each
+    step is h - (lc_h/lc_g)*x^q*g. The reducer of least ecart goes first,
+    and the running h joins the reducers whenever that ecart exceeds its
+    own; this is what makes the loop terminate under a local order (Greuel &
+    Pfister, Algorithm 1.7.6). Under grevlex and lex every ecart is 0, so
+    this is plain top reduction by the first divisor, with u = 1.
+    """
+    h = f
+    while not h.is_zero():
+        le, lc = h.leading(order)
+        best = None
+        for r in reducers:
+            if _divides(r[1], le) and (best is None or r[0] < best[0]):
+                best = r
+                if not r[0]:
+                    break
+        if best is None:
+            break
+        ecart, ge, gc, g = best
+        if ecart and ecart > (h_ecart := h.total_degree() - sum(le)):
+            reducers = [*reducers, (h_ecart, le, lc, h)]
+        h = h - g.mul_monomial(tuple(a - b for a, b in zip(le, ge)), h.domain.div(lc, gc))
+    return h
+
+
+def _remainder(f: MPoly, reducers: Sequence[Record], order: MonomialOrder) -> MPoly:
+    """Remainder of the division of f by the reducer records under a global
+    order: each leading term that no reducer divides moves to the remainder,
+    and the rest is reduced again."""
+    out = {}
+    h = _reduce(f, reducers, order)
+    while not h.is_zero():
+        le, lc = h.leading(order)
+        out[le] = lc
+        h = _reduce(MPoly(h.nvars, h.domain, {e: c for e, c in h.terms.items() if e != le}), reducers, order)
+    return MPoly(f.nvars, f.domain, out)
 
 
 def normal_form(f: MPoly, G, order: Optional[MonomialOrder] = None) -> MPoly:
@@ -92,75 +143,24 @@ def normal_form(f: MPoly, G, order: Optional[MonomialOrder] = None) -> MPoly:
         order = order or GREVLEX
     if f.is_zero() or not gens:
         return f
-    dom = f.domain
-    for g in gens:
-        if g.nvars != f.nvars or g.domain != dom:
-            raise DomainMismatch("divisor over wrong ring")
-    leads = [g.leading(order) for g in gens]
-    remainder = MPoly.zero(f.nvars, dom)
-    work = f
-    while not work.is_zero():
-        le, lc = work.leading(order)
-        reduced = False
-        for g, (ge, gc) in zip(gens, leads):
-            if _divides(ge, le):
-                q = tuple(a - b for a, b in zip(le, ge))
-                factor = dom.div(lc, gc)
-                work = work - g.mul_monomial(q, factor)
-                reduced = True
-                break
-        if not reduced:
-            remainder = remainder + MPoly(f.nvars, dom, {le: lc})
-            work = work - MPoly(f.nvars, dom, {le: lc})
-    return remainder
-
-
-def _mora_normal_form(f: MPoly, G: Sequence[MPoly], order: MonomialOrder) -> MPoly:
-    """Mora's weak normal form of f by G under a local degree order.
-
-    Returns h, zero or with a leading monomial that no leading monomial of G
-    divides, such that u*f - h lies in the ideal of G for a unit u of the
-    local ring. The reducer of least ecart goes first, and the running h
-    joins the reducers whenever that ecart exceeds its own; this is what
-    makes the loop terminate (Greuel & Pfister, Algorithm 1.7.6).
-    """
-    reducers = [(_ecart(g, order), g.leading(order)[0], g) for g in G]
-    h = f
-    while not h.is_zero():
-        le = h.leading(order)[0]
-        candidates = [r for r in reducers if _divides(r[1], le)]
-        if not candidates:
-            break
-        ecart, _, g = min(candidates, key=lambda r: r[0])
-        h_ecart = _ecart(h, order)
-        if ecart > h_ecart:
-            reducers.append((h_ecart, le, h))
-        h = _s_poly(h, g, order)
-    return h
-
-
-def _s_poly(f: MPoly, g: MPoly, order: MonomialOrder) -> MPoly:
-    fe, fc = f.leading(order)
-    ge, gc = g.leading(order)
-    lcm = _lcm(fe, ge)
-    dom = f.domain
-    mf = f.mul_monomial(tuple(a - b for a, b in zip(lcm, fe)), dom.inv(fc))
-    mg = g.mul_monomial(tuple(a - b for a, b in zip(lcm, ge)), dom.inv(gc))
-    return mf - mg
+    if any(g.nvars != f.nvars or g.domain != f.domain for g in gens):
+        raise DomainMismatch("divisor over wrong ring")
+    return _remainder(f, [_record(g, order) for g in gens], order)
 
 
 def _close_under_s_pairs(
     gens: Sequence[MPoly],
     order: MonomialOrder,
-    reduce: Callable[[MPoly, Sequence[MPoly], MonomialOrder], MPoly],
-) -> List[MPoly]:
-    """Monic generators whose S-polynomials all reduce to zero by `reduce`.
+    reduce: Callable[[MPoly, Sequence[Record], MonomialOrder], MPoly],
+) -> List[Record]:
+    """Records of monic generators whose S-polynomials all reduce to zero by
+    `reduce`.
 
     Pairs are processed by minimal lcm total degree, ties broken by the lex
     order on pair indices. A pair with coprime leading monomials is skipped
     when one of the two has ecart 0 (first Buchberger criterion); the ecart
-    condition keeps the criterion valid under local orders and always holds
-    under grevlex.
+    condition keeps the criterion valid under the local order and always
+    holds under grevlex and lex.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -168,27 +168,24 @@ def _close_under_s_pairs(
     if any(g.nvars != gens[0].nvars or g.domain != gens[0].domain for g in gens):
         raise DomainMismatch("generators over different rings")
     G = [_monic(g, order) for g in gens]
-    leads = [g.leading(order)[0] for g in G]
-    zero_ecart = [_ecart(g, order) == 0 for g in G]
     pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
 
     def pair_key(p):
         i, j = p
-        return (sum(_lcm(leads[i], leads[j])), p)
+        return (sum(_lcm(G[i][1], G[j][1])), p)
 
     while pairs:
         i, j = min(pairs, key=pair_key)
         pairs.discard((i, j))
-        fe, ge = leads[i], leads[j]
-        coprime = _lcm(fe, ge) == tuple(a + b for a, b in zip(fe, ge))
-        if coprime and (zero_ecart[i] or zero_ecart[j]):
+        (f_ecart, fe, one, f), (g_ecart, ge, _, g) = G[i], G[j]
+        lcm = _lcm(fe, ge)
+        if lcm == tuple(a + b for a, b in zip(fe, ge)) and not (f_ecart and g_ecart):
             continue
-        r = reduce(_s_poly(G[i], G[j], order), G, order)
+        # the S-polynomial of two monic generators
+        qf, qg = (tuple(a - b for a, b in zip(lcm, e)) for e in (fe, ge))
+        r = reduce(f.mul_monomial(qf, one) - g.mul_monomial(qg, one), G, order)
         if not r.is_zero():
-            r = _monic(r, order)
-            G.append(r)
-            leads.append(r.leading(order)[0])
-            zero_ecart.append(_ecart(r, order) == 0)
+            G.append(_monic(r, order))
             k = len(G) - 1
             pairs.update((i2, k) for i2 in range(k))
     return G
@@ -196,16 +193,16 @@ def _close_under_s_pairs(
 
 def buchberger(gens: Sequence[MPoly], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis, normal selection strategy."""
-    G = _close_under_s_pairs(gens, order, normal_form)
-    G.sort(key=lambda g: order.key(g.leading(order)[0]))
+    records = sorted(_close_under_s_pairs(gens, order, _remainder), key=lambda r: order.key(r[1]))
     # a minimal basis: a divisor of a leading monomial sorts before it
     minimal = []
-    for g in G:
-        if not any(_divides(h.leading(order)[0], g.leading(order)[0]) for h in minimal):
-            minimal.append(g)
+    for r in records:
+        if not any(_divides(m[1], r[1]) for m in minimal):
+            minimal.append(r)
     # reducing the monic generators of a minimal basis by each other keeps
     # every leading term, so one pass gives the unique reduced basis
-    G = [normal_form(g, minimal[:i] + minimal[i + 1 :], order) for i, g in enumerate(minimal)]
+    gs = [r[3] for r in minimal]
+    G = [normal_form(g, gs[:i] + gs[i + 1 :], order) for i, g in enumerate(gs)]
     return GroebnerBasis(tuple(G), order, G[0].nvars, G[0].domain)
 
 
@@ -244,7 +241,7 @@ def local_dimension(gens: Sequence[MPoly]) -> Dimension:
     Counts the standard monomials of one standard basis under the local
     degree order; the count is exact, with no truncation bound.
     """
-    G = _close_under_s_pairs(gens, _LOCAL, _mora_normal_form)
+    G = [r[3] for r in _close_under_s_pairs(gens, _LOCAL, _reduce)]
     return quotient_dimension(GroebnerBasis(tuple(G), _LOCAL, G[0].nvars, G[0].domain))
 
 
@@ -263,7 +260,6 @@ def milnor_number(f: MPoly) -> Dimension:
 class MilnorReport:
     """Tame/wild vanishing-cycle split of an integer polynomial at a prime."""
 
-    f_text: str
     p: int
     char_p_dimension: Dimension
     char_0_dimension: Dimension
@@ -273,7 +269,6 @@ class MilnorReport:
 
     def to_json(self) -> dict:
         return {
-            "f": self.f_text,
             "p": self.p,
             "char_p_dimension": dimension_json(self.char_p_dimension),
             "char_0_dimension": dimension_json(self.char_0_dimension),
@@ -307,7 +302,6 @@ def tame_wild_split(f: MPoly, p: int) -> MilnorReport:
         if wild < 0:
             anomaly = "char-p dimension smaller than char-0 dimension"
     return MilnorReport(
-        f_text=f.to_str(),
         p=p,
         char_p_dimension=dim_p,
         char_0_dimension=dim_0,

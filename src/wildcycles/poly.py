@@ -88,9 +88,6 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, self.domain.zero)
 
@@ -235,14 +232,6 @@ class MPoly:
             ],
         }
 
-    @classmethod
-    def from_json(cls, data: dict, domain) -> "MPoly":
-        nvars = len(data["vars"])
-        terms = {}
-        for t in data["terms"]:
-            terms[tuple(t["e"])] = domain.parse(t["c"])
-        return cls(nvars, domain, terms)
-
 
 def falling(e: Exponents, a: Exponents) -> int:
     """prod_i e_i!/(e_i - a_i)!, so that d^a x^e = falling(e, a) x^(e - a);
@@ -297,7 +286,9 @@ def default_var_names(nvars: int) -> List[str]:
 # coeff  := nat ('/' nat)?
 #
 # A name is a variable or, in operator text, a derivative token: d1..dn, or
-# 'd' before a variable name (dx, dy, dz).
+# 'd' before a variable name (dx, dy, dz). Factors of different variables
+# commute; a variable after its own derivative in one term is a ParseError,
+# since d*x is the operator x*d + 1.
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|(\S))")
 _NAT, _NAME = 1, 2
@@ -343,6 +334,8 @@ def _parse_terms(
         if name not in slots:
             raise UnknownVariable(f"unknown variable {name!r}", pos)
         which, i = slots[name]
+        if not which and vectors[1][i]:
+            raise ParseError(f"variable {name!r} after its own derivative", pos)
         vectors[which][i] += int(take(_NAT, "a natural-number exponent")[1]) if skip("^") else 1
 
     def coefficient():

@@ -65,10 +65,6 @@ class WeylOperator:
     def has_zero_order_term(self) -> bool:
         return (0,) * self.nvars in self.terms
 
-    def drop_zero_order(self) -> "WeylOperator":
-        terms = {a: f for a, f in self.terms.items() if sum(a) > 0}
-        return WeylOperator(self.nvars, self.domain, terms)
-
     def _check(self, other):
         if self.nvars != other.nvars or self.domain != other.domain:
             raise DomainMismatch("operators over different rings")

@@ -23,6 +23,15 @@ def random_poly(rng, nvars, domain, max_deg=3, max_terms=4):
     return MPoly(nvars, domain, terms)
 
 
+def s_poly(f, g, order):
+    """The S-polynomial lcm/lt(f)*f - lcm/lt(g)*g, for the Buchberger criterion."""
+    (fe, fc), (ge, gc) = f.leading(order), g.leading(order)
+    lcm = tuple(map(max, fe, ge))
+    dom = f.domain
+    mf = f.mul_monomial(tuple(a - b for a, b in zip(lcm, fe)), dom.inv(fc))
+    return mf - g.mul_monomial(tuple(a - b for a, b in zip(lcm, ge)), dom.inv(gc))
+
+
 def substring_var_names(texts):
     """The CLI's former naming rule, kept as an oracle: each of x, y and z
     that occurs anywhere in the texts, even inside another token such as dx."""

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from helpers import membership_oracle, random_poly
+from helpers import membership_oracle, random_poly, s_poly
 from wildcycles.cli import run as cli_run
 from wildcycles.curves import CurveSpec, verify_identity
 from wildcycles.dynsys import (
@@ -22,7 +22,6 @@ from wildcycles.dynsys import (
 )
 from wildcycles.fields import QQ, PrimeField, is_prime
 from wildcycles.groebner import (
-    _s_poly,
     buchberger,
     milnor_number,
     normal_form,
@@ -114,7 +113,7 @@ def test_criterion_5_groebner_property_suite(capsys):
             gl = list(G.generators)
             for i in range(len(gl)):
                 for j in range(i + 1, len(gl)):
-                    if not normal_form(_s_poly(gl[i], gl[j], G.order), G).is_zero():
+                    if not normal_form(s_poly(gl[i], gl[j], G.order), G).is_zero():
                         ok = False
 
     # normal-form idempotence on 500 random polynomials

@@ -84,6 +84,8 @@ def test_malformed_poly_exit_2(capsys):
     ["weyl-apply", "--op", "x", "--f", "d1"],
     ["theorem1-probe", "--f", "x^2+y^3", "--p", "5", "--h", "5"],
     ["orbits", "--p", "5", "--system", "x", "--h", "5"],
+    ["weyl-apply", "--op", "x*d1^2 + d1*x", "--f", "x^3", "--p", "7"],
+    ["inertia", "--p", "3", "--module", "x^5", "--op", "x*d1 + 1", "--level", "2"],
 ])
 def test_bad_argument_is_one_line_usage_error(capsys, argv):
     assert_one_line_usage_error(capsys, run(argv))
