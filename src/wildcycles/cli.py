@@ -406,13 +406,30 @@ def _with_config(argv: List[str]) -> List[str]:
                 raise ValueError(f"config line without '=': {line!r}")
             key, value = line.split("=", 1)
             defaults[f"--{key.strip()}"] = value.strip()
-    extra = [part for flag, value in defaults.items() if flag not in argv for part in (flag, value)]
+    given = {token.split("=", 1)[0] for token in argv}
+    extra = [part for flag, value in defaults.items() if flag not in given for part in (flag, value)]
     return argv[:at] + argv[at + 2 :] + extra
+
+
+# flags whose value is polynomial or operator text, which may begin with "-"
+TEXT_FLAGS = ("--f", "--gens", "--op", "--system", "--element")
+
+
+def _join_text_values(argv: List[str]) -> List[str]:
+    """argv with each text flag and the token after it joined as flag=value,
+    so that argparse does not read a value such as -x^2 as an option."""
+    out = []
+    for token in argv:
+        if out and out[-1] in TEXT_FLAGS:
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        argv = _with_config(list(sys.argv[1:] if argv is None else argv))
+        argv = _join_text_values(_with_config(list(sys.argv[1:] if argv is None else argv)))
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:

@@ -1,4 +1,4 @@
-"""Exact coefficient domains (prime fields and rationals) and dense linear algebra.
+"""Exact coefficient domains (prime fields and rationals) and one sparse echelon.
 
 Prime-field elements are plain ints reduced into [0, p); rational elements are
 ``fractions.Fraction`` (already exact and reduced with positive denominator).
@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence
 
-from .errors import DomainMismatch, NotPrime, ZeroInverse
+from .errors import NotPrime, ZeroInverse
 
 
 def is_prime(n: int) -> bool:
@@ -126,91 +126,56 @@ QQ = RationalField()
 
 
 class Matrix:
-    """Dense row-major matrix over a single coefficient domain."""
+    """Sparse column matrix over one coefficient domain: column j is a dict
+    row -> nonzero entry."""
 
-    def __init__(self, rows: int, cols: int, entries: Sequence, domain):
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match shape")
+    def __init__(self, rows: int, columns: Sequence[dict], domain):
         self.rows = rows
-        self.cols = cols
-        self.entries = list(entries)
+        self.columns = list(columns)
         self.domain = domain
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], domain) -> "Matrix":
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        flat = []
-        for r in rows:
-            if len(r) != nc:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(nr, nc, flat, domain)
-
-    def row(self, i) -> list:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def rref(self):
-        """Reduced row echelon form; returns (rows, pivot column list)."""
-        dom = self.domain
-        rows = [self.row(i) for i in range(self.rows)]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, len(rows)):
-                if rows[i][c] != dom.zero:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = dom.inv(rows[r][c])
-            rows[r] = [dom.mul(inv, v) for v in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != dom.zero:
-                    factor = rows[i][c]
-                    rows[i] = [
-                        dom.sub(v, dom.mul(factor, w))
-                        for v, w in zip(rows[i], rows[r])
-                    ]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return rows, pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
 
     def kernel_basis(self) -> List[list]:
         """Basis of the right null space, deterministic.
 
-        One vector per free column, free columns ascending; each vector has a
-        1 in its free column, so stacked vectors are in reduced echelon form.
+        Columns are eliminated left to right against stored pivots, each at
+        the largest row of its reduced column, carrying the combination of
+        original columns along. A column that reduces to zero depends on the
+        columns before it and yields the vector of that combination: a 1 in
+        its own column, 0 in every other dependent column. So the vectors,
+        dependent columns ascending, are the reduced echelon kernel basis.
         """
         dom = self.domain
-        rows, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            v = [dom.zero] * self.cols
-            v[fc] = dom.one
-            for r, pc in enumerate(pivots):
-                v[pc] = dom.neg(rows[r][fc])
-            basis.append(v)
-        return basis
+        p = dom.char
 
-    def mul_vector(self, v: Sequence) -> list:
-        dom = self.domain
-        if len(v) != self.cols:
-            raise DomainMismatch("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = dom.zero
-            row = self.row(i)
-            for a, b in zip(row, v):
-                acc = dom.add(acc, dom.mul(a, b))
-            out.append(acc)
-        return out
+        def subtract(target: dict, c, source: dict):
+            for i, v in source.items():
+                x = target.get(i, dom.zero) - c * v
+                if p:
+                    x %= p
+                if x:
+                    target[i] = x
+                else:
+                    del target[i]
+
+        pivots = {}  # row -> (reduced column, combination), scaled to 1 at row
+        basis = []
+        for j, column in enumerate(self.columns):
+            column, combination = dict(column), {j: dom.one}
+            while column:
+                r = max(column)
+                if r not in pivots:
+                    inv = dom.inv(column[r])
+                    pivots[r] = (
+                        {i: dom.mul(inv, v) for i, v in column.items()},
+                        {i: dom.mul(inv, v) for i, v in combination.items()},
+                    )
+                    break
+                c = column[r]
+                subtract(column, c, pivots[r][0])
+                subtract(combination, c, pivots[r][1])
+            else:
+                v = [dom.zero] * len(self.columns)
+                for i, x in combination.items():
+                    v[i] = x
+                basis.append(v)
+        return basis

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import DomainMismatch, NotCritical, ZeroOrderTerm
+from .errors import DomainMismatch, IndexOutOfRange, NotCritical, ZeroOrderTerm
 from .fields import Matrix, PrimeField
 from .poly import GREVLEX, Exponents, MPoly, falling
 from .weyl import WeylOperator
@@ -70,11 +70,11 @@ class QuotientModule:
         """
         if P.nvars != self.nvars or P.domain != self.field:
             raise DomainMismatch("operator not over this module's ring")
-        p, m, n, index = self.p, self.m, self.dimension, self.index
+        p, m, index = self.p, self.m, self.index
         terms = [(a, sum(a), [(s, sum(s), c) for s, c in f.terms.items()]) for a, f in P.terms.items()]
         cols = []
         for e in self.basis:
-            col = [0] * n
+            col = {}
             degree = sum(e)
             for a, order, shifts in terms:
                 ff = falling(e, a) % p
@@ -84,14 +84,15 @@ class QuotientModule:
                 for s, s_degree, c in shifts:
                     if degree - order + s_degree < m:
                         j = index[tuple(b + u for b, u in zip(base, s))]
-                        col[j] = (col[j] + c * ff) % p
-            cols.append(col)
-        entries = [v for row in zip(*cols) for v in row]
-        return Matrix(n, n, entries, self.field)
+                        col[j] = (col.get(j, 0) + c * ff) % p
+            # sums can cancel mod p; the matrix stores no zero entries
+            cols.append({j: v for j, v in col.items() if v})
+        return Matrix(self.dimension, cols, self.field)
 
 
 def kernel_on_quotient(P: WeylOperator, M: QuotientModule) -> List[MPoly]:
-    """Basis of {u in M : P(u) = 0 in M}, via the dense kernel solver."""
+    """Basis of {u in M : P(u) = 0 in M}, in reduced echelon form, from the
+    kernel of P's sparse operator matrix."""
     return [M.from_vector(v) for v in M.operator_matrix(P).kernel_basis()]
 
 
@@ -141,12 +142,19 @@ def inertia_membership(
         raise ValueError(f"level must be >= 0, not {level}")
     if D.has_zero_order_term():
         raise ZeroOrderTerm("operator has a zero-order (multiplication) term")
+    # D∘∂^k sends x^e to falling(e, k·u)·D(x^(e−k·u)), u the unit vector of
+    # dvar, and distinct e give distinct e − k·u. So its matrix is D's columns
+    # at S_k = {e − k·u : falling(e, k·u) ≢ 0 mod p}, scaled, beside
+    # dim M − |S_k| zero columns.
+    A = M.operator_matrix(D)
     per_k = []
     for k in range(level + 1):
-        Dk = D.compose(WeylOperator.partial(M.nvars, M.field, dvar, k))
+        ku = _unit(M.nvars, dvar, k)
+        S = [M.index[tuple(a - b for a, b in zip(e, ku))] for e in M.basis if falling(e, ku) % M.p]
+        columns = [A.columns[i] for i in S]
+        dim = M.dimension - len(S) + len(Matrix(A.rows, columns, M.field).kernel_basis())
         # D has no zero-order term, so D∘∂^k kills 1: a one-vector kernel
         # is exactly the constants
-        dim = len(M.operator_matrix(Dk).kernel_basis())
         per_k.append((k, dim, dim == 1))
     element_checks = None
     if element is not None:
@@ -164,6 +172,13 @@ def inertia_membership(
     )
 
 
+def _unit(nvars: int, i: int, k: int) -> Tuple[int, ...]:
+    """The multi-index of ∂_i^k."""
+    if not 0 <= i < nvars:
+        raise IndexOutOfRange(f"variable index {i} for {nvars} variables")
+    return tuple(k * (j == i) for j in range(nvars))
+
+
 def annihilation_check(
     D: WeylOperator,
     k: int,
@@ -176,8 +191,7 @@ def annihilation_check(
     This is the element-wise reading of the membership condition; it matches
     hand computations on a designated element rather than the whole module.
     """
-    Dk = D.compose(WeylOperator.partial(M.nvars, M.field, dvar, k))
-    value = M.truncate(Dk.apply(M.truncate(u)))
+    value = M.truncate(D.apply(M.truncate(u).diff(_unit(M.nvars, dvar, k))))
     return value, value.is_zero()
 
 
@@ -186,14 +200,13 @@ def morse_check(f: MPoly) -> bool:
 
     Precondition: the origin is critical, i.e. f has no constant or linear
     part (NotCritical otherwise). Nondegeneracy is full rank in the
-    coefficient domain, so e.g. x^2 + y^2 is degenerate mod 2.
+    coefficient domain, that is an empty kernel, so e.g. x^2 + y^2 is
+    degenerate mod 2.
     """
     for e in f.terms:
         if sum(e) < 2:
             raise NotCritical("f has constant or linear terms; origin not critical")
     n = f.nvars
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            entries.append(f.derivative(i).derivative(j).constant_term())
-    return Matrix(n, n, entries, f.domain).rank() == n
+    second = [[f.derivative(i).derivative(j).constant_term() for i in range(n)] for j in range(n)]
+    hessian = [{i: h for i, h in enumerate(column) if h} for column in second]
+    return not Matrix(n, hessian, f.domain).kernel_basis()

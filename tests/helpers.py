@@ -4,8 +4,99 @@ import itertools
 import random
 from fractions import Fraction
 
-from wildcycles.fields import QQ, PrimeField
+from wildcycles.fields import QQ, Matrix, PrimeField
 from wildcycles.poly import MPoly
+
+
+class DenseMatrix:
+    """Dense row-major matrix over one coefficient domain, reduced by a full
+    row echelon pass: the oracle for the sparse column echelon of
+    wildcycles.fields.Matrix."""
+
+    def __init__(self, rows, cols, entries, domain):
+        if len(entries) != rows * cols:
+            raise ValueError("entry count does not match shape")
+        self.rows = rows
+        self.cols = cols
+        self.entries = list(entries)
+        self.domain = domain
+
+    @classmethod
+    def from_rows(cls, rows, domain):
+        nr = len(rows)
+        nc = len(rows[0]) if nr else 0
+        flat = []
+        for r in rows:
+            if len(r) != nc:
+                raise ValueError("ragged rows")
+            flat.extend(r)
+        return cls(nr, nc, flat, domain)
+
+    def row(self, i):
+        return self.entries[i * self.cols : (i + 1) * self.cols]
+
+    def sparse(self):
+        """The same matrix as wildcycles.fields.Matrix, one dict of nonzero
+        entries per column."""
+        zero = self.domain.zero
+        cols = [{i: v for i, v in enumerate(self.entries[j :: self.cols]) if v != zero} for j in range(self.cols)]
+        return Matrix(self.rows, cols, self.domain)
+
+    def rref(self):
+        """Reduced row echelon form; returns (rows, pivot column list)."""
+        dom = self.domain
+        rows = [self.row(i) for i in range(self.rows)]
+        pivots = []
+        r = 0
+        for c in range(self.cols):
+            pivot_row = None
+            for i in range(r, len(rows)):
+                if rows[i][c] != dom.zero:
+                    pivot_row = i
+                    break
+            if pivot_row is None:
+                continue
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            inv = dom.inv(rows[r][c])
+            rows[r] = [dom.mul(inv, v) for v in rows[r]]
+            for i in range(len(rows)):
+                if i != r and rows[i][c] != dom.zero:
+                    factor = rows[i][c]
+                    rows[i] = [dom.sub(v, dom.mul(factor, w)) for v, w in zip(rows[i], rows[r])]
+            pivots.append(c)
+            r += 1
+            if r == len(rows):
+                break
+        return rows, pivots
+
+    def rank(self):
+        return len(self.rref()[1])
+
+    def kernel_basis(self):
+        """One vector per free column, free columns ascending; each vector
+        has a 1 in its free column, so stacked vectors are in reduced
+        echelon form."""
+        dom = self.domain
+        rows, pivots = self.rref()
+        pivot_set = set(pivots)
+        basis = []
+        for fc in (c for c in range(self.cols) if c not in pivot_set):
+            v = [dom.zero] * self.cols
+            v[fc] = dom.one
+            for r, pc in enumerate(pivots):
+                v[pc] = dom.neg(rows[r][fc])
+            basis.append(v)
+        return basis
+
+    def mul_vector(self, v):
+        dom = self.domain
+        out = []
+        for i in range(self.rows):
+            acc = dom.zero
+            for a, b in zip(self.row(i), v):
+                acc = dom.add(acc, dom.mul(a, b))
+            out.append(acc)
+        return out
 
 
 def random_poly(rng, nvars, domain, max_deg=3, max_terms=4):
@@ -53,8 +144,6 @@ def brute_force_membership(f, gens, max_cofactor_deg):
     coefficients and checks solvability by comparing matrix ranks. Fully
     independent of the Groebner division route.
     """
-    from wildcycles.fields import Matrix
-
     dom = f.domain
     nvars = f.nvars
     monos = [
@@ -76,8 +165,8 @@ def brute_force_membership(f, gens, max_cofactor_deg):
         row = [col.terms.get(m, dom.zero) for col in columns]
         A.append(row)
         Ab.append(row + [f.terms.get(m, dom.zero)])
-    mat = Matrix.from_rows(A, dom) if A else None
-    mat_aug = Matrix.from_rows(Ab, dom) if Ab else None
+    mat = DenseMatrix.from_rows(A, dom) if A else None
+    mat_aug = DenseMatrix.from_rows(Ab, dom) if Ab else None
     if mat is None:
         return f.is_zero()
     return mat.rank() == mat_aug.rank()
@@ -230,15 +319,13 @@ def operator_matrix_oracle(M, P):
     basis monomial by applying P to it with apply_oracle and truncating:
     independent of the closed-form falling factorials of
     QuotientModule.operator_matrix."""
-    from wildcycles.fields import Matrix
-
     cols = []
     for e in M.basis:
         image = apply_oracle(P, MPoly.monomial(M.nvars, M.field, e))
         cols.append(M.to_vector(image))
     n = M.dimension
     entries = [cols[j][i] for i in range(n) for j in range(n)]
-    return Matrix(n, n, entries, M.field)
+    return DenseMatrix(n, n, entries, M.field)
 
 
 def random_operator(rng, nvars, domain, max_order):

@@ -104,6 +104,23 @@ def test_unknown_flag_exit_2(capsys):
     assert run(["milnor", "--nope", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        ("groebner --gens -x*y --p 5", "groebner --gens=-x*y --p 5"),
+        ("milnor --f -x^2 --p 5", "milnor --f=-x^2 --p 5"),
+        ("weyl-apply --op -d1 --f x --p 5", "weyl-apply --op=-d1 --f x --p 5"),
+        (
+            "inertia --p 5 --module x^4 --op d1 --element -x^2 --level 1",
+            "inertia --p 5 --module x^4 --op d1 --element=-x^2 --level 1",
+        ),
+        ("orbits --p 5 --system -x", "orbits --p 5 --system=-x"),
+    ],
+)
+def test_text_value_may_begin_with_minus(capsys, spaced, joined):
+    assert run_json(capsys, *spaced.split())["payload"] == run_json(capsys, *joined.split())["payload"]
+
+
 def test_inertia_subcommand(capsys):
     env = run_json(
         capsys,
@@ -192,6 +209,8 @@ def test_config_file(tmp_path, capsys):
     # explicit flag beats the file
     env = run_json(capsys, "milnor", "--config", str(cfg), "--p", "7")
     assert env["payload"]["wild"] == 0
+    env = run_json(capsys, "milnor", "--config", str(cfg), "--p=7", "--f=-x^2")
+    assert (env["payload"]["p"], env["payload"]["f"]) == (7, "-x^2")
 
 
 def test_every_subcommand_has_help(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wildcycles.errors import NotPrime, ZeroInverse
+from helpers import DenseMatrix
 from wildcycles.fields import QQ, Matrix, PrimeField, is_prime
 
 
@@ -52,20 +53,20 @@ def test_inv_property_random():
 
 def test_kernel_identity_empty():
     f5 = PrimeField(5)
-    m = Matrix.from_rows([[1, 0], [0, 1]], f5)
+    m = Matrix(2, [{0: 1}, {1: 1}], f5)
     assert m.kernel_basis() == []
 
 
 def test_kernel_zero_matrix_full():
     f3 = PrimeField(3)
-    m = Matrix.from_rows([[0, 0], [0, 0]], f3)
+    m = Matrix(2, [{}, {}], f3)
     assert len(m.kernel_basis()) == 2
 
 
 def test_kernel_ones_f2():
     # hand row reduction: x0 + x1 = 0 -> basis {(1, 1)}
     f2 = PrimeField(2)
-    m = Matrix.from_rows([[1, 1], [1, 1]], f2)
+    m = Matrix(2, [{0: 1, 1: 1}, {0: 1, 1: 1}], f2)
     assert m.kernel_basis() == [[1, 1]]
 
 
@@ -76,18 +77,47 @@ def test_rank_nullity_random():
         for _ in range(30):
             rows = rng.randrange(1, 5)
             cols = rng.randrange(1, 5)
-            entries = [rng.randrange(p) for _ in range(rows * cols)]
-            m = Matrix(rows, cols, entries, fp)
-            assert m.rank() + len(m.kernel_basis()) == cols
+            dense = DenseMatrix(rows, cols, [rng.randrange(p) for _ in range(rows * cols)], fp)
+            assert dense.rank() + len(dense.sparse().kernel_basis()) == cols
 
 
 def test_kernel_vectors_actually_in_kernel():
     rng = random.Random(13)
     fp = PrimeField(5)
     for _ in range(30):
-        m = Matrix(3, 4, [rng.randrange(5) for _ in range(12)], fp)
-        for v in m.kernel_basis():
-            assert m.mul_vector(v) == [0, 0, 0]
+        dense = DenseMatrix(3, 4, [rng.randrange(5) for _ in range(12)], fp)
+        for v in dense.sparse().kernel_basis():
+            assert dense.mul_vector(v) == [0, 0, 0]
+
+
+def random_dense(rng, domain, rows, cols):
+    """A seeded matrix with about half its entries zero, some columns zero
+    and some columns repeats or multiples of earlier ones."""
+    if isinstance(domain, PrimeField):
+        entry = lambda: rng.randrange(domain.p) if rng.randrange(2) else 0
+    else:
+        entry = lambda: Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) if rng.randrange(2) else Fraction(0)
+    columns = []
+    for _ in range(cols):
+        kind = rng.randrange(6)
+        if kind == 0:
+            columns.append([domain.zero] * rows)
+        elif kind == 1 and columns:
+            c = domain.from_int(rng.randrange(1, 4))
+            columns.append([domain.mul(c, v) for v in rng.choice(columns)])
+        else:
+            columns.append([entry() for _ in range(rows)])
+    return DenseMatrix(rows, cols, [columns[j][i] for i in range(rows) for j in range(cols)], domain)
+
+
+def test_kernel_basis_matches_dense_oracle():
+    rng = random.Random(29)
+    shapes = [(1, n) for n in range(1, 7)] + [(n, 1) for n in range(1, 7)]
+    for domain in (PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), PrimeField(13), QQ):
+        cases = shapes + [(rng.randrange(1, 9), rng.randrange(1, 9)) for _ in range(60)]
+        for rows, cols in cases:
+            dense = random_dense(rng, domain, rows, cols)
+            assert dense.sparse().kernel_basis() == dense.kernel_basis(), (domain, dense.entries)
 
 
 def test_rational_arithmetic_exact_two_routes():

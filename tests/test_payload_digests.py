@@ -44,6 +44,12 @@ FLAG_LINES = [
     'wildcycles curve-sweep --pmax 23 --samples 3 --seed 5',
     'wildcycles curve-sweep --pmax 13 --samples 2 --seed 1 --format text',
     'wildcycles theorem1-probe --f "x^2 + y^3" --p 3 --h 2 --vars x,y',
+    # polynomial and operator text that begins with "-"
+    'wildcycles groebner --gens "-x*y" --p 5',
+    'wildcycles milnor --f "-x^2" --p 5',
+    'wildcycles weyl-apply --op "-d1" --f x --p 5',
+    'wildcycles inertia --p 5 --module x^4 --op d1 --element "-x^2" --level 1',
+    'wildcycles orbits --p 5 --system "-x"',
 ]
 
 
