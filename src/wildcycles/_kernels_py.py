@@ -1,8 +1,11 @@
-"""Pure-Python reference kernels for the exhaustive-enumeration hot loops.
+"""Pure-Python kernels for the exhaustive-enumeration hot loops.
 
 Signature-compatible with the compiled extension (_ckernels); backend.py
 picks whichever is available. These are the fallback and the ground truth
-the compiled versions are tested against.
+the compiled versions are tested against. Where a loop can be handed to
+the interpreter's own C code, it is: the exhaustive curve count visits its
+p^2 pairs inside str.count, which makes it faster than the compiled copy of
+the plain double loop.
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ BACKEND_NAME = "pure"
 def curve_affine_count(p: int, a: int, b: int) -> int:
     """#{(x, y) in F_p^2 : y^2 + a x^3 + b x = 0} by full 2D enumeration.
 
-    Every (x, y) pair is visited: list.count scans all p squares."""
-    squares = [y * y % p for y in range(p)]
-    return sum(squares.count(-(a * x * x * x + b * x) % p) for x in range(p))
+    The p squares y^2 mod p are one str of code points, and each x counts
+    the code point -(a x^3 + b x) in it with str.count: every (x, y) pair
+    is visited, by C code. Needs p <= sys.maxunicode, the range of chr."""
+    squares = "".join([chr(y * y % p) for y in range(p)])
+    return sum([squares.count(chr(-(a * x * x * x + b * x) % p)) for x in range(p)])
 
 
 def curve_slice_counts(p: int, a: int, b: int) -> List[int]:

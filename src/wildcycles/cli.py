@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 
 from . import __version__
 from .backend import BACKEND_NAME
-from .curves import CurveSpec, critical_locus, verify_identity
+from .curves import CurveSpec, check_enumeration_budget, critical_locus, verify_identity
 from .dynsys import (
     DEFAULT_STATE_BUDGET,
     DynamicalSystem,
@@ -108,10 +108,19 @@ def _var_names(args, polys: Sequence[str], operators: Sequence[str] = ()) -> Lis
     return names
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, which run
+    prints as one error line, instead of printing argparse's usage block
+    and exiting. Subparsers are made of the same class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument tree, built once per process; treat it as read-only."""
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="wildcycles",
         description="Computational probes: Weyl operators in char p, Milnor "
         "numbers with tame/wild splits, inertia tests, curve slice counts, "
@@ -300,7 +309,7 @@ def _cmd_collatz_bijection(args) -> dict:
 
 
 def _cmd_curve_count(args) -> dict:
-    return verify_identity(CurveSpec(args.p, args.a, args.b)).to_json()
+    return verify_identity(CurveSpec(args.p, args.a, args.b), budget=args.budget).to_json()
 
 
 def _sweep_cases(pmax: int, samples: int, seed: int):
@@ -315,10 +324,12 @@ def _sweep_cases(pmax: int, samples: int, seed: int):
 
 
 def _cmd_curve_sweep(args, fmt: str) -> int:
+    # refused before the first case, so that no partial sweep is printed
+    check_enumeration_budget(args.pmax, args.budget)
     total = holds = nonsingular = hasse_ok = 0
     lines = []
     for spec in _sweep_cases(args.pmax, args.samples, args.seed):
-        rep = verify_identity(spec)
+        rep = verify_identity(spec, budget=args.budget)
         total += 1
         holds += rep.identity_holds
         if not rep.singular:
@@ -432,7 +443,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         argv = _join_text_values(_with_config(list(sys.argv[1:] if argv is None else argv)))
         try:
             args = build_parser().parse_args(argv)
-        except SystemExit as exc:
+        except SystemExit as exc:  # --help
             return int(exc.code or 0)
         if args.budget is None:
             budget = os.environ.get(ENV_BUDGET, str(DEFAULT_STATE_BUDGET))

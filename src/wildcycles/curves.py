@@ -4,14 +4,18 @@ Curves follow the sign convention y^2 + a*x^3 + b*x = 0 verbatim. The slice
 sum and the naive point count are computed by disjoint code paths so the
 identity doubles as a bug detector: the pure kernels take the slice counts in
 O(p) from one histogram of a*x^3 + b*x, while the naive count visits all p^2
-pairs (x, y) on either lane. Multiplicities come in O(p) from a table of
-square roots and Hasse derivatives. The summation range i = 0..p-1 coincides
-with i = 1..p modulo p and is recorded in the report.
+pairs (x, y) on either lane (on the pure lane inside str.count, over a string
+of the p squares). Multiplicities come in O(p) from a table of square roots
+and Hasse derivatives. The summation range i = 0..p-1 coincides with
+i = 1..p modulo p and is recorded in the report. The naive count refuses a
+curve whose p^2 pairs exceed the state budget, or whose p is past the code
+points a str can hold, with StateBudgetExceeded.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import compress
 from typing import List, Optional, Tuple
@@ -37,8 +41,20 @@ class CurveSpec:
             raise ValueError("leading coefficient a must be nonzero")
 
 
-def naive_count(c: CurveSpec) -> int:
-    """Exhaustive affine count plus the point at infinity."""
+def check_enumeration_budget(p: int, budget: int) -> None:
+    """Raise StateBudgetExceeded unless the p^2 pairs of F_p^2 fit the budget
+    and, whatever the budget, p is at most sys.maxunicode: the pure kernel
+    holds residues mod p as code points."""
+    if p > sys.maxunicode:
+        raise StateBudgetExceeded(f"p = {p} exceeds {sys.maxunicode}, the largest p the exhaustive count handles")
+    if p * p > budget:
+        raise StateBudgetExceeded(f"{p}^2 = {p * p} exceeds budget {budget}")
+
+
+def naive_count(c: CurveSpec, budget: int = 10**7) -> int:
+    """Exhaustive affine count plus the point at infinity, refused by
+    check_enumeration_budget before any pair is visited."""
+    check_enumeration_budget(c.p, budget)
     return kernels.curve_affine_count(c.p, c.a, c.b) + 1
 
 
@@ -80,7 +96,8 @@ def singularity_check(c: CurveSpec) -> bool:
 def hasse_check(c: CurveSpec) -> bool:
     """Integer-safe Hasse bound |N - (p+1)| <= 2*floor(sqrt(p)) + 1.
 
-    Sanity bound only; raises SingularCurve when the curve is singular."""
+    Sanity bound only; raises SingularCurve when the curve is singular, and
+    StateBudgetExceeded where naive_count refuses at its default budget."""
     if singularity_check(c):
         raise SingularCurve(f"curve p={c.p} a={c.a} b={c.b} is singular")
     n = naive_count(c)
@@ -117,11 +134,12 @@ class SliceCountReport:
         }
 
 
-def verify_identity(c: CurveSpec) -> SliceCountReport:
-    """Both sides of the identity by independent enumerations."""
+def verify_identity(c: CurveSpec, budget: int = 10**7) -> SliceCountReport:
+    """Both sides of the identity by independent enumerations, refused with
+    StateBudgetExceeded when the p^2 pairs exceed the budget."""
+    rhs = naive_count(c, budget)
     l = slice_counts(c)
     lhs = sum(l) + 1
-    rhs = naive_count(c)
     singular = singularity_check(c)
     hasse_ok = None
     if not singular:

@@ -7,6 +7,8 @@ dx/ds = g(x); the step h is recorded in every report rather than hidden.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Dict, List, Optional, Tuple
@@ -272,28 +274,36 @@ def _parity_vectors(k: int) -> List[int]:
 
     Level j + 1 is lifted from level j by Terras's identity
     T^j(r + 2^j) = T^j(r) + 3^(o_j(r)), o_j(r) the number of odd steps among
-    the first j, so each level costs one step per residue: O(2^k) in all.
+    the first j. One int per quantity holds every residue of a level, one
+    lane of an unsigned array item per residue: X holds T^j(r), M holds
+    3^(o_j(r)) and V the parity bits so far, and each level is a dozen
+    big-int operations. X and M are reduced mod 2^k after every step, which
+    still fixes every later parity (T^j(r) mod 2^(k-j) is known after j
+    steps). A lifted value is then below 2^(k+1), so 3v + 1 < 6 * 2^k fits
+    its lane and no lane carries into the next: 16-bit lanes up to k = 13,
+    32-bit lanes up to k = 29.
     """
-    values, odds, vecs = [0], [0], [0]
-    pow3 = [1]
+    code = "H" if 6 << k <= 1 << 16 else "I"
+    width = 8 * array(code).itemsize
+    X, M, V = 0, 1, 0
+    ones, lanes = 1, (1 << k) - 1  # bit 0 of each lane; its low k bits
     for j in range(k):
-        values += [v + pow3[o] for v, o in zip(values, odds)]
-        odds += odds
-        vecs += vecs
-        pow3.append(3 * pow3[-1])
-        bit = 1 << j
-        next_values, next_odds, next_vecs = [], [], []
-        for v, o, w in zip(values, odds, vecs):
-            if v & 1:
-                next_values.append((3 * v + 1) >> 1)
-                next_odds.append(o + 1)
-                next_vecs.append(w | bit)
-            else:
-                next_values.append(v >> 1)
-                next_odds.append(o)
-                next_vecs.append(w)
-        values, odds, vecs = next_values, next_odds, next_vecs
-    return vecs
+        shift = width << j
+        X |= (X + M) << shift
+        M |= M << shift
+        V |= V << shift
+        ones |= ones << shift
+        lanes |= lanes << shift
+        odd = X & ones
+        full = odd * ((1 << width) - 1)
+        # odd lanes v -> v + (2v + 1), then every lane is halved
+        X = ((X + (((X << 1) | ones) & full)) >> 1) & lanes
+        M = (M + ((M << 1) & full)) & lanes
+        V |= odd << j
+    vecs = array(code, V.to_bytes((width // 8) << k, "little"))
+    if sys.byteorder == "big":
+        vecs.byteswap()
+    return vecs.tolist()
 
 
 def parity_bijection_check(k: int) -> bool:

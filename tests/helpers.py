@@ -211,6 +211,33 @@ def tail_distance_oracle(nxt):
     return on_cycle, dist
 
 
+def parity_vectors_oracle(k):
+    """The parity vectors of every residue mod 2^k, bit j the parity at step
+    j, by Terras's lift T^j(r + 2^j) = T^j(r) + 3^(o_j(r)) on three lists of
+    exact values, odd-step counts and vectors, stepping each residue once
+    per level: the oracle for the packed lanes of dynsys._parity_vectors."""
+    values, odds, vecs = [0], [0], [0]
+    pow3 = [1]
+    for j in range(k):
+        values += [v + pow3[o] for v, o in zip(values, odds)]
+        odds += odds
+        vecs += vecs
+        pow3.append(3 * pow3[-1])
+        bit = 1 << j
+        next_values, next_odds, next_vecs = [], [], []
+        for v, o, w in zip(values, odds, vecs):
+            if v & 1:
+                next_values.append((3 * v + 1) >> 1)
+                next_odds.append(o + 1)
+                next_vecs.append(w | bit)
+            else:
+                next_values.append(v >> 1)
+                next_odds.append(o)
+                next_vecs.append(w)
+        values, odds, vecs = next_values, next_odds, next_vecs
+    return vecs
+
+
 def critical_locus_oracle(f, p):
     """Points of F_p^n, in lexicographic order, where every partial of f
     evaluates to 0 by MPoly.eval, one point at a time."""

@@ -25,11 +25,15 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
-def assert_one_line_usage_error(capsys, code):
+def assert_one_line_error(capsys, code, expected):
     captured = capsys.readouterr()
-    assert code == 2
+    assert code == expected
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def assert_one_line_usage_error(capsys, code):
+    assert_one_line_error(capsys, code, 2)
 
 
 def strip_timestamp(env):
@@ -86,6 +90,9 @@ def test_malformed_poly_exit_2(capsys):
     ["orbits", "--p", "5", "--system", "x", "--h", "5"],
     ["weyl-apply", "--op", "x*d1^2 + d1*x", "--f", "x^3", "--p", "7"],
     ["inertia", "--p", "3", "--module", "x^5", "--op", "x*d1 + 1", "--level", "2"],
+    ["milnor", "--f"],
+    ["milnor", "--f", "x^2"],
+    ["nope"],
 ])
 def test_bad_argument_is_one_line_usage_error(capsys, argv):
     assert_one_line_usage_error(capsys, run(argv))
@@ -101,7 +108,22 @@ def test_front_end_failures_are_one_line_usage_errors(tmp_path, monkeypatch, cap
 
 
 def test_unknown_flag_exit_2(capsys):
-    assert run(["milnor", "--nope", "1"]) == 2
+    assert_one_line_usage_error(capsys, run(["milnor", "--nope", "1"]))
+    assert_one_line_usage_error(capsys, run(["milnor", "--nope", "1", "--f", "x", "--p", "3"]))
+
+
+def test_help_exits_0(capsys):
+    assert run(["milnor", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: wildcycles milnor")
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve-count", "--p", "100003", "--a", "1", "--b", "1", "--budget", "10"],
+    ["curve-count", "--p", "1114117", "--a", "1", "--b", "1", "--budget", str(10**20)],
+    ["curve-sweep", "--pmax", "101", "--samples", "2", "--budget", "10200"],
+])
+def test_curve_commands_refuse_past_the_budget(capsys, argv):
+    assert_one_line_error(capsys, run(argv), 1)
 
 
 @pytest.mark.parametrize(

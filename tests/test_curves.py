@@ -144,6 +144,29 @@ def test_linear_time_curve_paths_match_quadratic_oracles():
         check(p, rng.randrange(1, p), 0)
 
 
+def test_str_kernel_across_string_storage_widths():
+    """The squares of p = 251 fit one byte per code point, those of p = 257
+    need two: str.count runs on both storage widths."""
+    rng = random.Random(83)
+    for p in (251, 257):
+        assert (max(y * y % p for y in range(p)) > 255) == (p == 257)
+        for _ in range(3):
+            a, b = rng.randrange(1, p), rng.randrange(0, p)
+            assert _kernels_py.curve_affine_count(p, a, b) == brute_affine(p, a, b)
+
+
+def test_verify_identity_budget():
+    spec = CurveSpec(101, 1, 1)
+    assert verify_identity(spec, budget=101 * 101).identity_holds
+    with pytest.raises(StateBudgetExceeded):
+        verify_identity(spec, budget=101 * 101 - 1)
+    with pytest.raises(StateBudgetExceeded):
+        naive_count(spec, budget=101 * 101 - 1)
+    # past the range of chr, whatever the budget
+    with pytest.raises(StateBudgetExceeded):
+        verify_identity(CurveSpec(1114117, 1, 1), budget=10**20)
+
+
 def test_curvespec_validation():
     with pytest.raises(NotPrime):
         CurveSpec(6, 1, 1)

@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from helpers import brute_periodic_count, decode, encode, random_poly, tail_distance_oracle
+from helpers import (
+    brute_periodic_count,
+    decode,
+    encode,
+    parity_vectors_oracle,
+    random_poly,
+    tail_distance_oracle,
+)
 from wildcycles import dynsys
 from wildcycles.backend import available_backends
 from wildcycles.dynsys import (
@@ -285,6 +292,11 @@ def test_parity_vectors_match_stepwise_parity_vector():
         assert len(vecs) == 1 << k
         for r in range(1 << k):
             assert vecs[r] == sum(b << j for j, b in enumerate(parity_vector(r, k)))
+
+
+def test_packed_parity_vectors_match_three_list_oracle():
+    for k in range(17):
+        assert _parity_vectors(k) == parity_vectors_oracle(k), k
 
 
 def test_parity_bijection_range_guard():
