@@ -1,11 +1,11 @@
 """Pure-Python kernels for the exhaustive-enumeration hot loops.
 
 Signature-compatible with the compiled extension (_ckernels); backend.py
-picks whichever is available. These are the fallback and the ground truth
-the compiled versions are tested against. Where a loop can be handed to
-the interpreter's own C code, it is: the exhaustive curve count visits its
-p^2 pairs inside str.count, which makes it faster than the compiled copy of
-the plain double loop.
+picks whichever is available for the dynamics kernels, and these are the
+ground truth the compiled versions are tested against. The curve kernels
+here serve both lanes: the slice counts come from one O(p) histogram, and
+the exhaustive count visits its p^2 pairs inside str.count, the
+interpreter's own C code, so both beat the compiled double loops.
 """
 
 from __future__ import annotations

@@ -2,14 +2,15 @@
 
 Curves follow the sign convention y^2 + a*x^3 + b*x = 0 verbatim. The slice
 sum and the naive point count are computed by disjoint code paths so the
-identity doubles as a bug detector: the pure kernels take the slice counts in
-O(p) from one histogram of a*x^3 + b*x, while the naive count visits all p^2
-pairs (x, y) on either lane (on the pure lane inside str.count, over a string
-of the p squares). Multiplicities come in O(p) from a table of square roots
-and Hasse derivatives. The summation range i = 0..p-1 coincides with
-i = 1..p modulo p and is recorded in the report. The naive count refuses a
-curve whose p^2 pairs exceed the state budget, or whose p is past the code
-points a str can hold, with StateBudgetExceeded.
+identity doubles as a bug detector: the slice counts come in O(p) from one
+histogram of a*x^3 + b*x, while the naive count visits all p^2 pairs (x, y)
+inside str.count, over a string of the p squares. These are the pure kernels
+on both lanes: a compiled double loop is slower than either. Multiplicities
+come in O(p) from a table of square roots and Hasse derivatives. The
+summation range i = 0..p-1 coincides with i = 1..p modulo p and is recorded
+in the report. The naive count refuses a curve whose p^2 pairs exceed the
+state budget, or whose p is past the code points a str can hold, with
+StateBudgetExceeded.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import compress
+from operator import not_
 from typing import List, Optional, Tuple
 
-from .backend import kernels
+from . import _kernels_py as kernels
 from .errors import DomainMismatch, NotPrime, SingularCurve, StateBudgetExceeded
 from .fields import PrimeField, is_prime
-from .poly import MPoly, grid_point, grid_values
+from .poly import MPoly, grid_image, grid_point
 
 
 @dataclass(frozen=True)
@@ -160,14 +162,12 @@ def verify_identity(c: CurveSpec, budget: int = 10**7) -> SliceCountReport:
 
 def critical_locus(f: MPoly, p: int, budget: int = 10**7) -> List[Tuple[int, ...]]:
     """All points of F_p^n where every partial derivative of f vanishes, in
-    lexicographic order, read off the grid values of the partials (f over
-    F_p)."""
+    lexicographic order (f over F_p): the states that grid_image of the
+    partials sends to index 0, each partial reduced mod p in its lanes."""
     n = f.nvars
     if p**n > budget:
         raise StateBudgetExceeded(f"{p}^{n} exceeds budget {budget}")
     if f.domain != PrimeField(p):
         raise DomainMismatch(f"critical_locus needs f over F_{p}")
-    zero = [True] * p**n
-    for i in range(n):
-        zero = [z and not v % p for z, v in zip(zero, grid_values(f.derivative(i)))]
-    return sorted(grid_point(idx, p, n) for idx in compress(range(p**n), zero))
+    image = grid_image([f.derivative(i) for i in range(n)], p, n)
+    return sorted(grid_point(idx, p, n) for idx in compress(range(p**n), map(not_, image)))

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from .backend import kernels
 from .errors import DomainMismatch, StateBudgetExceeded
 from .fields import PrimeField
-from .poly import MPoly, grid_point, grid_values
+from .poly import MPoly, grid_image, grid_point
 
 State = Tuple[int, ...]
 
@@ -115,17 +115,14 @@ class OrbitDecomposition:
 
 
 def _transition_table(F: SelfMap) -> List[int]:
-    """nxt[index(s)] = index(F(s)) for every state s: each component's grid
-    values, reduced mod p once here, as one base-p digit."""
+    """nxt[index(s)] = index(F(s)) for every state s, from grid_image: each
+    component's grid values are one packed int, reduced mod p once per
+    level, and the table is their base-p sum, unpacked once."""
     p, n = F.p, F.n
     fp = PrimeField(p)
     if any(g.nvars != n or g.domain != fp for g in F.components):
         raise DomainMismatch("component over the wrong ring")
-    nxt = [0] * p**n
-    for k, g in enumerate(reversed(F.components)):
-        values = grid_values(g)
-        nxt = [i * p + v % p for i, v in zip(nxt, values)] if k else [v % p for v in values]
-    return nxt
+    return grid_image(F.components, p, n)
 
 
 def orbit_decomposition(
@@ -135,12 +132,13 @@ def orbit_decomposition(
     """Decompose the functional graph of F on all p^n states.
 
     State index sum_i x_i p^i numbers the states, and the work stays on
-    indices: the transition table comes from per-variable power tables with
-    no per-state polynomial evaluation, the selected kernel backend walks
-    the graph, and only the periodic states are decoded into tuples. Each
-    cycle is traced from its least index, found by scanning the periodic
-    indices in increasing order, so cycles start at, and are sorted by,
-    their minimal state index whatever the traversal order.
+    indices: the transition table reduces each component's grid values once
+    per level in packed integer lanes (grid_image), with no per-state
+    polynomial evaluation, the selected kernel backend walks the graph, and
+    only the periodic states are decoded into tuples. Each cycle is traced
+    from its least index, found by scanning the periodic indices in
+    increasing order, so cycles start at, and are sorted by, their minimal
+    state index whatever the traversal order.
     """
     p, n = F.p, F.n
     total = p**n

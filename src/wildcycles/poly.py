@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import math
 import re
-from operator import add
+import sys
+from array import array
+from itertools import repeat
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainMismatch, IndexOutOfRange, ParseError, UnknownVariable
@@ -418,24 +421,9 @@ def poly_parse(text: str, var_names: Sequence[str], domain) -> MPoly:
     return result
 
 
-def grid_values(f: MPoly) -> List[int]:
-    """f at every point x of F_p^n, f over F_p, listed by the state index
-    sum_i x_i p^i (variable 0 least significant).
-
-    The entries are congruent to f(x) mod p but not reduced; each is below
-    len(f.terms) * p^2, so a caller reduces once, where it combines tables.
-    Terms that share the exponent of the last variable share one table of
-    the others: only that table, p times smaller, is reduced, and the
-    full-size level is one outer product with a power table per exponent.
-    """
-    if not isinstance(f.domain, PrimeField):
-        raise DomainMismatch("grid values need a polynomial over F_p")
-    return _grid_values(f.terms, f.domain.p, f.nvars)
-
-
 def grid_point(idx: int, p: int, n: int) -> Exponents:
-    """The point of F_p^n at state index idx, the inverse of the numbering
-    that grid_values lists by."""
+    """The point of F_p^n at state index idx = sum_i x_i p^i, the inverse of
+    the numbering that grid_image lists by."""
     out = []
     for _ in range(n):
         idx, x = divmod(idx, p)
@@ -443,21 +431,84 @@ def grid_point(idx: int, p: int, n: int) -> Exponents:
     return tuple(out)
 
 
-def _grid_values(terms: Dict[Exponents, int], p: int, n: int) -> List[int]:
-    if n == 0:
-        return [sum(terms.values())]
-    groups: Dict[int, Dict[Exponents, int]] = {}
-    for e, c in terms.items():
-        groups.setdefault(e[-1], {})[e[:-1]] = c
-    acc = None
-    for k, rest in groups.items():
-        inner = [v % p for v in _grid_values(rest, p, n - 1)]
-        if k == 0:
-            vec = inner * p
+def _lane_layout(p: int, groups: int, m: int) -> Tuple[int, int, int, int]:
+    """(width, word, s, mult) for grid_image: lanes of `width` bits, the
+    least multiple of the `word` that holds v * mult for every v below
+    groups * p^2 < 2^s, with Barrett's shift s and multiplier
+    mult = 2^s // p. The image indices, below p^m, are read through the low
+    word of each lane: 32 bits where they fit, else 64."""
+    if p**m > 1 << 64:
+        raise ValueError(f"image indices below {p}^{m} do not fit 64 bits")
+    bound = groups * p * p
+    s = bound.bit_length()
+    mult = (1 << s) // p
+    word = 32 if p**m <= 1 << 32 else 64
+    return -(-((bound - 1) * mult).bit_length() // word) * word, word, s, mult
+
+
+def grid_image(fs: Sequence[MPoly], p: int, n: int) -> List[int]:
+    """sum_k (f_k(x) mod p) p^k for every point x of F_p^n, listed by the
+    state index sum_i x_i p^i (variable 0 least significant): the index of
+    the image of x when the f_k, each over F_p in n variables, are the
+    components of a self-map, and 0 exactly where every f_k vanishes.
+
+    Each f_k's values are one int, one lane per state. The recursion on the
+    last variable groups the terms by its exponent e and takes each group's
+    table of the other variables, p times smaller; the block of states with
+    x_last = w is the scalar sum over e of (w^e mod p) * inner_e, and the p
+    blocks are joined as bytes. With one variable left the blocks are single
+    lanes, so that level is instead the sum of c * P_e over the terms c x^e,
+    P_e the packed table of w^e mod p. A lane is then below groups * p^2,
+    groups the largest term count, and every level is reduced mod p at once
+    by Barrett's method: the estimate ((v * mult) >> s) of v // p, masked to
+    each lane, is at most one too small, so one masked conditional
+    subtraction of p finishes. The image is the same weighted sum of the
+    reduced ints, read out once through each lane's low word.
+    """
+    groups = max([len(f.terms) for f in fs] + [1])
+    width, word, s, mult = _lane_layout(p, groups, len(fs))
+    size, t, stride = width >> 3, p.bit_length(), width // word
+    code = "I" if word == 32 else "Q"
+    # per level j, over its p^j lanes: the quotient mask (the bits of a lane
+    # below width - s), bit 0 of each lane, and 2^t - p in each lane, which
+    # carries a lane into bit t iff it is at least p (p < 2^t)
+    masks = []
+    for j in range(n + 1):
+        ones = int.from_bytes((1).to_bytes(size, "little") * p**j, "little")
+        masks.append((ones * ((1 << (width - s)) - 1), ones, ones * ((1 << t) - p)))
+
+    def table(e: int) -> int:
+        """P_e: w^e mod p in lane w, for w = 0..p-1."""
+        words = array(code, bytes(size * p))
+        words[::stride] = array(code, map(pow, range(p), repeat(e), repeat(p)))
+        if sys.byteorder == "big":
+            words.byteswap()
+        return int.from_bytes(words, "little")
+
+    def reduced(terms: Dict[Exponents, int], j: int) -> int:
+        if j == 0:
+            return sum(terms.values())  # at most one term, below p
+        if j == 1:
+            v = sum([c * table(e) for (e,), c in terms.items()])
         else:
-            vec = [w * v for w in [pow(x, k, p) for x in range(p)] for v in inner]
-        acc = vec if acc is None else list(map(add, acc, vec))
-    return [0] * p**n if acc is None else acc
+            parts: Dict[int, Dict[Exponents, int]] = {}
+            for e, c in terms.items():
+                parts.setdefault(e[-1], {})[e[:-1]] = c
+            inners = [reduced(rest, j - 1) for rest in parts.values()]
+            powers = zip(*[[pow(w, e, p) for w in range(p)] for e in parts])
+            block = size * p ** (j - 1)
+            v = int.from_bytes(b"".join([sum(map(mul, ws, inners)).to_bytes(block, "little") for ws in powers]), "little")
+        qmask, ones, lift = masks[j]
+        v -= (((v * mult) >> s) & qmask) * p
+        return v - (((v + lift) >> t) & ones) * p
+
+    image = 0
+    for k, f in enumerate(fs):
+        image += reduced(f.terms, n) * p**k
+    lanes = array(code, image.to_bytes(size * p**n, "little"))
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes[::stride].tolist()
 
 
 def reduce_mod_p(f: MPoly, p: int) -> MPoly:

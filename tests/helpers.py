@@ -4,8 +4,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from wildcycles.fields import QQ, Matrix, PrimeField
-from wildcycles.poly import MPoly
+from wildcycles.fields import QQ, Matrix, PrimeField, is_prime
+from wildcycles.poly import MPoly, _lane_layout
 
 
 class DenseMatrix:
@@ -259,6 +259,37 @@ def decode(idx, p, n):
 
 def encode(state, p):
     return sum(x * p**k for k, x in enumerate(state))
+
+
+def lane_switch_primes(terms, m, budget):
+    """Pairs (q, r) of neighbouring primes, r^m within the budget, on the two
+    sides of each point where grid_image widens its lanes for m components
+    of at most `terms` terms. The width grows with p, so each switch is
+    found by bisection."""
+
+    def width(p):
+        return _lane_layout(p, terms, m)[0]
+
+    top = round(budget ** (1 / m))
+    while top**m > budget:
+        top -= 1
+    pairs, lo = [], 2
+    while width(lo) < width(top):
+        a, b = lo, top
+        while b - a > 1:
+            mid = (a + b) // 2
+            a, b = (a, mid) if width(mid) > width(lo) else (mid, b)
+        q, r = b - 1, b
+        while not is_prime(q):
+            q -= 1
+        while not is_prime(r):
+            r += 1
+        if r**m > budget:
+            break
+        assert width(q) < width(r)
+        pairs.append((q, r))
+        lo = r
+    return pairs
 
 
 def slice_counts_oracle(p, a, b):

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from helpers import critical_locus_oracle, multiplicity_oracle, random_poly, slice_counts_oracle
+from helpers import critical_locus_oracle, lane_switch_primes, multiplicity_oracle, random_poly, slice_counts_oracle
 from wildcycles import _kernels_py
 from wildcycles.curves import (
     CurveSpec,
@@ -16,7 +17,7 @@ from wildcycles.curves import (
 )
 from wildcycles.errors import DomainMismatch, NotPrime, SingularCurve, StateBudgetExceeded
 from wildcycles.fields import QQ, PrimeField, is_prime
-from wildcycles.poly import poly_parse
+from wildcycles.poly import MPoly, poly_parse
 
 
 def brute_affine(p, a, b):
@@ -187,6 +188,9 @@ def test_critical_locus_examples():
 
 
 def test_critical_locus_matches_pointwise_oracle():
+    """Random f for p <= 7, then for p up to 31; one variable on both sides
+    of the first lane switch for partials of three terms; a constant or zero
+    f is critical everywhere."""
     rng = random.Random(113)
     nonempty = 0
     for _ in range(60):
@@ -199,6 +203,29 @@ def test_critical_locus_matches_pointwise_oracle():
         assert locus == critical_locus_oracle(f, p)
         nonempty += bool(locus)
     assert nonempty >= 20
+    rng = random.Random(131)
+    proper = 0
+    for _ in range(30):
+        p = rng.choice([11, 13, 17, 19, 23, 29, 31])
+        n = rng.choice([1, 2] if p > 13 else [1, 2, 3])
+        fp = PrimeField(p)
+        f = random_poly(rng, n, fp, max_deg=2 * p, max_terms=5)
+        locus = critical_locus(f, p)
+        assert locus == critical_locus_oracle(f, p)
+        proper += 0 < len(locus) < p**n
+    assert proper >= 15
+    ((q, r),) = lane_switch_primes(3, 1, 10**7)[:1]
+    for p in (q, r):
+        # f' = 2x^(p+1) + 6x^2 + 6x, three terms
+        f = poly_parse(f"x^{p + 2} + 2*x^3 + 3*x^2 + 7", ["x"], PrimeField(p))
+        assert len(f.derivative(0).terms) == 3
+        locus = critical_locus(f, p)
+        assert locus == critical_locus_oracle(f, p)
+        assert (0,) in locus
+    for p, n in ((2, 3), (7, 2), (31, 2), (q, 1)):
+        every = list(itertools.product(range(p), repeat=n))
+        assert critical_locus(MPoly.constant(n, PrimeField(p), 3 % p), p) == every
+        assert critical_locus(MPoly.zero(n, PrimeField(p)), p) == every
 
 
 def test_critical_locus_needs_f_over_the_same_field():

@@ -7,6 +7,7 @@ from helpers import (
     brute_periodic_count,
     decode,
     encode,
+    lane_switch_primes,
     parity_vectors_oracle,
     random_poly,
     tail_distance_oracle,
@@ -142,7 +143,27 @@ def test_graph_kernel_matches_tail_distance_oracle():
         assert list(dist) == list(range(n - 1, -1, -1)), name
 
 
+def components_with_terms(rng, p, n, terms, degree):
+    """A first component of exactly `terms` terms, one of them x_0^degree,
+    followed by a zero and a constant component, in turn."""
+    fp = PrimeField(p)
+    exps = {(degree,) + (0,) * (n - 1)}
+    while len(exps) < terms:
+        exps.add(tuple(rng.randrange(2 * p + 1) for _ in range(n)))
+    comps = [MPoly(n, fp, {e: rng.randrange(1, p) for e in exps})]
+    for i in range(1, n):
+        comps.append(MPoly.constant(n, fp, rng.randrange(1, p)) if i % 2 == 0 else MPoly.zero(n, fp))
+    return tuple(comps)
+
+
 def test_transition_table_matches_pointwise_evaluation():
+    """Random maps of F_p^n for p <= 7; then primes on both sides of every
+    switch of grid_image's lane width under the default state budget:
+    one-term maps of F_p (32 -> 64 -> 96 bits, the last at p = 2097143 /
+    2097169), three-term maps of F_p^2 and 200-term maps of F_p^3, each with
+    an exponent past p up to p = 10^5 and with zero and constant components
+    beside the first. Tables of more than 5000 states are checked at a
+    seeded sample."""
     rng = random.Random(89)
     for _ in range(40):
         p = rng.choice([2, 3, 5, 7])
@@ -164,6 +185,22 @@ def test_transition_table_matches_pointwise_evaluation():
         for idx in range(p**n):
             image = F(decode(idx, p, n))
             assert nxt[idx] == encode(image, p)
+    rng = random.Random(127)
+    checked = 0
+    for n, terms in ((1, 1), (2, 3), (3, 200)):
+        for pair in lane_switch_primes(terms, n, dynsys.DEFAULT_STATE_BUDGET):
+            for p in pair:
+                # with one variable, an exponent past p costs a slow pow per state
+                degree = p + 3 if p <= 10**5 else 7
+                F = SelfMap(p, n, components_with_terms(rng, p, n, terms, degree))
+                nxt = _transition_table(F)
+                total = p**n
+                assert len(nxt) == total
+                sample = range(total) if total <= 5000 else [0, total - 1] + rng.sample(range(total), 300)
+                for idx in sample:
+                    assert nxt[idx] == encode(F(decode(idx, p, n)), p), (p, n, idx)
+                checked += 1
+    assert checked == 8
 
 
 def test_periodic_count_matches_brute_force():

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_poly
+from helpers import lane_switch_primes, random_poly
 from wildcycles.errors import DomainMismatch, IndexOutOfRange, ParseError, UnknownVariable
-from wildcycles.fields import QQ, PrimeField
-from wildcycles.poly import MPoly, poly_parse
+from wildcycles.fields import QQ, PrimeField, is_prime
+from wildcycles.poly import MPoly, grid_image, grid_point, poly_parse
 from wildcycles.weyl import WeylOperator, weyl_parse
 
 
@@ -152,3 +152,36 @@ def test_canonical_serialization_grevlex_descending():
 def test_negative_coeff_normalized_char_p():
     f = poly_parse("-x", ["x"], F5)
     assert f.terms == {(1,): 4}
+
+
+def test_grid_image_reads_64_bit_words_past_2_to_the_32():
+    """With more components than variables the image indices pass 2^32 while
+    the grid stays small: 14 components over F_5 reach 5^14 > 2^32, which
+    grid_image reads through 64-bit words, and 5^28 > 2^64 is refused."""
+    rng = random.Random(137)
+    for p, n, m in ((5, 1, 14), (5, 2, 14), (7, 1, 12), (3, 3, 21)):
+        fp = PrimeField(p)
+        fs = [random_poly(rng, n, fp, max_deg=2 * p, max_terms=4) for _ in range(m)]
+        assert p**m > 1 << 32
+        expected = [
+            sum(f.eval(point) * p**k for k, f in enumerate(fs))
+            for point in (grid_point(i, p, n) for i in range(p**n))
+        ]
+        assert grid_image(fs, p, n) == expected
+    with pytest.raises(ValueError):
+        grid_image([MPoly.zero(1, F5)] * 28, 5, 1)
+
+
+def test_grid_image_lanes_at_their_bound():
+    """f = sum over i < g of (p-1) x^(2i+1) y^(2i+1) reaches the lane bound
+    g (p-1)^2 at x = 1, y = p - 1 (and its one-variable form at x = p - 1),
+    checked at every prime below 60 and on both sides of the first lane
+    switch for g terms in one variable."""
+    for g in range(1, 7):
+        primes = [p for p in range(2, 60) if is_prime(p)]
+        for p in primes + list(lane_switch_primes(g, 1, 10**5)[0]):
+            fp = PrimeField(p)
+            for n in (1, 2) if p < 60 else (1,):
+                f = MPoly(n, fp, {(2 * i + 1,) * n: p - 1 for i in range(g)})
+                points = [grid_point(i, p, n) for i in range(p**n)]
+                assert grid_image([f], p, n) == [f.eval(x) for x in points], (g, p, n)
