@@ -5,25 +5,29 @@ Every run emits a single report envelope {"version", "cmd", "config",
 one envelope per line (JSONL). Payloads are deterministic for fixed inputs
 and seed; only the timestamp varies.
 
+Every flag takes exactly one value: `--flag value` or `--flag=value`, the
+value read as given whatever it begins with, so `--f -x^2` is the text
+-x^2. The last of a repeated flag wins. `--config FILE`, anywhere in argv,
+names key=value lines that fill the flags argv leaves unset. `-h`/`--help`
+prints the usage line of `COMMANDS`, the table of every flag.
+
 Exit codes: 0 success, 1 computation error, 2 usage/parse error.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import random
 import sys
 import time
+from types import SimpleNamespace
 from typing import List, Optional, Sequence
 
 from . import __version__
 from .backend import BACKEND_NAME
 from .curves import CurveSpec, check_enumeration_budget, critical_locus, verify_identity
 from .dynsys import (
-    DEFAULT_STATE_BUDGET,
     DynamicalSystem,
     as_self_map,
     collatz_orbit,
@@ -31,13 +35,13 @@ from .dynsys import (
     orbit_decomposition,
     parity_bijection_check,
 )
-from .errors import ParseError, RefuseChar2, WildcyclesError, ZeroOrderTerm
+from .errors import DEFAULT_STATE_BUDGET, ParseError, RefuseChar2, WildcyclesError, ZeroOrderTerm
 from .fields import QQ, PrimeField, is_prime
 from .groebner import (
+    INFINITE,
     buchberger,
     dimension_json,
     milnor_number,
-    quotient_dimension,
     standard_monomials,
     tame_wild_split,
 )
@@ -108,109 +112,63 @@ def _var_names(args, polys: Sequence[str], operators: Sequence[str] = ()) -> Lis
     return names
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors raise ValueError, which run
-    prints as one error line, instead of printing argparse's usage block
-    and exiting. Subparsers are made of the same class."""
+COMMON = {"format": (("json", "text"), "json"), "seed": (int, 0), "budget": (int, None)}
 
-    def error(self, message):
-        raise ValueError(f"{self.prog}: {message}")
-
-
-@functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument tree, built once per process; treat it as read-only."""
-    top = _Parser(
-        prog="wildcycles",
-        description="Computational probes: Weyl operators in char p, Milnor "
-        "numbers with tame/wild splits, inertia tests, curve slice counts, "
-        "finite dynamics and Collatz orbits.",
-    )
-    top.add_argument("--config", help="key=value file pre-populating flags")
-    sub = top.add_subparsers(dest="cmd", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (echoed in reports)")
-        p.add_argument(
-            "--budget",
-            type=int,
-            help="state budget for exhaustive enumeration",
-        )
-
-    p = sub.add_parser("milnor", help="tame/wild vanishing-cycle split of f at p")
-    p.add_argument("--f", required=True)
-    p.add_argument("--p", required=True, type=int)
-    p.add_argument("--vars")
-    common(p)
-
-    p = sub.add_parser("groebner", help="reduced Groebner basis and quotient data")
-    p.add_argument("--gens", required=True, help="semicolon-separated polynomials")
-    p.add_argument("--order", choices=("grevlex", "lex"), default="grevlex")
-    p.add_argument("--p", type=int, help="prime modulus (default: rationals)")
-    p.add_argument("--vars")
-    common(p)
-
-    p = sub.add_parser("inertia", help="differential-inertia membership report")
-    p.add_argument("--p", required=True, type=int)
-    p.add_argument("--module", required=True, help="truncation monomial, e.g. x^4")
-    p.add_argument("--op", required=True, help="operator text, e.g. d1")
-    p.add_argument("--level", required=True, type=int)
-    p.add_argument("--element", help="optional witness element for value checks")
-    common(p)
-
-    p = sub.add_parser("weyl-apply", help="apply an operator to a polynomial")
-    p.add_argument("--op", required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--p", type=int, help="prime modulus (default: rationals)")
-    p.add_argument("--vars")
-    common(p)
-
-    p = sub.add_parser("orbits", help="orbit decomposition of an Euler-discretized system")
-    p.add_argument("--p", required=True, type=int)
-    p.add_argument("--system", required=True, help="semicolon-separated components")
-    p.add_argument("--h", type=int, default=1, help="Euler step (vector-field mode)")
-    p.add_argument("--mode", choices=("vector-field", "self-map"), default="vector-field")
-    p.add_argument("--vars")
-    common(p)
-
-    p = sub.add_parser("collatz", help="Collatz orbit with cycle detection")
-    p.add_argument("--start", required=True, type=int)
-    p.add_argument("--variant", choices=("paper", "accelerated"), default="paper")
-    p.add_argument("--step-budget", type=int, default=10**4)
-    common(p)
-
-    p = sub.add_parser("collatz-bijection", help="parity-vector bijection mod 2^k")
-    p.add_argument("--k", required=True, type=int)
-    common(p)
-
-    p = sub.add_parser("curve-count", help="slice counts and the point-count identity")
-    p.add_argument("--p", required=True, type=int)
-    p.add_argument("--a", required=True, type=int)
-    p.add_argument("--b", required=True, type=int)
-    common(p)
-
-    p = sub.add_parser("curve-sweep", help="identity sweep over primes and random (a,b)")
-    p.add_argument("--pmax", type=int, default=101)
-    p.add_argument("--samples", type=int, default=20)
-    common(p)
-
-    p = sub.add_parser(
-        "theorem1-probe",
-        help="EXPLORATORY side-by-side of Milnor data and periodic points",
-    )
-    p.add_argument("--f", required=True)
-    p.add_argument("--p", required=True, type=int)
-    p.add_argument("--h", type=int, default=1)
-    p.add_argument("--vars")
-    common(p)
-
-    return top
+# subcommand: (help line, {flag: (kind, default)}). A kind is int, str or a
+# tuple of choices; a default of ... marks a required flag.
+COMMANDS = {
+    "milnor": ("tame/wild vanishing-cycle split of f at p", {"f": (str, ...), "p": (int, ...), "vars": (str, None)}),
+    "groebner": (
+        "reduced Groebner basis and quotient data",
+        {"gens": (str, ...), "order": (("grevlex", "lex"), "grevlex"), "p": (int, None), "vars": (str, None)},
+    ),
+    "inertia": (
+        "differential-inertia membership report",
+        {"p": (int, ...), "module": (str, ...), "op": (str, ...), "level": (int, ...), "element": (str, None)},
+    ),
+    "weyl-apply": (
+        "apply an operator to a polynomial",
+        {"op": (str, ...), "f": (str, ...), "p": (int, None), "vars": (str, None)},
+    ),
+    "orbits": (
+        "orbit decomposition of an Euler-discretized system",
+        {
+            "p": (int, ...),
+            "system": (str, ...),
+            "h": (int, 1),
+            "mode": (("vector-field", "self-map"), "vector-field"),
+            "vars": (str, None),
+        },
+    ),
+    "collatz": (
+        "Collatz orbit with cycle detection",
+        {"start": (int, ...), "variant": (("paper", "accelerated"), "paper"), "step-budget": (int, 10**4)},
+    ),
+    "collatz-bijection": ("parity-vector bijection mod 2^k", {"k": (int, ...)}),
+    "curve-count": ("slice counts and the point-count identity", {"p": (int, ...), "a": (int, ...), "b": (int, ...)}),
+    "curve-sweep": ("identity sweep over primes and random (a,b)", {"pmax": (int, 101), "samples": (int, 20)}),
+    "theorem1-probe": (
+        "EXPLORATORY side-by-side of Milnor data and periodic points",
+        {"f": (str, ...), "p": (int, ...), "h": (int, 1), "vars": (str, None)},
+    ),
+}
 
 
-def _config_dict(args: argparse.Namespace) -> dict:
-    skip = {"cmd", "config"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+def build_parser(cmd: str) -> dict:
+    """The flags of `cmd`, its own then the common ones: {flag: (kind, default)}."""
+    return {**COMMANDS[cmd][1], **COMMON}
+
+
+def _usage(cmd: Optional[str]) -> str:
+    if cmd is None:
+        width = max(map(len, COMMANDS))
+        lines = [f"  {name:<{width}}  {help_}" for name, (help_, _) in COMMANDS.items()]
+        return "usage: wildcycles <cmd> [--config FILE] [--flag value ...]\n\n" + "\n".join(lines)
+    words = ["[--config FILE]"]
+    for flag, (kind, default) in build_parser(cmd).items():
+        word = f"--{flag} " + ("|".join(kind) if isinstance(kind, tuple) else kind.__name__.upper())
+        words.append(word if default is ... else f"[{word}]")
+    return f"usage: wildcycles {cmd} {' '.join(words)}\n\n{COMMANDS[cmd][0]}"
 
 
 # -- subcommand bodies ----------------------------------------------------
@@ -233,7 +191,7 @@ def _cmd_groebner(args) -> dict:
     payload = {
         "basis": [g.to_str(names) for g in G],
         "order": args.order,
-        "quotient_dimension": dimension_json(quotient_dimension(G)),
+        "quotient_dimension": dimension_json(INFINITE if sm is None else len(sm)),
     }
     if sm is not None:
         payload["standard_monomials"] = [
@@ -323,7 +281,7 @@ def _sweep_cases(pmax: int, samples: int, seed: int):
             yield CurveSpec(p, a, b)
 
 
-def _cmd_curve_sweep(args, fmt: str) -> int:
+def _cmd_curve_sweep(args) -> int:
     # refused before the first case, so that no partial sweep is printed
     check_enumeration_budget(args.pmax, args.budget)
     total = holds = nonsingular = hasse_ok = 0
@@ -335,16 +293,15 @@ def _cmd_curve_sweep(args, fmt: str) -> int:
         if not rep.singular:
             nonsingular += 1
             hasse_ok += bool(rep.hasse_ok)
-        if fmt == "json":
-            env = _envelope("curve-sweep", {"pmax": args.pmax, "samples": args.samples, "seed": args.seed}, rep.to_json())
-            print(json.dumps(env, sort_keys=True, separators=(",", ":")))
+        if args.format == "json":
+            _emit(_envelope("curve-sweep", vars(args), rep.to_json()), "json")
         else:
             lines.append(
                 f"{spec.p:>5} {spec.a:>5} {spec.b:>5} {rep.naive_count:>6} "
                 f"{rep.slice_sum_plus_one:>6} {'ok' if rep.identity_holds else 'FAIL':>5} "
                 f"{'sing' if rep.singular else ('hasse-ok' if rep.hasse_ok else 'HASSE-FAIL'):>10}"
             )
-    if fmt == "text":
+    if args.format == "text":
         print(f"{'p':>5} {'a':>5} {'b':>5} {'naive':>6} {'slice':>6} {'ident':>5} {'status':>10}")
         for line in lines:
             print(line)
@@ -397,72 +354,94 @@ _HANDLERS = {
 }
 
 
-def _with_config(argv: List[str]) -> List[str]:
-    """argv with the key=value lines of its --config file appended as flags;
-    explicit flags win."""
-    if "--config" not in argv:
-        return argv
-    at = argv.index("--config")
-    if at + 1 == len(argv):
-        raise ValueError("--config needs a path")
+def _read_config(path: str) -> dict:
+    """The key=value lines of a --config file; blank and # lines are skipped."""
     try:
-        with open(argv[at + 1]) as fh:
+        with open(path) as fh:
             lines = [line.strip() for line in fh]
     except OSError as exc:
         raise ValueError(f"cannot read config: {exc}") from None
-    defaults = {}
+    values = {}
     for line in lines:
         if line and not line.startswith("#"):
             if "=" not in line:
                 raise ValueError(f"config line without '=': {line!r}")
             key, value = line.split("=", 1)
-            defaults[f"--{key.strip()}"] = value.strip()
-    given = {token.split("=", 1)[0] for token in argv}
-    extra = [part for flag, value in defaults.items() if flag not in given for part in (flag, value)]
-    return argv[:at] + argv[at + 2 :] + extra
+            values[key.strip()] = value.strip()
+    return values
 
 
-# flags whose value is polynomial or operator text, which may begin with "-"
-TEXT_FLAGS = ("--f", "--gens", "--op", "--system", "--element")
-
-
-def _join_text_values(argv: List[str]) -> List[str]:
-    """argv with each text flag and the token after it joined as flag=value,
-    so that argparse does not read a value such as -x^2 as an option."""
-    out = []
-    for token in argv:
-        if out and out[-1] in TEXT_FLAGS:
-            out[-1] = f"{out[-1]}={token}"
+def _parse(argv: Sequence[str]):
+    """(cmd, config) for argv, or (cmd, None) when it asks for help. config
+    holds every flag of cmd under its name with - as _, each converted to its
+    kind or left at its default; the budget falls back to ENV_BUDGET."""
+    cmd, given, path = None, {}, None
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return cmd, None
+        name, eq, value = token.partition("=")
+        if name == "--config" or (cmd and name.startswith("--")):
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise ValueError(f"{name} needs a value")
+            if name == "--config":
+                path = value
+            else:
+                given[name[2:]] = value
+        elif cmd is None and token in COMMANDS:
+            cmd = token
         else:
-            out.append(token)
-    return out
+            raise ValueError(f"{cmd}: unexpected argument {token!r}" if cmd else f"unknown command {token!r}")
+    if cmd is None:
+        raise ValueError(f"no command; choose from {', '.join(COMMANDS)}")
+    if path is not None:
+        for key, value in _read_config(path).items():
+            given.setdefault(key, value)
+    flags = build_parser(cmd)
+    for key in given:
+        if key not in flags:
+            raise ValueError(f"{cmd}: unknown flag --{key}")
+    config = {}
+    for flag, (kind, default) in flags.items():
+        value = given.get(flag, default)
+        if value is ...:
+            raise ValueError(f"{cmd}: --{flag} is required")
+        if flag in given and kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"{cmd}: --{flag} takes an integer, not {value!r}") from None
+        elif flag in given and kind is not str and value not in kind:
+            raise ValueError(f"{cmd}: --{flag} takes one of {', '.join(kind)}, not {value!r}")
+        config[flag.replace("-", "_")] = value
+    if config["budget"] is None:
+        budget = os.environ.get(ENV_BUDGET, str(DEFAULT_STATE_BUDGET))
+        try:
+            config["budget"] = int(budget)
+        except ValueError:
+            raise ValueError(f"{ENV_BUDGET} is not an integer: {budget!r}") from None
+    return cmd, config
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        argv = _join_text_values(_with_config(list(sys.argv[1:] if argv is None else argv)))
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:  # --help
-            return int(exc.code or 0)
-        if args.budget is None:
-            budget = os.environ.get(ENV_BUDGET, str(DEFAULT_STATE_BUDGET))
-            try:
-                args.budget = int(budget)
-            except ValueError:
-                raise ValueError(f"{ENV_BUDGET} is not an integer: {budget!r}") from None
-        if args.cmd == "curve-sweep":
-            return _cmd_curve_sweep(args, args.format)
-        payload = _HANDLERS[args.cmd](args)
+        cmd, config = _parse(sys.argv[1:] if argv is None else argv)
+        if config is None:
+            print(_usage(cmd))
+            return 0
+        args = SimpleNamespace(**config, backend=BACKEND_NAME)
+        if cmd == "curve-sweep":
+            return _cmd_curve_sweep(args)
+        payload = _HANDLERS[cmd](args)
     except (ParseError, ZeroOrderTerm, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WildcyclesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    config = _config_dict(args)
-    config["backend"] = BACKEND_NAME
-    _emit(_envelope(args.cmd, config, payload), args.format)
+    _emit(_envelope(cmd, vars(args), payload), args.format)
     return 0
 
 

@@ -23,7 +23,7 @@ from operator import not_
 from typing import List, Optional, Tuple
 
 from . import _kernels_py as kernels
-from .errors import DomainMismatch, NotPrime, SingularCurve, StateBudgetExceeded
+from .errors import DEFAULT_STATE_BUDGET, DomainMismatch, NotPrime, SingularCurve, StateBudgetExceeded
 from .fields import PrimeField, is_prime
 from .poly import MPoly, grid_image, grid_point
 
@@ -53,7 +53,7 @@ def check_enumeration_budget(p: int, budget: int) -> None:
         raise StateBudgetExceeded(f"{p}^2 = {p * p} exceeds budget {budget}")
 
 
-def naive_count(c: CurveSpec, budget: int = 10**7) -> int:
+def naive_count(c: CurveSpec, budget: int = DEFAULT_STATE_BUDGET) -> int:
     """Exhaustive affine count plus the point at infinity, refused by
     check_enumeration_budget before any pair is visited."""
     check_enumeration_budget(c.p, budget)
@@ -136,7 +136,7 @@ class SliceCountReport:
         }
 
 
-def verify_identity(c: CurveSpec, budget: int = 10**7) -> SliceCountReport:
+def verify_identity(c: CurveSpec, budget: int = DEFAULT_STATE_BUDGET) -> SliceCountReport:
     """Both sides of the identity by independent enumerations, refused with
     StateBudgetExceeded when the p^2 pairs exceed the budget."""
     rhs = naive_count(c, budget)
@@ -160,7 +160,7 @@ def verify_identity(c: CurveSpec, budget: int = 10**7) -> SliceCountReport:
     )
 
 
-def critical_locus(f: MPoly, p: int, budget: int = 10**7) -> List[Tuple[int, ...]]:
+def critical_locus(f: MPoly, p: int, budget: int = DEFAULT_STATE_BUDGET) -> List[Tuple[int, ...]]:
     """All points of F_p^n where every partial derivative of f vanishes, in
     lexicographic order (f over F_p): the states that grid_image of the
     partials sends to index 0, each partial reduced mod p in its lanes."""

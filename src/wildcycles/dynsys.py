@@ -14,13 +14,11 @@ from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 from .backend import kernels
-from .errors import DomainMismatch, StateBudgetExceeded
+from .errors import DEFAULT_STATE_BUDGET, DomainMismatch, StateBudgetExceeded
 from .fields import PrimeField
 from .poly import MPoly, grid_image, grid_point
 
 State = Tuple[int, ...]
-
-DEFAULT_STATE_BUDGET = 10**7
 
 
 @dataclass(frozen=True)

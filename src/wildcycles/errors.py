@@ -41,6 +41,10 @@ class NotCritical(WildcyclesError):
     """Polynomial has constant or linear part; origin is not critical."""
 
 
+# the states (or curve pairs) an exhaustive enumeration may visit by default
+DEFAULT_STATE_BUDGET = 10**7
+
+
 class StateBudgetExceeded(WildcyclesError):
     """Requested state space exceeds the configured budget."""
 

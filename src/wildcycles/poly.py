@@ -477,10 +477,14 @@ def grid_image(fs: Sequence[MPoly], p: int, n: int) -> List[int]:
         ones = int.from_bytes((1).to_bytes(size, "little") * p**j, "little")
         masks.append((ones * ((1 << (width - s)) - 1), ones, ones * ((1 << t) - p)))
 
+    def small(e: int) -> int:
+        """An exponent at most p - 1 with the same powers on F_p as e (w^p = w)."""
+        return (e - 1) % (p - 1) + 1 if e else 0
+
     def table(e: int) -> int:
         """P_e: w^e mod p in lane w, for w = 0..p-1."""
         words = array(code, bytes(size * p))
-        words[::stride] = array(code, map(pow, range(p), repeat(e), repeat(p)))
+        words[::stride] = array(code, map(pow, range(p), repeat(small(e)), repeat(p)))
         if sys.byteorder == "big":
             words.byteswap()
         return int.from_bytes(words, "little")
@@ -495,7 +499,7 @@ def grid_image(fs: Sequence[MPoly], p: int, n: int) -> List[int]:
             for e, c in terms.items():
                 parts.setdefault(e[-1], {})[e[:-1]] = c
             inners = [reduced(rest, j - 1) for rest in parts.values()]
-            powers = zip(*[[pow(w, e, p) for w in range(p)] for e in parts])
+            powers = zip(*[[pow(w, small(e), p) for w in range(p)] for e in parts])
             block = size * p ** (j - 1)
             v = int.from_bytes(b"".join([sum(map(mul, ws, inners)).to_bytes(block, "little") for ws in powers]), "little")
         qmask, ones, lift = masks[j]

@@ -1,11 +1,11 @@
-import argparse
 import json
 import random
 
 import pytest
 
 from helpers import random_poly, substring_var_names
-from wildcycles.cli import ENV_BUDGET, build_parser, run
+from wildcycles.backend import BACKEND_NAME
+from wildcycles.cli import COMMANDS, ENV_BUDGET, run
 from wildcycles.dynsys import DEFAULT_STATE_BUDGET
 from wildcycles.errors import ParseError
 from wildcycles.fields import QQ
@@ -93,6 +93,16 @@ def test_malformed_poly_exit_2(capsys):
     ["milnor", "--f"],
     ["milnor", "--f", "x^2"],
     ["nope"],
+    # prefixes of flags are not flags
+    ["curve-sweep", "--samp", "3"],
+    ["curve-sweep", "--pm=5"],
+    ["collatz", "--start", "3", "--step_budget", "3"],
+    ["milnor", "--f", "x^2", "--p", "3", "-p", "3"],
+    ["milnor", "--f", "x^2", "--p", "3", "stray"],
+    ["--f", "x^2", "milnor", "--p", "3"],
+    ["milnor", "--f", "x^2", "--p", "three"],
+    ["milnor", "--f", "x^2", "--p", "3", "--format", "xml"],
+    [],
 ])
 def test_bad_argument_is_one_line_usage_error(capsys, argv):
     assert_one_line_usage_error(capsys, run(argv))
@@ -103,6 +113,9 @@ def test_front_end_failures_are_one_line_usage_errors(tmp_path, monkeypatch, cap
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p = 2\nno equals sign\n")
     assert_one_line_usage_error(capsys, run(["milnor", "--f", "x^2", "--config", str(cfg)]))
+    for line in ["samp = 3", "step_budget = 3", "config = other.cfg", "help = 1"]:
+        cfg.write_text(f"pmax = 5\n{line}\n")
+        assert_one_line_usage_error(capsys, run(["curve-sweep", "--config", str(cfg)]))
     monkeypatch.setenv(ENV_BUDGET, "abc")
     assert_one_line_usage_error(capsys, run(["collatz", "--start", "3"]))
 
@@ -137,10 +150,16 @@ def test_curve_commands_refuse_past_the_budget(capsys, argv):
             "inertia --p 5 --module x^4 --op d1 --element=-x^2 --level 1",
         ),
         ("orbits --p 5 --system -x", "orbits --p 5 --system=-x"),
+        (
+            "milnor --f x^3-y^2 --p 3 --vars x,y --seed -4 --budget 99",
+            "milnor --f=x^3-y^2 --p=3 --vars=x,y --seed=-4 --budget=99",
+        ),
+        ("orbits --p 5 --system x^2 --mode self-map", "orbits --p=5 --system=x^2 --mode=self-map"),
+        ("collatz --start 27 --step-budget 20", "collatz --start=27 --step-budget=20"),
     ],
 )
 def test_text_value_may_begin_with_minus(capsys, spaced, joined):
-    assert run_json(capsys, *spaced.split())["payload"] == run_json(capsys, *joined.split())["payload"]
+    assert strip_timestamp(run_json(capsys, *spaced.split())) == strip_timestamp(run_json(capsys, *joined.split()))
 
 
 def test_inertia_subcommand(capsys):
@@ -233,17 +252,22 @@ def test_config_file(tmp_path, capsys):
     assert env["payload"]["wild"] == 0
     env = run_json(capsys, "milnor", "--config", str(cfg), "--p=7", "--f=-x^2")
     assert (env["payload"]["p"], env["payload"]["f"]) == (7, "-x^2")
+    cfg.write_text("# a comment\n\nstart = 27\nstep-budget = 5\nvariant = accelerated\n")
+    env = run_json(capsys, "collatz", "--step-budget", "7", "--config", str(cfg))
+    assert env["config"] == {**env["config"], "start": 27, "step_budget": 7, "variant": "accelerated"}
 
 
 def test_every_subcommand_has_help(capsys):
-    parser = build_parser()
     subs = ["milnor", "groebner", "inertia", "weyl-apply", "orbits", "collatz",
             "collatz-bijection", "curve-count", "curve-sweep", "theorem1-probe"]
+    assert list(COMMANDS) == subs
     for name in subs:
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args([name, "--help"])
-        assert exc.value.code == 0
-        assert capsys.readouterr().out
+        assert run([name, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: wildcycles {name} ") and COMMANDS[name][0] in out
+    assert run(["-h"]) == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in subs)
 
 
 def test_names_outside_x_y_z(capsys):
@@ -295,16 +319,17 @@ def test_budget_is_read_on_every_run(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["config"]["budget"] == DEFAULT_STATE_BUDGET
 
 
-def test_parser_is_built_once(monkeypatch, capsys):
-    tops = []
-    init = argparse.ArgumentParser.__init__
+def test_sweep_envelopes_carry_every_flag(capsys):
+    """A value beginning with - on a number flag, in either spelling."""
+    spaced = run_lines(capsys, "curve-sweep", "--pmax", "7", "--samples", "2", "--seed", "-3", "--budget", "100")
+    joined = run_lines(capsys, "curve-sweep", "--pmax", "7", "--samples", "2", "--seed=-3", "--budget=100")
+    assert spaced[0] == joined[0] == 0
+    envs = [strip_timestamp(json.loads(l)) for l in spaced[1].splitlines()]
+    assert envs == [strip_timestamp(json.loads(l)) for l in joined[1].splitlines()]
+    config = {"pmax": 7, "samples": 2, "seed": -3, "budget": 100, "format": "json", "backend": BACKEND_NAME}
+    assert len(envs) == 8 and all(e["config"] == config for e in envs)
 
-    def counting_init(self, *args, **kwargs):
-        tops.append(kwargs.get("prog") == "wildcycles")
-        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    build_parser.cache_clear()
-    for argv in (["collatz", "--start", "6"], ["curve-count", "--p", "5", "--a", "1", "--b", "1"], ["milnor", "--nope"]):
-        run(argv)
-    assert sum(tops) == 1
+def test_last_of_a_repeated_flag_wins(capsys):
+    env = run_json(capsys, "milnor", "--f", "x^2", "--p", "2", "--f", "y^3+x^2+x^3", "--p", "3")
+    assert (env["payload"]["f"], env["config"]["p"]) == ("x^3 + y^3 + x^2", 3)

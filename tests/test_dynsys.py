@@ -161,8 +161,8 @@ def test_transition_table_matches_pointwise_evaluation():
     switch of grid_image's lane width under the default state budget:
     one-term maps of F_p (32 -> 64 -> 96 bits, the last at p = 2097143 /
     2097169), three-term maps of F_p^2 and 200-term maps of F_p^3, each with
-    an exponent past p up to p = 10^5 and with zero and constant components
-    beside the first. Tables of more than 5000 states are checked at a
+    an exponent past p and with zero and constant components beside the
+    first. Tables of more than 5000 states are checked at a
     seeded sample."""
     rng = random.Random(89)
     for _ in range(40):
@@ -190,9 +190,7 @@ def test_transition_table_matches_pointwise_evaluation():
     for n, terms in ((1, 1), (2, 3), (3, 200)):
         for pair in lane_switch_primes(terms, n, dynsys.DEFAULT_STATE_BUDGET):
             for p in pair:
-                # with one variable, an exponent past p costs a slow pow per state
-                degree = p + 3 if p <= 10**5 else 7
-                F = SelfMap(p, n, components_with_terms(rng, p, n, terms, degree))
+                F = SelfMap(p, n, components_with_terms(rng, p, n, terms, p + 3))
                 nxt = _transition_table(F)
                 total = p**n
                 assert len(nxt) == total
@@ -201,6 +199,22 @@ def test_transition_table_matches_pointwise_evaluation():
                     assert nxt[idx] == encode(F(decode(idx, p, n)), p), (p, n, idx)
                 checked += 1
     assert checked == 8
+
+
+def test_exponents_past_p_give_the_table_of_their_reduction():
+    """x^e and x^((e - 1) mod (p - 1) + 1) agree on F_p for e >= 1, so their
+    tables do; and tables with exponents far past p match pointwise."""
+    p = 100003
+    fp = PrimeField(p)
+    big, small = (SelfMap(p, 1, (poly_parse(t, ["x"], fp),)) for t in (f"5*x^{p + 3}", "5*x^4"))
+    assert _transition_table(big) == _transition_table(small)
+    for p in (2, 3, 5, 7):
+        fp = PrimeField(p)
+        for e in (p - 1, p, p + 1, 2 * p - 1, 2 * p, 10**12, 10**12 + 1):
+            texts = (f"3*x^{e} + y^{e + 1} + x^{e}*y^{e + 2}", f"y^{e} + 2*x^{p}*y^{e + 1} + 1")
+            F = SelfMap(p, 2, tuple(poly_parse(t, ["x", "y"], fp) for t in texts))
+            nxt = _transition_table(F)
+            assert nxt == [encode(F(decode(idx, p, 2)), p) for idx in range(p * p)], (p, e)
 
 
 def test_periodic_count_matches_brute_force():

@@ -1,0 +1,42 @@
+"""Every span target of perfbench/spans.py names a live entry point, so a
+rename that would break `perfbench/run.py --trace 1` fails here first."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from wildcycles import _kernels_py, backend, cli
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def resolve(mod_name, attr):
+    owner = backend.kernels if mod_name == "kernels" else sys.modules[f"wildcycles.{mod_name}"]
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_every_span_target_resolves_and_records(monkeypatch, capsys):
+    spans = load_spans()
+    monkeypatch.setattr(backend, "kernels", _kernels_py)  # the pure lane
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        unwrapped = [(m, a) for m, a, _, _ in spans.TARGETS if not hasattr(resolve(m, a), "__wrapped__")]
+        assert unwrapped == []
+        assert cli.run(["milnor", "--f", "x^2 + y^3", "--p", "3"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    count = tracer.totals()[0]
+    assert count["cli.run"] == count["cli.build_parser"] == 1
+    assert count["groebner.tame_wild_split"] == 1
+    assert not any(hasattr(resolve(m, a), "__wrapped__") for m, a, _, _ in spans.TARGETS)
