@@ -7,11 +7,9 @@ dx/ds = g(x); the step h is recorded in every report rather than hidden.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .backend import kernels
 from .errors import DEFAULT_STATE_BUDGET, DomainMismatch, StateBudgetExceeded
@@ -264,47 +262,65 @@ def parity_vector(start: int, k: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _parity_vectors(k: int) -> List[int]:
-    """parity_vector(r, k) for every r < 2^k, in residue order, each encoded
-    as an int with bit j the parity at step j.
+def _lane_width(k: int) -> int:
+    """Bits per lane of the packed lift to depth k: a lifted value stays
+    below 2^(k+1), so 3v + 1 < 6 * 2^k must fit; 16 bits up to k = 13, 32
+    bits up to k = 29."""
+    return 16 if 6 << k <= 1 << 16 else 32
 
-    Level j + 1 is lifted from level j by Terras's identity
+
+def _parity_levels(k: int) -> Iterator[int]:
+    """For j < k, one int whose lane r holds, in its bit 0, the parity of
+    T^j(r) for every r < 2^(j+1), T the accelerated map.
+
+    Level j is lifted from level j - 1 by Terras's identity
     T^j(r + 2^j) = T^j(r) + 3^(o_j(r)), o_j(r) the number of odd steps among
     the first j. One int per quantity holds every residue of a level, one
-    lane of an unsigned array item per residue: X holds T^j(r), M holds
-    3^(o_j(r)) and V the parity bits so far, and each level is a dozen
-    big-int operations. X and M are reduced mod 2^k after every step, which
-    still fixes every later parity (T^j(r) mod 2^(k-j) is known after j
-    steps). A lifted value is then below 2^(k+1), so 3v + 1 < 6 * 2^k fits
-    its lane and no lane carries into the next: 16-bit lanes up to k = 13,
-    32-bit lanes up to k = 29.
+    _lane_width(k)-bit lane per residue: X holds T^j(r) and M holds
+    3^(o_j(r)), and each level is a dozen big-int operations. X and M are
+    reduced mod 2^k after every step, which still fixes every later parity
+    (T^j(r) mod 2^(k-j) is known after j steps), and no lane carries into
+    the next.
     """
-    code = "H" if 6 << k <= 1 << 16 else "I"
-    width = 8 * array(code).itemsize
-    X, M, V = 0, 1, 0
+    width = _lane_width(k)
+    X, M, odd = 0, 1, 0
     ones, lanes = 1, (1 << k) - 1  # bit 0 of each lane; its low k bits
     for j in range(k):
+        # step level j - 1: odd lanes v -> v + (2v + 1), then every lane is halved
+        full = odd * ((1 << width) - 1)
+        X = ((X + (((X << 1) | ones) & full)) >> 1) & lanes
+        M = (M + ((M << 1) & full)) & lanes
+        # lift: lane r + 2^j holds T^j(r) + 3^(o_j(r))
         shift = width << j
         X |= (X + M) << shift
         M |= M << shift
-        V |= V << shift
         ones |= ones << shift
         lanes |= lanes << shift
         odd = X & ones
-        full = odd * ((1 << width) - 1)
-        # odd lanes v -> v + (2v + 1), then every lane is halved
-        X = ((X + (((X << 1) | ones) & full)) >> 1) & lanes
-        M = (M + ((M << 1) & full)) & lanes
-        V |= odd << j
-    vecs = array(code, V.to_bytes((width // 8) << k, "little"))
-    if sys.byteorder == "big":
-        vecs.byteswap()
-    return vecs.tolist()
+        yield odd
+
+
+def _level_splits(odd: int, j: int, width: int) -> bool:
+    """True iff in the level-j parity int odd, lanes r and r + 2^j have
+    different parities for every r < 2^j."""
+    shift = width << j
+    return ((odd >> shift) ^ (odd & ((1 << shift) - 1))).bit_count() == 1 << j
 
 
 def parity_bijection_check(k: int) -> bool:
     """True iff residues mod 2^k map bijectively onto parity vectors of
-    length k (the finite shadow of 2-adic continuity of the accelerated map)."""
+    length k (the finite shadow of 2-adic continuity of the accelerated map).
+
+    The parity at step j depends on r mod 2^(j+1) only, so lanes q and
+    q + 2^j of level j share their first j parities. If they differ at step
+    j for every q < 2^j and j < k, two residues that first differ in bit j
+    differ at step j, and the 2^k vectors are distinct. If one pair agrees,
+    the 2^(k-j) residues ≡ q mod 2^j share j + 1 leading parities, which
+    leaves 2^(k-j-1) vectors for them, and two collide. So the check
+    compares the two halves of each level and stops at the first pair that
+    agrees.
+    """
     if not 0 <= k <= 24:
         raise ValueError("k out of supported range")
-    return len(set(_parity_vectors(k))) == 1 << k
+    width = _lane_width(k)
+    return all(_level_splits(odd, j, width) for j, odd in enumerate(_parity_levels(k)))

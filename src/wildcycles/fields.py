@@ -134,6 +134,12 @@ class Matrix:
         self.columns = list(columns)
         self.domain = domain
 
+    def rank(self) -> int:
+        """Rank, by the elimination of kernel_basis without the combinations:
+        the number of columns that keep a pivot."""
+        pivots = {}
+        return sum(self._reduce(column, None, pivots) for column in self.columns)
+
     def kernel_basis(self) -> List[list]:
         """Basis of the right null space, deterministic.
 
@@ -145,37 +151,49 @@ class Matrix:
         dependent columns ascending, are the reduced echelon kernel basis.
         """
         dom = self.domain
-        p = dom.char
-
-        def subtract(target: dict, c, source: dict):
-            for i, v in source.items():
-                x = target.get(i, dom.zero) - c * v
-                if p:
-                    x %= p
-                if x:
-                    target[i] = x
-                else:
-                    del target[i]
-
-        pivots = {}  # row -> (reduced column, combination), scaled to 1 at row
+        pivots = {}
         basis = []
         for j, column in enumerate(self.columns):
-            column, combination = dict(column), {j: dom.one}
-            while column:
-                r = max(column)
-                if r not in pivots:
-                    inv = dom.inv(column[r])
-                    pivots[r] = (
-                        {i: dom.mul(inv, v) for i, v in column.items()},
-                        {i: dom.mul(inv, v) for i, v in combination.items()},
-                    )
-                    break
-                c = column[r]
-                subtract(column, c, pivots[r][0])
-                subtract(combination, c, pivots[r][1])
-            else:
+            combination = {j: dom.one}
+            if not self._reduce(column, combination, pivots):
                 v = [dom.zero] * len(self.columns)
                 for i, x in combination.items():
                     v[i] = x
                 basis.append(v)
         return basis
+
+    def _reduce(self, column: dict, combination, pivots: dict) -> bool:
+        """One step of the left-to-right elimination: reduce a copy of column
+        against pivots (row -> (reduced column, combination), scaled to 1 at
+        row), and the combination dict in place alongside unless it is None.
+        A column left nonzero becomes the pivot at its largest row and gives
+        True; one that reduces to zero gives False."""
+        dom = self.domain
+        column = dict(column)
+        while column:
+            r = max(column)
+            if r not in pivots:
+                inv = dom.inv(column[r])
+                pivots[r] = (
+                    {i: dom.mul(inv, v) for i, v in column.items()},
+                    None if combination is None else {i: dom.mul(inv, v) for i, v in combination.items()},
+                )
+                return True
+            c = column[r]
+            _subtract(column, c, pivots[r][0], dom)
+            if combination is not None:
+                _subtract(combination, c, pivots[r][1], dom)
+        return False
+
+
+def _subtract(target: dict, c, source: dict, dom):
+    """target -= c * source over dom, dropping the entries that cancel."""
+    p = dom.char
+    for i, v in source.items():
+        x = target.get(i, dom.zero) - c * v
+        if p:
+            x %= p
+        if x:
+            target[i] = x
+        else:
+            del target[i]

@@ -144,15 +144,20 @@ def inertia_membership(
         raise ZeroOrderTerm("operator has a zero-order (multiplication) term")
     # D∘∂^k sends x^e to falling(e, k·u)·D(x^(e−k·u)), u the unit vector of
     # dvar, and distinct e give distinct e − k·u. So its matrix is D's columns
-    # at S_k = {e − k·u : falling(e, k·u) ≢ 0 mod p}, scaled, beside
-    # dim M − |S_k| zero columns.
+    # at S_k = {e − k·u : falling(e, k·u) ≢ 0 mod p}, scaled by units, beside
+    # zero columns, and dim ker = dim M − rank of those columns. As
+    # falling(e, (k+1)·u) = falling(e, k·u)·(e − k·u)_dvar and p is prime,
+    # S_(k+1) is S_k stepped down by u where the dvar exponent is a unit.
+    u = _unit(M.nvars, dvar, 1)
+    basis, p = M.basis, M.p
     A = M.operator_matrix(D)
+    down = [M.index.get(tuple(a - b for a, b in zip(e, u))) for e in basis]
+    S = range(M.dimension)
     per_k = []
     for k in range(level + 1):
-        ku = _unit(M.nvars, dvar, k)
-        S = [M.index[tuple(a - b for a, b in zip(e, ku))] for e in M.basis if falling(e, ku) % M.p]
-        columns = [A.columns[i] for i in S]
-        dim = M.dimension - len(S) + len(Matrix(A.rows, columns, M.field).kernel_basis())
+        if k:
+            S = [down[i] for i in S if basis[i][dvar] % p]
+        dim = M.dimension - Matrix(A.rows, [A.columns[i] for i in S], M.field).rank()
         # D has no zero-order term, so D∘∂^k kills 1: a one-vector kernel
         # is exactly the constants
         per_k.append((k, dim, dim == 1))
@@ -200,8 +205,7 @@ def morse_check(f: MPoly) -> bool:
 
     Precondition: the origin is critical, i.e. f has no constant or linear
     part (NotCritical otherwise). Nondegeneracy is full rank in the
-    coefficient domain, that is an empty kernel, so e.g. x^2 + y^2 is
-    degenerate mod 2.
+    coefficient domain, so e.g. x^2 + y^2 is degenerate mod 2.
     """
     for e in f.terms:
         if sum(e) < 2:
@@ -209,4 +213,4 @@ def morse_check(f: MPoly) -> bool:
     n = f.nvars
     second = [[f.derivative(i).derivative(j).constant_term() for i in range(n)] for j in range(n)]
     hessian = [{i: h for i, h in enumerate(column) if h} for column in second]
-    return not Matrix(n, hessian, f.domain).kernel_basis()
+    return Matrix(n, hessian, f.domain).rank() == n

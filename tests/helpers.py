@@ -2,8 +2,11 @@
 
 import itertools
 import random
+import sys
+from array import array
 from fractions import Fraction
 
+from wildcycles.dynsys import _lane_width, _parity_levels
 from wildcycles.fields import QQ, Matrix, PrimeField, is_prime
 from wildcycles.poly import MPoly, _lane_layout
 
@@ -215,7 +218,7 @@ def parity_vectors_oracle(k):
     """The parity vectors of every residue mod 2^k, bit j the parity at step
     j, by Terras's lift T^j(r + 2^j) = T^j(r) + 3^(o_j(r)) on three lists of
     exact values, odd-step counts and vectors, stepping each residue once
-    per level: the oracle for the packed lanes of dynsys._parity_vectors."""
+    per level: the oracle for packed_parity_vectors."""
     values, odds, vecs = [0], [0], [0]
     pow3 = [1]
     for j in range(k):
@@ -236,6 +239,23 @@ def parity_vectors_oracle(k):
                 next_vecs.append(w)
         values, odds, vecs = next_values, next_odds, next_vecs
     return vecs
+
+
+def packed_parity_vectors(k):
+    """The parity vectors of every residue mod 2^k, in residue order, bit j
+    the parity at step j, assembled from the packed lift of
+    dynsys._parity_levels: before level j every lane r + 2^j copies the
+    first j parities of lane r, then level j's parities fill bit j."""
+    width = _lane_width(k)
+    V = 0
+    for j, odd in enumerate(_parity_levels(k)):
+        V |= V << (width << j)
+        V |= odd << j
+    code = next(c for c in "HIL" if 8 * array(c).itemsize == width)
+    vecs = array(code, V.to_bytes((width // 8) << k, "little"))
+    if sys.byteorder == "big":
+        vecs.byteswap()
+    return vecs.tolist()
 
 
 def critical_locus_oracle(f, p):

@@ -8,6 +8,7 @@ from helpers import (
     decode,
     encode,
     lane_switch_primes,
+    packed_parity_vectors,
     parity_vectors_oracle,
     random_poly,
     tail_distance_oracle,
@@ -17,7 +18,8 @@ from wildcycles.backend import available_backends
 from wildcycles.dynsys import (
     DynamicalSystem,
     SelfMap,
-    _parity_vectors,
+    _lane_width,
+    _level_splits,
     _transition_table,
     as_self_map,
     collatz_all_reach_one,
@@ -339,7 +341,7 @@ def test_parity_bijection_projection_consistency():
 
 def test_parity_vectors_match_stepwise_parity_vector():
     for k in range(13):
-        vecs = _parity_vectors(k)
+        vecs = packed_parity_vectors(k)
         assert len(vecs) == 1 << k
         for r in range(1 << k):
             assert vecs[r] == sum(b << j for j, b in enumerate(parity_vector(r, k)))
@@ -347,7 +349,43 @@ def test_parity_vectors_match_stepwise_parity_vector():
 
 def test_packed_parity_vectors_match_three_list_oracle():
     for k in range(17):
-        assert _parity_vectors(k) == parity_vectors_oracle(k), k
+        assert packed_parity_vectors(k) == parity_vectors_oracle(k), k
+
+
+def test_parity_bijection_check_matches_distinct_oracle_vectors():
+    for k in range(17):
+        assert parity_bijection_check(k) == (len(set(parity_vectors_oracle(k))) == 1 << k), k
+
+
+def lanes(width, odd_lanes):
+    """A hand-built parity int: bit 0 set in each listed lane."""
+    return sum(1 << (width * r) for r in odd_lanes)
+
+
+def test_level_split_fails_when_one_pair_agrees():
+    # level j = 2 holds lanes 0..7; lanes q and q + 4 must differ in bit 0
+    for width in (16, 32):
+        good = lanes(width, (0, 2, 5, 7))
+        assert _level_splits(good, 2, width)
+        for q in range(4):
+            for agree in (lanes(width, {0, 2, 5, 7} | {q, q + 4}), lanes(width, {0, 2, 5, 7} - {q, q + 4})):
+                assert not _level_splits(agree, 2, width), (width, q, agree)
+
+
+def test_parity_bijection_check_stops_at_the_first_level_that_fails(monkeypatch):
+    width = _lane_width(5)
+    # level 0 splits lanes (0, 1); at level 1 lanes 0 and 2 are both even
+    fake = [lanes(width, (1,)), lanes(width, (1, 3)), lanes(width, (1, 2, 4, 7))]
+    seen = []
+
+    def fake_levels(k):
+        for odd in fake:
+            seen.append(odd)
+            yield odd
+
+    monkeypatch.setattr(dynsys, "_parity_levels", fake_levels)
+    assert not parity_bijection_check(5)
+    assert seen == fake[:2]
 
 
 def test_parity_bijection_range_guard():

@@ -120,6 +120,28 @@ def test_kernel_basis_matches_dense_oracle():
             assert dense.sparse().kernel_basis() == dense.kernel_basis(), (domain, dense.entries)
 
 
+def rank_cases(rng, domain):
+    """Random sparse matrices with zero and repeated columns, plus empty
+    ones: no rows, no columns, or neither."""
+    yield from (random_dense(rng, domain, rows, cols) for rows, cols in ((0, 0), (0, 3), (3, 0)))
+    for _ in range(80):
+        dense = random_dense(rng, domain, rng.randrange(1, 9), rng.randrange(1, 9))
+        columns = [dense.entries[j :: dense.cols] for j in range(dense.cols)]
+        columns += [rng.choice(columns) for _ in range(rng.randrange(3))]
+        rng.shuffle(columns)
+        rows, cols = dense.rows, len(columns)
+        yield DenseMatrix(rows, cols, [columns[j][i] for i in range(rows) for j in range(cols)], domain)
+
+
+def test_rank_matches_dense_oracle_and_kernel():
+    rng = random.Random(31)
+    for domain in (PrimeField(2), PrimeField(3), PrimeField(7), QQ):
+        for dense in rank_cases(rng, domain):
+            sparse = dense.sparse()
+            assert sparse.rank() == dense.rank(), (domain, dense.rows, dense.entries)
+            assert sparse.rank() + len(sparse.kernel_basis()) == dense.cols, (domain, dense.rows, dense.entries)
+
+
 def test_rational_arithmetic_exact_two_routes():
     rng = random.Random(17)
     for _ in range(100):

@@ -188,3 +188,24 @@ def test_membership_matches_kernel_on_quotient():
             kernel = kernel_on_quotient(Dk, M)
             assert (dim, ok) == (len(kernel), kernel == [one])
         assert report.member == all(ok for _, _, ok in report.per_k)
+
+
+def test_membership_dims_match_explicit_composed_matrices():
+    # levels run past the truncation order, where D∘∂^k is the zero map
+    rng = random.Random(15)
+    for trial in range(90):
+        p = (2, 3, 5)[trial % 3]
+        nvars = 1 + trial % 2
+        dvar = rng.randrange(nvars)
+        M = QuotientModule(p, rng.randrange(1, 9 if nvars == 1 else 5), nvars)
+        D = random_operator(rng, nvars, M.field, max_order=3)
+        level = rng.randrange(M.m, 4) if M.m < 4 and trial % 4 == 0 else rng.randrange(4)
+        report = inertia_membership(D, level, M, dvar=dvar)
+        assert [k for k, _, _ in report.per_k] == list(range(level + 1))
+        for k, dim, ok in report.per_k:
+            Dk = compose_oracle(D, WeylOperator.partial(nvars, M.field, dvar, k))
+            explicit = operator_matrix_oracle(M, Dk)
+            assert dim == len(explicit.kernel_basis()) == M.dimension - explicit.rank(), (p, M.m, D, dvar, k)
+            assert ok == (dim == 1)
+            if k >= M.m:
+                assert dim == M.dimension

@@ -33,6 +33,9 @@ FLAG_LINES = [
     'wildcycles groebner --gens "x^2 + y; y^2 + x" --order lex --p 7 --vars y,x',
     'wildcycles groebner --gens "x*y - 1; x^2 - 2/3*y" --order lex',
     'wildcycles inertia --p 3 --module x^4 --op "d1^3" --level 3 --element "1 + x^2"',
+    # benchmark-sized modules, the kernel dimension counted at every level
+    'wildcycles inertia --p 3 --module x^120 --op "x*d1 + 2*x^2*d1^2" --level 2',
+    'wildcycles inertia --p 13 --module x^160 --op "5*x^2*d1 + x^3*d1^2 + 7*x^4*d1^3" --level 3',
     'wildcycles weyl-apply --op "dy*x + dx" --f "x*y^2" --p 5 --vars x,y',
     'wildcycles weyl-apply --op "x*d1 + 1/2" --f "x^3"',
     'wildcycles weyl-apply --op "x^2*d1^5 + 3*d1^3" --f "x^7 + x^5 + x^3" --p 5',
@@ -40,6 +43,9 @@ FLAG_LINES = [
     'wildcycles orbits --p 5 --system "y; -x" --h 2 --mode vector-field --vars x,y --budget 100',
     'wildcycles collatz --start 27 --variant accelerated --step-budget 50',
     'wildcycles collatz-bijection --k 6 --format text',
+    # the first k whose packed parity lanes are 32 bits wide, and one past it
+    'wildcycles collatz-bijection --k 14',
+    'wildcycles collatz-bijection --k 16',
     'wildcycles curve-count --p 7 --a 3 --b 0',
     'wildcycles curve-sweep --pmax 23 --samples 3 --seed 5',
     'wildcycles curve-sweep --pmax 13 --samples 2 --seed 1 --format text',
