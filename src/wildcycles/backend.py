@@ -27,14 +27,3 @@ else:
 
 BACKEND_NAME = kernels.BACKEND_NAME
 
-
-def available_backends():
-    """Both kernel modules when the extension built, else just the pure one."""
-    out = {"pure": _kernels_py}
-    try:
-        from . import _ckernels
-
-        out["c"] = _ckernels
-    except ImportError:
-        pass
-    return out

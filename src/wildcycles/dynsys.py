@@ -251,17 +251,6 @@ def collatz_all_reach_one(limit: int, budget: int = 10**4) -> int:
     return kernels.collatz_sweep_reaches_one(limit, budget)
 
 
-def parity_vector(start: int, k: int) -> Tuple[int, ...]:
-    """Parities observed along the first k accelerated-Collatz steps."""
-    x = start
-    out = []
-    for _ in range(k):
-        parity = x % 2
-        out.append(parity)
-        x = x // 2 if parity == 0 else (3 * x + 1) // 2
-    return tuple(out)
-
-
 def _lane_width(k: int) -> int:
     """Bits per lane of the packed lift to depth k: a lifted value stays
     below 2^(k+1), so 3v + 1 < 6 * 2^k must fit; 16 bits up to k = 13, 32

@@ -8,12 +8,19 @@ lex, where the pair loop also reduces the tail. The local dimension is the
 number of standard monomials of that basis, and it is infinite exactly when
 the staircase is unbounded (Mora 1982; Greuel & Pfister, A Singular
 Introduction to Commutative Algebra, sections 1.6-1.7).
+
+The engine runs on packed monomials, one int each (`_Layout`), and on
+polynomials as dicts {packed monomial: coefficient}: `buchberger`,
+`normal_form` and the dimensions pack their input on entry, and
+`buchberger` and `normal_form` unpack what they return.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainMismatch
@@ -46,86 +53,226 @@ class GroebnerBasis:
         return len(self.generators)
 
 
-class _LocalDegreeOrder(MonomialOrder):
-    """Lower total degree is larger, ties as in grevlex, so every monomial is
-    below 1. Private: division does not terminate under it, so only Mora's
-    weak normal form is used with it."""
-
-    def __init__(self):
-        self.kind = "local"
-
-    def key(self, e: Exponents):
-        return (-sum(e), tuple(-v for v in reversed(e)))
+# (ecart, leading monomial, monic polynomial, its largest monomial), all
+# monomials packed
+Record = Tuple[int, int, dict, int]
 
 
-_LOCAL = _LocalDegreeOrder()
+class _Overflow(Exception):
+    """A product's total degree does not fit the field width."""
 
 
-def _divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def _field_bits(degree: int) -> int:
+    """Exponent bits per field for inputs of total degree at most `degree`,
+    with room for products of four times that degree."""
+    return max(degree, 1).bit_length() + 2
 
 
-def _lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+class _Layout:
+    """Packed monomials of one ring under one order (Bachmann & Schoenemann,
+    ISSAC '98; Monagan & Pearce, CASC 2007).
 
+    A monomial is one int: n fields of `bits` exponent bits, each under a
+    guard bit, and above them the total degree in a field of the same width.
+    Variable 0 has the top exponent field under lex and the bottom one
+    otherwise. Every stored monomial has degree below 2^bits, so no guard
+    bit is set and multiplying is adding; a product whose degree would set
+    the degree field's guard bit raises _Overflow instead.
 
-Record = Tuple[int, Exponents, object, MPoly]
-
-
-def _record(g: MPoly, order: MonomialOrder) -> Record:
-    """What reduction reads of g, computed once: (ecart, leading monomial,
-    leading coefficient, g). The ecart deg g - deg LM(g) matters only under
-    the local order; under grevlex and lex, where division terminates
-    without it, it is 0."""
-    le, lc = g.leading(order)
-    return (g.total_degree() - sum(le) if order is _LOCAL else 0), le, lc, g
-
-
-def _monic(g: MPoly, order: MonomialOrder) -> Record:
-    ecart, le, lc, _ = _record(g, order)
-    return ecart, le, g.domain.one, g.scale(g.domain.inv(lc))
-
-
-def _reduce(f: MPoly, reducers: Sequence[Record], order: MonomialOrder) -> MPoly:
-    """Mora's weak normal form of f by the reducer records.
-
-    Returns h, zero or with a leading monomial that no reducer's divides,
-    such that u*f - h lies in the ideal of the reducers for a unit u. Each
-    step is h - (lc_h/lc_g)*x^q*g. The reducer of least ecart goes first,
-    and the running h joins the reducers whenever that ecart exceeds its
-    own; this is what makes the loop terminate under a local order (Greuel &
-    Pfister, Algorithm 1.7.6). Under grevlex and lex every ecart is 0, so
-    this is plain top reduction by the first divisor, with u = 1.
+    Each order's key is an int that adds under multiplication, up to a
+    constant. The local order's is the monomial itself, and the leading
+    term of h is min(h): lower degree is larger, ties as in grevlex. Under
+    grevlex and lex the leading term has the largest key: grevlex's is the
+    degree above the complemented exponent fields, lex's the exponent
+    fields, variable 0 first.
     """
-    h = f
-    while not h.is_zero():
-        le, lc = h.leading(order)
-        best = None
-        for r in reducers:
-            if _divides(r[1], le) and (best is None or r[0] < best[0]):
-                best = r
-                if not r[0]:
-                    break
-        if best is None:
-            break
-        ecart, ge, gc, g = best
-        if ecart and ecart > (h_ecart := h.total_degree() - sum(le)):
-            reducers = [*reducers, (h_ecart, le, lc, h)]
-        h = h - g.mul_monomial(tuple(a - b for a, b in zip(le, ge)), h.domain.div(lc, gc))
-    return h
+
+    def __init__(self, nvars: int, bits: int, kind: str, domain):
+        width = bits + 1
+        ones = sum(1 << (width * k) for k in range(nvars))
+        self.nvars, self.bits, self.domain, self.p = nvars, bits, domain, domain.char
+        self.shifts = [width * (nvars - 1 - i if kind == "lex" else i) for i in range(nvars)]
+        self.top = width * nvars
+        self.guards = ones << bits
+        self.fields = ones * ((1 << bits) - 1)
+        self.degree_guard = 1 << (self.top + bits)
+        self.degree_field = ((1 << width) - 1) << self.top
+        # times the exponent fields, puts their sum in the degree field
+        self.spread = ones << width
+        self.local = kind == "local"
+        self.key = self.fields.__and__ if kind == "lex" else self.fields.__xor__
+        self.lead = min if self.local else partial(max, key=self.key)
+
+    def pack(self, f: MPoly) -> dict:
+        shifts, top = self.shifts, self.top
+        return {sum(map(int.__lshift__, e, shifts)) + (sum(e) << top): c for e, c in f.terms.items()}
+
+    def exponents(self, m: int) -> Exponents:
+        mask = (1 << self.bits) - 1
+        return tuple(m >> s & mask for s in self.shifts)
+
+    def unpack(self, h: dict) -> MPoly:
+        return MPoly(self.nvars, self.domain, {self.exponents(m): c for m, c in h.items()})
+
+    def lcm(self, a: int, b: int) -> int:
+        """In each field the larger exponent, selected by the guard bit of
+        (a + guard) - b; the degree is the sum of the fields, which the
+        product by `spread` carries into the degree field (lcm degrees stay
+        below 2^(bits + 1), so no partial sum crosses a field)."""
+        fields = self.fields
+        larger = ((a & fields | self.guards) - (b & fields)) & self.guards
+        m = (b ^ (a ^ b) & (larger - (larger >> self.bits))) & fields
+        return m | m * self.spread & self.degree_field
+
+    def record(self, g: dict) -> Record:
+        """What reduction reads of g, computed once: (ecart, leading
+        monomial, g made monic, the largest monomial of g, which has its
+        largest degree). The ecart deg g - deg LM(g) matters only under the
+        local order; under grevlex and lex, where division terminates
+        without it, it is 0. A reducer's scale does not change a reduction
+        step, so every reducer is monic."""
+        dom, le, top = self.domain, self.lead(g), max(g)
+        inv = dom.inv(g[le])
+        ecart = (top >> self.top) - (le >> self.top) if self.local else 0
+        return ecart, le, {m: dom.mul(inv, c) for m, c in g.items()}, top
+
+    def reduce(self, h: dict, reducers: Sequence[Record]) -> dict:
+        """Mora's weak normal form of h by the reducer records, in place.
+
+        Returns h, empty or with a leading monomial that no reducer's
+        divides, such that u*f - h lies in the ideal of the reducers for a
+        unit u, f the h given. Each step is h - lc_h*x^q*g, g monic. The
+        reducer of least ecart goes first, and the running h joins the
+        reducers whenever that ecart exceeds its own; this is what makes the
+        loop terminate under a local order (Greuel & Pfister, Algorithm
+        1.7.6). Under grevlex and lex every ecart is 0, so this is plain top
+        reduction by the first divisor, with u = 1.
+        """
+        lead, guards, top = self.lead, self.guards, self.top
+        while h:
+            le = lead(h)
+            best = None
+            for r in reducers:
+                if not (le - r[1]) & guards and (best is None or r[0] < best[0]):
+                    best = r
+                    if not r[0]:
+                        break
+            if best is None:
+                break
+            ecart, ge, g, g_top = best
+            if ecart and ecart > (max(h) >> top) - (le >> top):
+                reducers = [*reducers, self.record(h)]
+            q = le - ge
+            if (q + g_top) & self.degree_guard:
+                raise _Overflow
+            _subtract(h, q, g, self.p, h[le])
+        return h
+
+    def remainder(self, h: dict, reducers: Sequence[Record]) -> dict:
+        """Remainder of the division of h by the reducer records under a
+        global order: each leading term that no reducer divides moves to the
+        remainder, and the rest is reduced again."""
+        out = {}
+        while h := self.reduce(h, reducers):
+            le = self.lead(h)
+            out[le] = h.pop(le)
+        return out
+
+    def close(self, hs: Sequence[dict], reduce) -> List[Record]:
+        """Records of monic generators whose S-polynomials all reduce to
+        zero by `reduce`.
+
+        Pairs are processed by minimal lcm total degree, ties broken by the
+        lex order on pair indices, from a heap keyed once per pair. A pair
+        with coprime leading monomials is skipped when one of the two has
+        ecart 0 (first Buchberger criterion); the ecart condition keeps the
+        criterion valid under the local order and always holds under grevlex
+        and lex.
+        """
+        G = [self.record(h) for h in hs]
+        pairs = []
+
+        def add_pairs(k):
+            for i in range(k):
+                lcm = self.lcm(G[i][1], G[k][1])
+                heapq.heappush(pairs, (lcm >> self.top, i, k, lcm))
+
+        for k in range(1, len(G)):
+            add_pairs(k)
+        while pairs:
+            _, i, j, lcm = heapq.heappop(pairs)
+            (f_ecart, fe, f, f_top), (g_ecart, ge, g, g_top) = G[i], G[j]
+            if lcm == fe + ge and not (f_ecart and g_ecart):
+                continue
+            # the S-polynomial of two monic generators
+            qf, qg = lcm - fe, lcm - ge
+            if (qf + f_top | qg + g_top) & self.degree_guard:
+                raise _Overflow
+            h = {m + qf: c for m, c in f.items()}
+            _subtract(h, qg, g, self.p)
+            if r := reduce(h, G):
+                G.append(self.record(r))
+                add_pairs(len(G) - 1)
+        return G
+
+    def staircase(self, leads: Sequence[int]):
+        """The standard monomials of the leading monomials, as packed
+        exponent fields, or None if there are infinitely many.
+
+        Finite iff the staircase is bounded in every variable, i.e. some
+        leading monomial is a pure power of each variable; the box below the
+        least such powers holds the staircase, and only the leading
+        monomials in two or more variables can divide a monomial of the box.
+        A leading monomial 1 (a unit generator) leaves none.
+        """
+        mask = (1 << self.bits) - 1
+        # per variable, the exponent fields of the other variables
+        others = [self.fields ^ (mask << s) for s in self.shifts]
+        leads = [le & self.fields for le in leads]
+        bounds = []
+        for s, other in zip(self.shifts, others):
+            pure = [le >> s for le in leads if not le & other]
+            if not pure:
+                return None
+            bounds.append(min(pure))
+        box = map(sum, itertools.product(*(range(0, b << s, 1 << s) for b, s in zip(bounds, self.shifts))))
+        corners = [le for le in leads if all(le & other for other in others)]
+        return (m for m in box if all((m - c) & self.guards for c in corners)) if corners else box
 
 
-def _remainder(f: MPoly, reducers: Sequence[Record], order: MonomialOrder) -> MPoly:
-    """Remainder of the division of f by the reducer records under a global
-    order: each leading term that no reducer divides moves to the remainder,
-    and the rest is reduced again."""
-    out = {}
-    h = _reduce(f, reducers, order)
-    while not h.is_zero():
-        le, lc = h.leading(order)
-        out[le] = lc
-        h = _reduce(MPoly(h.nvars, h.domain, {e: c for e, c in h.terms.items() if e != le}), reducers, order)
-    return MPoly(f.nvars, f.domain, out)
+def _subtract(h: dict, q: int, g: dict, p: int, c=None) -> None:
+    """h -= c * x^q * g in place, c = 1 if None, mod p unless p is 0,
+    dropping the terms that cancel."""
+    for m, v in g.items():
+        m += q
+        x = h.get(m, 0) - (v if c is None else c * v)
+        if p:
+            x %= p
+        if x:
+            h[m] = x
+        else:
+            del h[m]
+
+
+def _packed(polys: Sequence[MPoly], kind: str, work: Callable):
+    """(layout, work(layout, packed polys)) on the layout of the given order
+    whose fields fit the input, re-packed wider until no product overflows."""
+    degree = max(f.total_degree() for f in polys)
+    while True:
+        P = _Layout(polys[0].nvars, _field_bits(degree), kind, polys[0].domain)
+        try:
+            return P, work(P, [P.pack(f) for f in polys])
+        except _Overflow:
+            degree = 1 << P.bits
+
+
+def _generators(gens: Sequence[MPoly]) -> List[MPoly]:
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        raise ValueError("need at least one nonzero generator")
+    if any(g.nvars != gens[0].nvars or g.domain != gens[0].domain for g in gens):
+        raise DomainMismatch("generators over different rings")
+    return gens
 
 
 def normal_form(f: MPoly, G, order: Optional[MonomialOrder] = None) -> MPoly:
@@ -145,94 +292,48 @@ def normal_form(f: MPoly, G, order: Optional[MonomialOrder] = None) -> MPoly:
         return f
     if any(g.nvars != f.nvars or g.domain != f.domain for g in gens):
         raise DomainMismatch("divisor over wrong ring")
-    return _remainder(f, [_record(g, order) for g in gens], order)
+    P, h = _packed([f, *gens], order.kind, lambda P, hs: P.remainder(hs[0], [P.record(g) for g in hs[1:]]))
+    return P.unpack(h)
 
 
-def _close_under_s_pairs(
-    gens: Sequence[MPoly],
-    order: MonomialOrder,
-    reduce: Callable[[MPoly, Sequence[Record], MonomialOrder], MPoly],
-) -> List[Record]:
-    """Records of monic generators whose S-polynomials all reduce to zero by
-    `reduce`.
-
-    Pairs are processed by minimal lcm total degree, ties broken by the lex
-    order on pair indices. A pair with coprime leading monomials is skipped
-    when one of the two has ecart 0 (first Buchberger criterion); the ecart
-    condition keeps the criterion valid under the local order and always
-    holds under grevlex and lex.
-    """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        raise ValueError("need at least one nonzero generator")
-    if any(g.nvars != gens[0].nvars or g.domain != gens[0].domain for g in gens):
-        raise DomainMismatch("generators over different rings")
-    G = [_monic(g, order) for g in gens]
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
-
-    def pair_key(p):
-        i, j = p
-        return (sum(_lcm(G[i][1], G[j][1])), p)
-
-    while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        (f_ecart, fe, one, f), (g_ecart, ge, _, g) = G[i], G[j]
-        lcm = _lcm(fe, ge)
-        if lcm == tuple(a + b for a, b in zip(fe, ge)) and not (f_ecart and g_ecart):
-            continue
-        # the S-polynomial of two monic generators
-        qf, qg = (tuple(a - b for a, b in zip(lcm, e)) for e in (fe, ge))
-        r = reduce(f.mul_monomial(qf, one) - g.mul_monomial(qg, one), G, order)
-        if not r.is_zero():
-            G.append(_monic(r, order))
-            k = len(G) - 1
-            pairs.update((i2, k) for i2 in range(k))
-    return G
+def _reduced_basis(P: _Layout, hs: Sequence[dict]) -> List[dict]:
+    records = sorted(P.close(hs, P.remainder), key=lambda r: P.key(r[1]))
+    # a minimal basis: a divisor of a leading monomial sorts before it
+    minimal = []
+    for r in records:
+        if all((r[1] - m[1]) & P.guards for m in minimal):
+            minimal.append(r)
+    # reducing the monic generators of a minimal basis by each other keeps
+    # every leading term, so one pass gives the unique reduced basis
+    return [P.remainder(dict(r[2]), minimal[:i] + minimal[i + 1 :]) for i, r in enumerate(minimal)]
 
 
 def buchberger(gens: Sequence[MPoly], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis, normal selection strategy."""
-    records = sorted(_close_under_s_pairs(gens, order, _remainder), key=lambda r: order.key(r[1]))
-    # a minimal basis: a divisor of a leading monomial sorts before it
-    minimal = []
-    for r in records:
-        if not any(_divides(m[1], r[1]) for m in minimal):
-            minimal.append(r)
-    # reducing the monic generators of a minimal basis by each other keeps
-    # every leading term, so one pass gives the unique reduced basis
-    gs = [r[3] for r in minimal]
-    G = [normal_form(g, gs[:i] + gs[i + 1 :], order) for i, g in enumerate(gs)]
-    return GroebnerBasis(tuple(G), order, G[0].nvars, G[0].domain)
+    P, G = _packed(_generators(gens), order.kind, _reduced_basis)
+    return GroebnerBasis(tuple(map(P.unpack, G)), order, P.nvars, P.domain)
+
+
+def _leads(G: GroebnerBasis):
+    return _packed(G.generators, G.order.kind, lambda P, hs: [P.lead(h) for h in hs])
 
 
 def standard_monomials(G: GroebnerBasis) -> Optional[List[Exponents]]:
-    """Monomials divisible by no leading term, or None if infinitely many.
+    """Monomials divisible by no leading term, in grevlex order, or None if
+    infinitely many."""
+    P, leads = _leads(G)
+    stairs = P.staircase(leads)
+    return None if stairs is None else sorted(map(P.exponents, stairs), key=GREVLEX.key)
 
-    Finite iff the staircase is bounded in every variable, i.e. some leading
-    term is a pure power of each variable. A leading monomial 1 (a unit
-    generator) leaves none.
-    """
-    leads = [g.leading(G.order)[0] for g in G.generators]
-    n = G.nvars
-    bounds = []
-    for i in range(n):
-        pure = [e[i] for e in leads if all(e[j] == 0 for j in range(n) if j != i)]
-        if not pure:
-            return None
-        bounds.append(min(pure))
-    out = []
-    for e in itertools.product(*(range(b) for b in bounds)):
-        if not any(_divides(le, e) for le in leads):
-            out.append(e)
-    out.sort(key=GREVLEX.key)
-    return out
+
+def _dimension(P: _Layout, leads: Sequence[int]) -> Dimension:
+    stairs = P.staircase(leads)
+    return INFINITE if stairs is None else sum(1 for _ in stairs)
 
 
 def quotient_dimension(G: GroebnerBasis) -> Dimension:
     """Vector-space dimension of the quotient ring, or INFINITE."""
-    sm = standard_monomials(G)
-    return INFINITE if sm is None else len(sm)
+    return _dimension(*_leads(G))
 
 
 def local_dimension(gens: Sequence[MPoly]) -> Dimension:
@@ -241,8 +342,7 @@ def local_dimension(gens: Sequence[MPoly]) -> Dimension:
     Counts the standard monomials of one standard basis under the local
     degree order; the count is exact, with no truncation bound.
     """
-    G = [r[3] for r in _close_under_s_pairs(gens, _LOCAL, _reduce)]
-    return quotient_dimension(GroebnerBasis(tuple(G), _LOCAL, G[0].nvars, G[0].domain))
+    return _dimension(*_packed(_generators(gens), "local", lambda P, hs: [r[1] for r in P.close(hs, P.reduce)]))
 
 
 def jacobian_ideal(f: MPoly) -> List[MPoly]:
@@ -282,20 +382,21 @@ def tame_wild_split(f: MPoly, p: int) -> MilnorReport:
     """Split the char-p Milnor dimension into tame (char-0) and wild parts.
 
     f must have integer coefficients so it can be read both mod p and over
-    the rationals. wild = char_p - char_0; char_p < char_0 or an infinite
-    char-p dimension is flagged as an anomaly instead of raising.
+    the rationals. wild = char_p - char_0; an infinite char-0 dimension
+    (the germ is not isolated at all), else an infinite char-p dimension or
+    char_p < char_0, is flagged as an anomaly instead of raising.
     """
     if f.domain != QQ:
         raise DomainMismatch("tame/wild split needs an integer polynomial over QQ")
     dim_p = milnor_number(reduce_mod_p(f, p))
     dim_0 = milnor_number(f)
     anomaly = None
-    if dim_p == INFINITE:
-        tame, wild = dim_0, INFINITE
-        anomaly = "char-p dimension infinite (derivatives degenerate mod p)"
-    elif dim_0 == INFINITE:
+    if dim_0 == INFINITE:
         tame, wild = INFINITE, INFINITE
         anomaly = "char-0 dimension infinite"
+    elif dim_p == INFINITE:
+        tame, wild = dim_0, INFINITE
+        anomaly = "char-p dimension infinite (derivatives degenerate mod p)"
     else:
         tame = dim_0
         wild = dim_p - dim_0

@@ -49,13 +49,6 @@ class QuotientModule:
         terms = {e: c for e, c in f.terms.items() if sum(e) < self.m}
         return MPoly(self.nvars, self.field, terms)
 
-    def to_vector(self, f: MPoly) -> list:
-        f = self.truncate(f)
-        v = [self.field.zero] * self.dimension
-        for e, c in f.terms.items():
-            v[self.index[e]] = c
-        return v
-
     def from_vector(self, v: Sequence) -> MPoly:
         terms = {e: c for e, c in zip(self.basis, v)}
         return MPoly(self.nvars, self.field, terms)

@@ -52,11 +52,6 @@ class WeylOperator:
         a[i] = power
         return cls(nvars, domain, {tuple(a): MPoly.one(nvars, domain)})
 
-    @classmethod
-    def from_poly(cls, f: MPoly) -> "WeylOperator":
-        """Multiplication-by-f operator."""
-        return cls(f.nvars, f.domain, {(0,) * f.nvars: f})
-
     def order(self) -> int:
         if not self.terms:
             return -1

@@ -65,7 +65,7 @@ class DenseMatrix:
             for i in range(len(rows)):
                 if i != r and rows[i][c] != dom.zero:
                     factor = rows[i][c]
-                    rows[i] = [dom.sub(v, dom.mul(factor, w)) for v, w in zip(rows[i], rows[r])]
+                    rows[i] = [dom.add(v, dom.neg(dom.mul(factor, w))) for v, w in zip(rows[i], rows[r])]
             pivots.append(c)
             r += 1
             if r == len(rows):
@@ -117,6 +117,30 @@ def random_poly(rng, nvars, domain, max_deg=3, max_terms=4):
     return MPoly(nvars, domain, terms)
 
 
+def divides(a, b):
+    """Whether the monomial with exponents a divides the one with exponents b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def division_oracle(f, gens, order):
+    """Textbook multivariate division on exponent tuples: the leading term
+    of the running polynomial is cancelled by the first generator whose
+    leading monomial divides it, else moved to the remainder."""
+    dom = f.domain
+    rem = MPoly.zero(f.nvars, dom)
+    while not f.is_zero():
+        le, lc = f.leading(order)
+        for g in gens:
+            ge, gc = g.leading(order)
+            if divides(ge, le):
+                f = f - g.mul_monomial(tuple(a - b for a, b in zip(le, ge)), dom.div(lc, gc))
+                break
+        else:
+            rem = rem + MPoly.monomial(f.nvars, dom, le, lc)
+            f = f - MPoly.monomial(f.nvars, dom, le, lc)
+    return rem
+
+
 def s_poly(f, g, order):
     """The S-polynomial lcm/lt(f)*f - lcm/lt(g)*g, for the Buchberger criterion."""
     (fe, fc), (ge, gc) = f.leading(order), g.leading(order)
@@ -124,6 +148,23 @@ def s_poly(f, g, order):
     dom = f.domain
     mf = f.mul_monomial(tuple(a - b for a, b in zip(lcm, fe)), dom.inv(fc))
     return mf - g.mul_monomial(tuple(a - b for a, b in zip(lcm, ge)), dom.inv(gc))
+
+
+def truncation_oracle(J, d):
+    """dim k[x]/(J + m^d), by global Buchberger only.
+
+    J + m^d vanishes only at the origin, so this is dim A/m^d A for A the
+    local ring at the origin modulo J. That dimension grows strictly with d
+    until m^d A = 0 (Nakayama), and then stays at dim A: so it is dim A
+    once d exceeds dim A, or once d is at least dim k[x]/J when that is
+    finite (the local ring is a factor of k[x]/J); and it is at least d
+    while d is at most dim A, infinite or not.
+    """
+    from wildcycles.groebner import buchberger, quotient_dimension
+
+    n, dom = J[0].nvars, J[0].domain
+    m_d = [MPoly.monomial(n, dom, e) for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d]
+    return quotient_dimension(buchberger(J + m_d))
 
 
 def substring_var_names(texts):
@@ -392,6 +433,48 @@ def compose_oracle(P, Q):
     return out
 
 
+def module_vector(M, f):
+    """The coordinates of f, truncated into the quotient module M, on M's
+    monomial basis."""
+    v = [M.field.zero] * M.dimension
+    for e, c in M.truncate(f).terms.items():
+        v[M.index[e]] = c
+    return v
+
+
+def multiplication_operator(f):
+    """The Weyl operator of multiplication by f."""
+    from wildcycles.weyl import WeylOperator
+
+    return WeylOperator(f.nvars, f.domain, {(0,) * f.nvars: f})
+
+
+def available_backends():
+    """The kernel modules by lane: the pure one, and the compiled one when
+    the extension imports."""
+    from wildcycles import _kernels_py
+
+    out = {"pure": _kernels_py}
+    try:
+        from wildcycles import _ckernels
+
+        out["c"] = _ckernels
+    except ImportError:
+        pass
+    return out
+
+
+def parity_vector(start, k):
+    """Parities observed along the first k accelerated-Collatz steps."""
+    x = start
+    out = []
+    for _ in range(k):
+        parity = x % 2
+        out.append(parity)
+        x = x // 2 if parity == 0 else (3 * x + 1) // 2
+    return tuple(out)
+
+
 def operator_matrix_oracle(M, P):
     """Matrix of P on the basis of the quotient module M, one column per
     basis monomial by applying P to it with apply_oracle and truncating:
@@ -400,7 +483,7 @@ def operator_matrix_oracle(M, P):
     cols = []
     for e in M.basis:
         image = apply_oracle(P, MPoly.monomial(M.nvars, M.field, e))
-        cols.append(M.to_vector(image))
+        cols.append(module_vector(M, image))
     n = M.dimension
     entries = [cols[j][i] for i in range(n) for j in range(n)]
     return DenseMatrix(n, n, entries, M.field)

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from helpers import available_backends
 from wildcycles import backend
 from wildcycles import _kernels_py as pure
 
-backends = backend.available_backends()
+backends = available_backends()
 compiled = backends.get("c")
 
 pytestmark = pytest.mark.skipif(

@@ -4,17 +4,18 @@ import random
 import pytest
 
 from helpers import (
+    available_backends,
     brute_periodic_count,
     decode,
     encode,
     lane_switch_primes,
     packed_parity_vectors,
+    parity_vector,
     parity_vectors_oracle,
     random_poly,
     tail_distance_oracle,
 )
 from wildcycles import dynsys
-from wildcycles.backend import available_backends
 from wildcycles.dynsys import (
     DynamicalSystem,
     SelfMap,
@@ -28,7 +29,6 @@ from wildcycles.dynsys import (
     euler_discretize,
     orbit_decomposition,
     parity_bijection_check,
-    parity_vector,
     periodic_point_count,
 )
 from wildcycles.errors import StateBudgetExceeded

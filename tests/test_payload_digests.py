@@ -56,6 +56,12 @@ FLAG_LINES = [
     'wildcycles weyl-apply --op "-d1" --f x --p 5',
     'wildcycles inertia --p 5 --module x^4 --op d1 --element "-x^2" --level 1',
     'wildcycles orbits --p 5 --system "-x"',
+    # Groebner engine: A_22 (mu = 22), a three-variable germ, cyclic-4 under
+    # lex over F_32003 and katsura-3 under grevlex over QQ
+    'wildcycles milnor --f "x^23 + y^2" --p 5',
+    'wildcycles milnor --f "z^3 + y^3 + y*z + x^2" --p 7',
+    'wildcycles groebner --gens "a + b + c + d; a*b + b*c + c*d + d*a; a*b*c + b*c*d + c*d*a + d*a*b; a*b*c*d - 1" --order lex --p 32003',
+    'wildcycles groebner --gens "u0 + 2*u1 + 2*u2 + 2*u3 - 1; u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0; 2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1; 2*u0*u2 + u1^2 + 2*u1*u3 - u2"',
 ]
 
 
