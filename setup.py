@@ -1,18 +1,5 @@
-import os
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-ext_modules = []
-if os.environ.get("WILDCYCLES_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            ["src/wildcycles/_ckernels.pyx"],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        # pure-Python fallback kernels are selected at import time
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+# optional: without a C compiler the package installs on the pure Python
+# kernels alone
+setup(ext_modules=[Extension("wildcycles._ckernels", ["src/wildcycles/_ckernels.c"], optional=True)])

@@ -1,11 +1,10 @@
 """Pure-Python kernels for the exhaustive-enumeration hot loops.
 
-Signature-compatible with the compiled extension (_ckernels); backend.py
-picks whichever is available for the dynamics kernels, and these are the
-ground truth the compiled versions are tested against. The curve kernels
-here serve both lanes: the slice counts come from one O(p) histogram, and
-the exhaustive count visits its p^2 pairs inside str.count, the
-interpreter's own C code, so both beat the compiled double loops.
+The compiled lane (_ckernels.c) has its own functional_graph_decompose,
+tested against the one here, and re-exports these curve kernels as they
+are: the slice counts come from one O(p) histogram, and the exhaustive
+count visits its p^2 pairs inside str.count, the interpreter's own C code,
+so both beat a compiled double loop. backend.py picks the lane.
 """
 
 from __future__ import annotations
@@ -85,25 +84,3 @@ def functional_graph_decompose(nxt: Sequence[int]) -> Tuple[List[bool], List[int
             d += 1
             dist[t] = d
     return on_cycle, dist
-
-
-def collatz_sweep_reaches_one(limit: int, budget: int) -> int:
-    """First start in 1..limit that fails to reach 1 within budget steps of
-    the plain map (x/2 on even, 3x+1 on odd), or 0 if all succeed."""
-    known = bytearray(limit + 1)
-    if limit >= 1:
-        known[1] = 1
-    for start in range(1, limit + 1):
-        x = start
-        steps = 0
-        path = []
-        while x != 1 and not (x <= limit and known[x]):
-            if steps >= budget:
-                return start
-            if x <= limit:
-                path.append(x)
-            x = x // 2 if x % 2 == 0 else 3 * x + 1
-            steps += 1
-        for v in path:
-            known[v] = 1
-    return 0

@@ -1,8 +1,9 @@
 """Kernel backend selection: compiled extension if importable, else pure Python.
 
-Set WILDCYCLES_BACKEND=pure (or =c) to force a lane; forcing the compiled
-lane when the extension is missing raises at import time instead of silently
-downgrading.
+The compiled lane (_ckernels.c) has its own functional-graph kernel and
+shares the curve kernels of _kernels_py. Set WILDCYCLES_BACKEND=pure (or =c)
+to force a lane; forcing the compiled lane when the extension is missing
+raises at import time instead of silently downgrading.
 """
 
 from __future__ import annotations

@@ -246,9 +246,30 @@ def collatz_orbit(start: int, variant: str = "paper", budget: int = 10**4) -> Co
 
 
 def collatz_all_reach_one(limit: int, budget: int = 10**4) -> int:
-    """First start in 1..limit not reaching 1 within budget plain-variant
-    steps, or 0 when all do (kernel-backed sweep)."""
-    return kernels.collatz_sweep_reaches_one(limit, budget)
+    """First start in 1..limit whose plain-variant orbit does not reach 1
+    within budget steps, or 0 when all do.
+
+    steps[v] keeps the number of steps from v to 1 for every v <= limit on
+    an orbit already finished (0 while unknown, and for v = 1), so an orbit
+    stops at the first such value and adds its count."""
+    steps = [0] * (limit + 1)
+    for start in range(2, limit + 1):
+        x = start
+        k = 0
+        path = []
+        while x != 1 and (x > limit or not steps[x]):
+            if k >= budget:
+                return start
+            if x <= limit:
+                path.append((x, k))
+            x = x // 2 if x % 2 == 0 else 3 * x + 1
+            k += 1
+        total = k + steps[x]
+        if total > budget:
+            return start
+        for v, i in path:
+            steps[v] = total - i
+    return 0
 
 
 def _lane_width(k: int) -> int:

@@ -324,6 +324,19 @@ def test_collatz_budget_exhaustion_recorded():
 def test_collatz_sweep_kernel_small():
     assert collatz_all_reach_one(10_000, 10_000) == 0
 
+    def steps_to_one(x):
+        k = 0
+        while x != 1:
+            x = collatz_step(x)
+            k += 1
+        return k
+
+    # a tight budget counts the whole orbit to 1, not the steps to a value
+    # the sweep has already met: 7 needs 16 steps but meets 10 after 10
+    for limit, budget in ((100, 10), (10_000, 200)):
+        first = next(s for s in range(1, limit + 1) if steps_to_one(s) > budget)
+        assert collatz_all_reach_one(limit, budget) == first
+
 
 def test_parity_bijection_small():
     assert parity_bijection_check(1)

@@ -5,9 +5,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+from helpers import available_backends
 from wildcycles import _kernels_py, backend, cli
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+compiled = available_backends().get("c")
 
 
 def load_spans():
@@ -39,4 +43,23 @@ def test_every_span_target_resolves_and_records(monkeypatch, capsys):
     count = tracer.totals()[0]
     assert count["cli.run"] == count["cli.build_parser"] == 1
     assert count["groebner.tame_wild_split"] == 1
+    assert not any(hasattr(resolve(m, a), "__wrapped__") for m, a, _, _ in spans.TARGETS)
+
+
+@pytest.mark.skipif(compiled is None, reason="compiled extension not built")
+def test_every_span_target_resolves_on_the_compiled_lane(monkeypatch, capsys):
+    for name in ("curve_affine_count", "curve_slice_counts", "curve_is_singular"):
+        assert getattr(compiled, name) is getattr(_kernels_py, name)
+    spans = load_spans()
+    monkeypatch.setattr(backend, "kernels", compiled)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        unwrapped = [(m, a) for m, a, _, _ in spans.TARGETS if not hasattr(resolve(m, a), "__wrapped__")]
+        assert unwrapped == []
+        assert cli.run(["curve-count", "--p", "7", "--a", "1", "--b", "2"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.totals()[0]["curves.kernel"] > 0
     assert not any(hasattr(resolve(m, a), "__wrapped__") for m, a, _, _ in spans.TARGETS)
