@@ -36,6 +36,12 @@ FLAG_LINES = [
     # benchmark-sized modules, the kernel dimension counted at every level
     'wildcycles inertia --p 3 --module x^120 --op "x*d1 + 2*x^2*d1^2" --level 2',
     'wildcycles inertia --p 13 --module x^160 --op "5*x^2*d1 + x^3*d1^2 + 7*x^4*d1^3" --level 3',
+    # a level past m, where every S_k past the first empty one reads dim M;
+    # a column set that p = 2 empties at k = 2; and element checks on a
+    # larger module
+    'wildcycles inertia --p 3 --module x^7 --op "x*d1^2 + x^2*d1^3" --level 9',
+    'wildcycles inertia --p 2 --module x^64 --op "x*d1" --level 4',
+    'wildcycles inertia --p 7 --module x^30 --op "x^2*d1 + 3*x*d1^2" --level 4 --element "1 + 2*x^3 + x^9"',
     'wildcycles weyl-apply --op "dy*x + dx" --f "x*y^2" --p 5 --vars x,y',
     'wildcycles weyl-apply --op "x*d1 + 1/2" --f "x^3"',
     'wildcycles weyl-apply --op "x^2*d1^5 + 3*d1^3" --f "x^7 + x^5 + x^3" --p 5',
