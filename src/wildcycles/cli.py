@@ -35,7 +35,7 @@ from .dynsys import (
     orbit_decomposition,
     parity_bijection_check,
 )
-from .errors import DEFAULT_STATE_BUDGET, ParseError, RefuseChar2, WildcyclesError, ZeroOrderTerm
+from .errors import DEFAULT_STATE_BUDGET, ParseError, RefuseChar2, StateBudgetExceeded, WildcyclesError, ZeroOrderTerm
 from .fields import QQ, PrimeField, is_prime
 from .groebner import (
     INFINITE,
@@ -200,17 +200,21 @@ def _cmd_groebner(args) -> dict:
     return payload
 
 
-def _parse_module_spec(text: str, p: int) -> QuotientModule:
-    """F_p[x]/(x^m) from the monomial `x^m` with m >= 1, or `x`."""
+def _module_order(text: str) -> int:
+    """m of F_p[x]/(x^m) from the monomial `x^m` with m >= 1, or `x`."""
     f = poly_parse(text, ["x"], QQ)
     m = f.total_degree()
     if m < 1 or f != MPoly.monomial(1, QQ, (m,)):
         raise ParseError(f"--module must be a monomial x^m with m >= 1, not {text!r}", 0)
-    return QuotientModule(p, m, nvars=1)
+    return m
 
 
 def _cmd_inertia(args) -> dict:
-    M = _parse_module_spec(args.module, args.p)
+    m = _module_order(args.module)
+    # the module has dimension m: refused before its basis is built
+    if m > args.budget:
+        raise StateBudgetExceeded(f"module dimension {m} exceeds budget {args.budget}")
+    M = QuotientModule(args.p, m)
     fp = M.field
     names = default_var_names(M.nvars)
     D = weyl_parse(args.op, names, fp)

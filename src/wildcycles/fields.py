@@ -127,12 +127,28 @@ class Matrix:
         self.rows = rows
         self.columns = list(columns)
         self.domain = domain
+        # the echelon of columns[:_eliminated], row -> (pivot column, None)
+        self._pivots = {}
+        self._eliminated = 0
+
+    def add(self, column: dict) -> bool:
+        """Append column and reduce it against the pivots of the columns
+        before it: True when it stays nonzero and becomes a new pivot, that
+        is when it is independent of them and the rank grows."""
+        if self._eliminated < len(self.columns):
+            self.rank()
+        self.columns.append(column)
+        self._eliminated += 1
+        return self._reduce(column, None, self._pivots)
 
     def rank(self) -> int:
         """Rank, by the elimination of kernel_basis without the combinations:
-        the number of columns that keep a pivot."""
-        pivots = {}
-        return sum(self._reduce(column, None, pivots) for column in self.columns)
+        the number of columns that keep a pivot. The echelon is kept, so a
+        later add or rank reduces only the columns appended since."""
+        for column in self.columns[self._eliminated :]:
+            self._reduce(column, None, self._pivots)
+        self._eliminated = len(self.columns)
+        return len(self._pivots)
 
     def kernel_basis(self) -> List[list]:
         """Basis of the right null space, deterministic.
@@ -158,25 +174,24 @@ class Matrix:
 
     def _reduce(self, column: dict, combination, pivots: dict) -> bool:
         """One step of the left-to-right elimination: reduce a copy of column
-        against pivots (row -> (reduced column, combination), scaled to 1 at
-        row), and the combination dict in place alongside unless it is None.
-        A column left nonzero becomes the pivot at its largest row and gives
-        True; one that reduces to zero gives False."""
+        against pivots (row -> (reduced column, combination), unscaled: the
+        pivot entry is whatever the reduction left at row), and the
+        combination dict in place alongside unless it is None. Each step
+        cancels the largest row with one division. A column left nonzero
+        becomes the pivot at its largest row and gives True; one that
+        reduces to zero gives False."""
         dom = self.domain
         column = dict(column)
         while column:
             r = max(column)
-            if r not in pivots:
-                inv = dom.inv(column[r])
-                pivots[r] = (
-                    {i: dom.mul(inv, v) for i, v in column.items()},
-                    None if combination is None else {i: dom.mul(inv, v) for i, v in combination.items()},
-                )
+            pivot = pivots.get(r)
+            if pivot is None:
+                pivots[r] = (column, combination)
                 return True
-            c = column[r]
-            _subtract(column, c, pivots[r][0], dom)
+            c = dom.div(column[r], pivot[0][r])
+            _subtract(column, c, pivot[0], dom)
             if combination is not None:
-                _subtract(combination, c, pivots[r][1], dom)
+                _subtract(combination, c, pivot[1], dom)
         return False
 
 

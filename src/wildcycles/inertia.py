@@ -9,39 +9,63 @@ module (inertia_membership) and annihilation of a designated element
 
 from __future__ import annotations
 
-import itertools
+import bisect
+import functools
+import math
+import operator
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainMismatch, IndexOutOfRange, NotCritical, ZeroOrderTerm
 from .fields import Matrix, PrimeField
-from .poly import GREVLEX, Exponents, MPoly, falling
+from .poly import Exponents, MPoly
 from .weyl import WeylOperator
 
 
 class QuotientModule:
-    """F_p[x1..xn] / (monomials of degree >= m), with its monomial basis."""
+    """F_p[x1..xn] / (monomials of degree >= m), with its monomial basis.
+
+    The basis runs in grevlex order, degree by degree. Besides its exponent
+    tuple, monomial x^e has the integer key sum e_i·m^i. Every e_i is below
+    m, so distinct monomials have distinct keys, and as the key is linear in
+    e, a term x^s∂^a sends the key of x^e to key(e) + key(s) − key(a) with
+    no tuple built.
+    """
 
     def __init__(self, p: int, m: int, nvars: int = 1):
         if m < 1:
             raise ValueError("truncation order must be >= 1")
+        if nvars < 1:
+            raise ValueError("a module needs at least one variable")
         self.field = PrimeField(p)
         self.p = p
         self.m = m
         self.nvars = nvars
-        self.basis: List[Exponents] = sorted(
-            (
-                e
-                for e in itertools.product(range(m), repeat=nvars)
-                if sum(e) < m
-            ),
-            key=GREVLEX.key,
-        )
-        self.index = {e: i for i, e in enumerate(self.basis)}
+        self.basis: List[Exponents] = []
+        self._degrees: List[int] = []
+        for d in range(m):
+            monomials = _grevlex_degree(nvars, d)
+            self.basis += monomials
+            self._degrees += [d] * len(monomials)
+        self._radix = [m**i for i in range(nvars)]
+        # one tuple of the exponents e_i over the basis per variable
+        self._exponents = list(zip(*self.basis))
+        self._keys = [0] * len(self.basis)
+        for column, r in zip(self._exponents, self._radix):
+            self._keys = [k + x * r for k, x in zip(self._keys, column)]
+        self._position = {k: i for i, k in enumerate(self._keys)}
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
+
+    @functools.cached_property
+    def index(self) -> Dict[Exponents, int]:
+        """Exponent tuple -> basis position."""
+        return {e: i for i, e in enumerate(self.basis)}
+
+    def _key(self, e: Exponents) -> int:
+        return sum(map(operator.mul, e, self._radix))
 
     def truncate(self, f: MPoly) -> MPoly:
         if f.domain != self.field or f.nvars != self.nvars:
@@ -56,31 +80,47 @@ class QuotientModule:
     def operator_matrix(self, P: WeylOperator) -> Matrix:
         """Matrix of P on the monomial basis; column j is P(basis[j]).
 
-        Built in closed form: for each term f*d^alpha of P and basis monomial
-        x^e, d^alpha(x^e) = falling(e, alpha) x^(e - alpha), and each term
-        c*x^s of f sends that to x^(e - alpha + s); targets of degree >= m
-        vanish in the module.
+        Built in closed form, one term c·x^s∂^a of P at a time: ∂^a(x^e) =
+        falling(e, a) x^(e − a), whose residues mod p over the whole basis
+        come from one table of math.perm(x, a_i) % p per variable, and x^s
+        moves the key of x^(e − a) by key(s). A nonzero falling factor means
+        e >= a, so the target x^(e − a + s) is a basis monomial exactly when
+        its degree is below m; the basis runs by degree, so those sources
+        are a prefix of it.
         """
         if P.nvars != self.nvars or P.domain != self.field:
             raise DomainMismatch("operator not over this module's ring")
-        p, m, index = self.p, self.m, self.index
-        terms = [(a, sum(a), [(s, sum(s), c) for s, c in f.terms.items()]) for a, f in P.terms.items()]
-        cols = []
-        for e in self.basis:
-            col = {}
-            degree = sum(e)
-            for a, order, shifts in terms:
-                ff = falling(e, a) % p
-                if not ff:
-                    continue
-                base = [k - t for k, t in zip(e, a)]
-                for s, s_degree, c in shifts:
-                    if degree - order + s_degree < m:
-                        j = index[tuple(b + u for b, u in zip(base, s))]
-                        col[j] = (col.get(j, 0) + c * ff) % p
-            # sums can cancel mod p; the matrix stores no zero entries
-            cols.append({j: v for j, v in col.items() if v})
+        p, m, keys, position = self.p, self.m, self._keys, self._position
+        cols = [{} for _ in keys]
+        for a, f in P.terms.items():
+            falling = [1] * len(keys)
+            for column, a_i in zip(self._exponents, a):
+                if a_i:
+                    table = [math.perm(x, a_i) % p for x in range(m)]
+                    falling = [v * table[x] % p for v, x in zip(falling, column)]
+            key_a, order = self._key(a), sum(a)
+            for s, c in f.terms.items():
+                shift = self._key(s) - key_a
+                sources = bisect.bisect_left(self._degrees, m + order - sum(s))
+                for v, k, col in zip(falling[:sources], keys, cols):
+                    if v:
+                        t = position[k + shift]
+                        x = (col.get(t, 0) + c * v) % p
+                        # c·v is a unit, so only a sum can cancel, and the
+                        # matrix stores no zero entries
+                        if x:
+                            col[t] = x
+                        else:
+                            del col[t]
         return Matrix(self.dimension, cols, self.field)
+
+
+def _grevlex_degree(n: int, d: int) -> List[Exponents]:
+    """The exponent vectors of n >= 1 variables and degree d, ascending in
+    grevlex: the last exponent falls, and within it the first n − 1 ascend."""
+    if n == 1:
+        return [(d,)]
+    return [head + (last,) for last in range(d, -1, -1) for head in _grevlex_degree(n - 1, d - last)]
 
 
 def kernel_on_quotient(P: WeylOperator, M: QuotientModule) -> List[MPoly]:
@@ -138,22 +178,30 @@ def inertia_membership(
     # D∘∂^k sends x^e to falling(e, k·u)·D(x^(e−k·u)), u the unit vector of
     # dvar, and distinct e give distinct e − k·u. So its matrix is D's columns
     # at S_k = {e − k·u : falling(e, k·u) ≢ 0 mod p}, scaled by units, beside
-    # zero columns, and dim ker = dim M − rank of those columns. As
-    # falling(e, (k+1)·u) = falling(e, k·u)·(e − k·u)_dvar and p is prime,
-    # S_(k+1) is S_k stepped down by u where the dvar exponent is a unit.
-    u = _unit(M.nvars, dvar, 1)
-    basis, p = M.basis, M.p
+    # zero columns, and dim ker = dim M − rank of those columns. Put f = e −
+    # k·u: falling(e, k·u) = (f_dvar + 1)···(f_dvar + k), so x^f is in S_k
+    # exactly when k <= depth(f) = min(m − 1 − deg f, p − 1 − f_dvar mod p),
+    # the most steps up that stay in M and meet no multiple of p. The sets
+    # nest, S_0 ⊇ S_1 ⊇ …, so one echelon serves every level: add the
+    # columns of S_level first and read the rank, then those of each S_k
+    # beyond S_(k+1), down to S_0. A rank does not depend on the order its
+    # columns come in. Every S_k past min(m, p) − 1 is empty: rank 0.
+    _unit(M.nvars, dvar, 1)  # checks dvar
     A = M.operator_matrix(D)
-    down = [M.index.get(tuple(a - b for a, b in zip(e, u))) for e in basis]
-    S = range(M.dimension)
-    per_k = []
-    for k in range(level + 1):
-        if k:
-            S = [down[i] for i in S if basis[i][dvar] % p]
-        dim = M.dimension - Matrix(A.rows, [A.columns[i] for i in S], M.field).rank()
-        # D has no zero-order term, so D∘∂^k kills 1: a one-vector kernel
-        # is exactly the constants
-        per_k.append((k, dim, dim == 1))
+    p, m = M.p, M.m
+    top = min(level, m - 1, p - 1)
+    new_at = [[] for _ in range(top + 1)]  # S_k \ S_(k+1), S_top at the end
+    for i, (degree, x) in enumerate(zip(M._degrees, M._exponents[dvar])):
+        new_at[min(m - 1 - degree, p - 1 - x % p, top)].append(i)
+    echelon = Matrix(A.rows, [], M.field)
+    rank = [0] * (level + 1)
+    for k in reversed(range(top + 1)):
+        for i in new_at[k]:
+            echelon.add(A.columns[i])
+        rank[k] = echelon.rank()
+    # D has no zero-order term, so D∘∂^k kills 1: a one-vector kernel is
+    # exactly the constants
+    per_k = [(k, M.dimension - r, M.dimension - r == 1) for k, r in enumerate(rank)]
     element_checks = None
     if element is not None:
         checks = []

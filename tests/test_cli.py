@@ -139,6 +139,21 @@ def test_curve_commands_refuse_past_the_budget(capsys, argv):
     assert_one_line_error(capsys, run(argv), 1)
 
 
+@pytest.mark.parametrize("argv", [
+    ["inertia", "--p", "5", "--module", "x^100", "--op", "d1", "--level", "1", "--budget", "10"],
+    ["inertia", "--p", "5", "--module", "x^11", "--op", "d1", "--level", "1", "--budget", "10"],
+    ["inertia", "--p", "5", "--module", f"x^{10**12}", "--op", "d1", "--level", "1"],
+])
+def test_inertia_refuses_past_the_budget(capsys, argv):
+    assert_one_line_error(capsys, run(argv), 1)
+
+
+def test_inertia_runs_at_the_budget(capsys):
+    argv = ["inertia", "--p", "5", "--module", "x^10", "--op", "d1", "--level", "1", "--budget", "10"]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["module_dimension"] == 10
+
+
 @pytest.mark.parametrize(
     "spaced, joined",
     [

@@ -142,6 +142,26 @@ def test_rank_matches_dense_oracle_and_kernel():
             assert sparse.rank() + len(sparse.kernel_basis()) == dense.cols, (domain, dense.rows, dense.entries)
 
 
+def test_add_returns_whether_the_dense_rank_grows():
+    # columns fed one at a time, to an empty matrix and to one built with
+    # its first columns and ranked once, so add also picks up the echelon
+    # of columns it did not reduce itself
+    rng = random.Random(37)
+    for domain in (PrimeField(2), PrimeField(3), PrimeField(7), QQ):
+        for dense in rank_cases(rng, domain):
+            columns = dense.sparse().columns
+            rows = [dense.row(i) for i in range(dense.rows)]
+            ranks = [DenseMatrix.from_rows([row[:j] for row in rows], domain).rank() for j in range(dense.cols + 1)]
+            head = rng.randrange(dense.cols + 1)
+            incremental = Matrix(dense.rows, columns[:head], domain)
+            if head and rng.randrange(2):
+                assert incremental.rank() == ranks[head]
+            grew = [incremental.add(column) for column in columns[head:]]
+            assert grew == [b > a for a, b in zip(ranks[head:], ranks[head + 1 :])], (domain, dense.rows, dense.entries)
+            assert incremental.columns == columns
+            assert incremental.rank() == ranks[-1] == dense.rank()
+
+
 def test_rational_arithmetic_exact_two_routes():
     rng = random.Random(17)
     for _ in range(100):

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from helpers import compose_oracle, operator_matrix_oracle, random_operator, random_poly
 from wildcycles.errors import IndexOutOfRange, NotCritical, ZeroOrderTerm
-from wildcycles.fields import QQ, PrimeField
+from wildcycles.fields import QQ, Matrix, PrimeField
 from wildcycles.inertia import (
     QuotientModule,
     annihilation_check,
@@ -12,7 +13,7 @@ from wildcycles.inertia import (
     kernel_on_quotient,
     morse_check,
 )
-from wildcycles.poly import MPoly, poly_parse
+from wildcycles.poly import GREVLEX, MPoly, falling, poly_parse
 from wildcycles.weyl import WeylOperator, weyl_parse
 
 
@@ -153,6 +154,16 @@ def test_morse_rejects_linear_part():
         morse_check(poly_parse("x + x^2", ["x"], QQ))
 
 
+def test_basis_is_grevlex_sorted():
+    # the basis is generated degree by degree; the reference sorts every
+    # exponent vector of degree < m by the grevlex key
+    for nvars, m in ((1, 1), (1, 9), (2, 1), (2, 8), (3, 6), (4, 4)):
+        every = [e for e in itertools.product(range(m), repeat=nvars) if sum(e) < m]
+        M = QuotientModule(5, m, nvars)
+        assert M.basis == sorted(every, key=GREVLEX.key)
+        assert M.index == {e: i for i, e in enumerate(M.basis)}
+
+
 def test_operator_matrix_matches_apply_oracle():
     # about a third of the operators also carry a d_i^p term, whose falling
     # factorials k!/(k - p)! all vanish mod p
@@ -209,3 +220,36 @@ def test_membership_dims_match_explicit_composed_matrices():
             assert ok == (dim == 1)
             if k >= M.m:
                 assert dim == M.dimension
+
+
+def column_sets(M, dvar, level):
+    """S_k = {e − k·u : falling(e, k·u) ≢ 0 mod p} as basis positions, for
+    k = 0..level, from its definition on exponent tuples."""
+    sets = []
+    for k in range(level + 1):
+        ku = tuple(k * (i == dvar) for i in range(M.nvars))
+        sets.append([M.index[tuple(a - b for a, b in zip(e, ku))] for e in M.basis if falling(e, ku) % M.p])
+    return sets
+
+
+def test_one_elimination_matches_a_fresh_rank_at_every_level():
+    # one variable up to m = 40 and two variables with either derivative,
+    # levels up to m + 2 so the sets run empty
+    rng = random.Random(19)
+    cases = [(1, m) for m in range(1, 41)] + [(2, m) for m in range(1, 17) for _ in range(2)]
+    for trial, (nvars, m) in enumerate(cases):
+        p = (2, 3, 5, 7, 11, 13)[trial % 6]
+        M = QuotientModule(p, m, nvars)
+        D = random_operator(rng, nvars, M.field, max_order=3)
+        dvar = trial % nvars
+        level = rng.randrange(m + 3)
+        report = inertia_membership(D, level, M, dvar=dvar)
+        A = M.operator_matrix(D)
+        sets = column_sets(M, dvar, level)
+        for k, S in enumerate(sets):
+            if k:
+                assert set(S) <= set(sets[k - 1]), (p, m, nvars, dvar, k)
+            fresh = Matrix(A.rows, [A.columns[i] for i in S], M.field).rank()
+            assert report.per_k[k] == (k, M.dimension - fresh, M.dimension - fresh == 1), (p, m, D, dvar, k)
+            if k >= m:
+                assert S == []
