@@ -62,6 +62,9 @@ FLAG_LINES = [
     'wildcycles weyl-apply --op "-d1" --f x --p 5',
     'wildcycles inertia --p 5 --module x^4 --op d1 --element "-x^2" --level 1',
     'wildcycles orbits --p 5 --system "-x"',
+    # a fixed point at state 0 beside a 185-cycle, and a longest tail of 338
+    'wildcycles orbits --p 31 --system "7*x*y + 15*z; 18*y^2 + 4*x; 26*z^2 + 20*x*y" --mode self-map --vars x,y,z',
+    'wildcycles orbits --p 139 --system "122*y^2 + 24*x*y; 73*x^2 + 95*x" --mode vector-field --h 68 --vars x,y',
     # Groebner engine: A_22 (mu = 22), a three-variable germ, cyclic-4 under
     # lex over F_32003 and katsura-3 under grevlex over QQ
     'wildcycles milnor --f "x^23 + y^2" --p 5',
