@@ -1,15 +1,19 @@
 """Pure-Python kernels for the exhaustive-enumeration hot loops.
 
 The compiled lane (_ckernels.c) has its own functional_graph_decompose,
-tested against the one here, and re-exports these curve kernels as they
-are: the slice counts come from one O(p) histogram, and the exhaustive
-count visits its p^2 pairs inside str.count, the interpreter's own C code,
-so both beat a compiled double loop. backend.py picks the lane.
+tested against the one here: both read the transition table as the array
+poly.grid_image returns and give back only what the orbit report needs,
+the cycles and the longest tail, with no per-state list. That lane
+re-exports these curve kernels as they are: the slice counts come from one
+O(p) histogram, and the exhaustive count visits its p^2 pairs inside
+str.count, the interpreter's own C code, so both beat a compiled double
+loop. backend.py picks the lane.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from array import array
+from typing import List, Tuple
 
 BACKEND_NAME = "pure"
 
@@ -44,29 +48,40 @@ def curve_is_singular(p: int, a: int, b: int) -> bool:
     return False
 
 
-def functional_graph_decompose(nxt: Sequence[int]) -> Tuple[List[bool], List[int]]:
-    """Classify every state of a finite self-map.
+def functional_graph_decompose(nxt: array) -> Tuple[List[List[int]], int]:
+    """The cycles and the longest tail of the self-map s -> nxt[s] of
+    range(len(nxt)), nxt an array of unsigned ints as poly.grid_image
+    returns it.
 
-    Returns (on_cycle, dist): on_cycle[s] marks periodic states, dist[s] is
-    the number of steps from s to its cycle (0 on the cycle). dist is the
-    only mark: -1 is unvisited and -2 is on the current path. A start whose
-    successor is already classified takes that distance plus one; any other
-    start walks forward, without recursion, until it meets -2 (it closed a
-    new cycle) or some d >= 0 (it joined a known tree), then numbers its
-    path backward from there.
+    Returns (cycles, max_tail): each cycle is a list of states from its
+    least one, the cycles are sorted by that state, and max_tail is the
+    largest number of steps from any state to its cycle. A successor
+    outside the range raises IndexError. dist is the only mark: -1 is
+    unvisited, -2 is on the current path, and d >= 0 is the distance to
+    the cycle. A start whose successor is already classified takes that
+    distance plus one; any other start walks forward, without recursion,
+    until it meets -2 (it closed a new cycle, collected here) or some
+    d >= 0 (it joined a known tree), then numbers its path backward from
+    there. Each walk ends at its start, the farthest state on it.
     """
+    nxt = nxt.tolist()
     n = len(nxt)
-    on_cycle = [False] * n
     dist = [-1] * n
+    cycles = []
+    max_tail = 0
     for start in range(n):
         if dist[start] != -1:
             continue
+        # marked before its successor is read, so a self-loop closes at once
+        dist[start] = -2
         s = nxt[start]
         d = dist[s]
         if d >= 0:
-            dist[start] = d + 1
+            d += 1
+            dist[start] = d
+            if d > max_tail:
+                max_tail = d
             continue
-        dist[start] = -2
         path = [start]
         while d == -1:
             dist[s] = -2
@@ -75,12 +90,17 @@ def functional_graph_decompose(nxt: Sequence[int]) -> Tuple[List[bool], List[int
             d = dist[s]
         if d == -2:
             at = path.index(s)
-            for c in path[at:]:
-                on_cycle[c] = True
+            cycle = path[at:]
+            for c in cycle:
                 dist[c] = 0
             del path[at:]
+            least = cycle.index(min(cycle))
+            cycles.append(cycle[least:] + cycle[:least])
             d = 0
         for t in reversed(path):
             d += 1
             dist[t] = d
-    return on_cycle, dist
+        if d > max_tail:
+            max_tail = d
+    cycles.sort()
+    return cycles, max_tail

@@ -211,9 +211,12 @@ def _module_order(text: str) -> int:
 
 def _cmd_inertia(args) -> dict:
     m = _module_order(args.module)
-    # the module has dimension m: refused before its basis is built
+    # the module has dimension m, and the report one row per level: both
+    # are refused before the basis is built
     if m > args.budget:
         raise StateBudgetExceeded(f"module dimension {m} exceeds budget {args.budget}")
+    if args.level > args.budget:
+        raise StateBudgetExceeded(f"level {args.level} exceeds budget {args.budget}")
     M = QuotientModule(args.p, m)
     fp = M.field
     names = default_var_names(M.nvars)

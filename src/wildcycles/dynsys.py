@@ -7,9 +7,9 @@ dx/ds = g(x); the step h is recorded in every report rather than hidden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import compress
-from typing import Dict, Iterator, List, Optional, Tuple
+from array import array
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
 from .backend import kernels
 from .errors import DEFAULT_STATE_BUDGET, DomainMismatch, StateBudgetExceeded
@@ -77,43 +77,41 @@ def as_self_map(sys: DynamicalSystem) -> SelfMap:
 class OrbitDecomposition:
     """Complete partition of the state space into cycles and tails.
 
-    dist[i] is the number of steps from the state with index i to its cycle
-    (0 on a cycle), the list as the graph kernel returned it."""
+    cycles holds every cycle as its states, each from its least state
+    index and sorted by it; every other state is on a tail, and
+    max_tail_length is the most steps any state takes to reach its cycle
+    (0 when every state is periodic)."""
 
     p: int
     n: int
     cycles: Tuple[Tuple[State, ...], ...]
-    dist: List[int] = field(repr=False)
-    periodic_count: int
+    max_tail_length: int
 
     @property
     def cycle_lengths(self) -> List[int]:
         return [len(c) for c in self.cycles]
 
     @property
-    def tail_lengths(self) -> Dict[State, int]:
-        """{state: steps to its cycle} for every state off the cycles, built
-        from dist on each access; the report needs only its size and
-        maximum, which to_json reads off dist directly."""
-        p, n = self.p, self.n
-        return {grid_point(i, p, n): d for i, d in enumerate(self.dist) if d}
+    def periodic_count(self) -> int:
+        return sum(self.cycle_lengths)
 
     def to_json(self) -> dict:
+        periodic = self.periodic_count
         return {
             "p": self.p,
             "n": self.n,
             "cycles": [[list(s) for s in c] for c in self.cycles],
             "cycle_lengths": self.cycle_lengths,
-            "periodic_count": self.periodic_count,
-            "tail_state_count": self.p**self.n - self.periodic_count,
-            "max_tail_length": max(self.dist),
+            "periodic_count": periodic,
+            "tail_state_count": self.p**self.n - periodic,
+            "max_tail_length": self.max_tail_length,
         }
 
 
-def _transition_table(F: SelfMap) -> List[int]:
+def _transition_table(F: SelfMap) -> array:
     """nxt[index(s)] = index(F(s)) for every state s, from grid_image: each
     component's grid values are one packed int, reduced mod p once per
-    level, and the table is their base-p sum, unpacked once."""
+    level, and the table is their base-p sum, read out as one array."""
     p, n = F.p, F.n
     fp = PrimeField(p)
     if any(g.nvars != n or g.domain != fp for g in F.components):
@@ -130,37 +128,21 @@ def orbit_decomposition(
     State index sum_i x_i p^i numbers the states, and the work stays on
     indices: the transition table reduces each component's grid values once
     per level in packed integer lanes (grid_image), with no per-state
-    polynomial evaluation, the selected kernel backend walks the graph, and
-    only the periodic states are decoded into tuples. Each cycle is traced
-    from its least index, found by scanning the periodic indices in
-    increasing order, so cycles start at, and are sorted by, their minimal
-    state index whatever the traversal order.
+    polynomial evaluation, and the selected kernel backend walks it as the
+    array it is. The kernel returns only the cycles, each from its least
+    index and sorted by it, and the longest tail, so no Python object is
+    made per state: only the periodic states are decoded into tuples.
     """
     p, n = F.p, F.n
     total = p**n
     if total > budget:
         raise StateBudgetExceeded(f"{p}^{n} = {total} exceeds budget {budget}")
-    nxt = _transition_table(F)
-    on_cycle, dist = kernels.functional_graph_decompose(nxt)
-    periodic = list(compress(range(total), on_cycle))
-    seen = set()
-    cycles = []
-    for i in periodic:
-        if i in seen:
-            continue
-        cyc = [i]
-        j = nxt[i]
-        while j != i:
-            cyc.append(j)
-            j = nxt[j]
-        seen.update(cyc)
-        cycles.append(tuple(grid_point(k, p, n) for k in cyc))
+    cycles, max_tail = kernels.functional_graph_decompose(_transition_table(F))
     return OrbitDecomposition(
         p=p,
         n=n,
-        cycles=tuple(cycles),
-        dist=dist,
-        periodic_count=len(periodic),
+        cycles=tuple(tuple(grid_point(k, p, n) for k in c) for c in cycles),
+        max_tail_length=max_tail,
     )
 
 

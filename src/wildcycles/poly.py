@@ -446,7 +446,7 @@ def _lane_layout(p: int, groups: int, m: int) -> Tuple[int, int, int, int]:
     return -(-((bound - 1) * mult).bit_length() // word) * word, word, s, mult
 
 
-def grid_image(fs: Sequence[MPoly], p: int, n: int) -> List[int]:
+def grid_image(fs: Sequence[MPoly], p: int, n: int) -> array:
     """sum_k (f_k(x) mod p) p^k for every point x of F_p^n, listed by the
     state index sum_i x_i p^i (variable 0 least significant): the index of
     the image of x when the f_k, each over F_p in n variables, are the
@@ -463,7 +463,9 @@ def grid_image(fs: Sequence[MPoly], p: int, n: int) -> List[int]:
     by Barrett's method: the estimate ((v * mult) >> s) of v // p, masked to
     each lane, is at most one too small, so one masked conditional
     subtraction of p finishes. The image is the same weighted sum of the
-    reduced ints, read out once through each lane's low word.
+    reduced ints, read out once through each lane's low word: an array of
+    format 'I' (32-bit words) or 'Q' (64-bit), made with no Python int per
+    state.
     """
     groups = max([len(f.terms) for f in fs] + [1])
     width, word, s, mult = _lane_layout(p, groups, len(fs))
@@ -499,7 +501,7 @@ def grid_image(fs: Sequence[MPoly], p: int, n: int) -> List[int]:
             for e, c in terms.items():
                 parts.setdefault(e[-1], {})[e[:-1]] = c
             inners = [reduced(rest, j - 1) for rest in parts.values()]
-            powers = zip(*[[pow(w, small(e), p) for w in range(p)] for e in parts])
+            powers = zip(*[map(pow, range(p), repeat(small(e)), repeat(p)) for e in parts])
             block = size * p ** (j - 1)
             v = int.from_bytes(b"".join([sum(map(mul, ws, inners)).to_bytes(block, "little") for ws in powers]), "little")
         qmask, ones, lift = masks[j]
@@ -512,7 +514,7 @@ def grid_image(fs: Sequence[MPoly], p: int, n: int) -> List[int]:
     lanes = array(code, image.to_bytes(size * p**n, "little"))
     if sys.byteorder == "big":
         lanes.byteswap()
-    return lanes[::stride].tolist()
+    return lanes[::stride]
 
 
 def reduce_mod_p(f: MPoly, p: int) -> MPoly:

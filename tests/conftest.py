@@ -7,7 +7,7 @@ the compiled lane against the pure one (a temporary directory stands in
 when the cache plugin is off). The rest of the suite runs on the
 pure lane unless WILDCYCLES_BACKEND names one. Without a C compiler the
 compiled lane is absent and the lane-agreement tests skip; a compiler that
-fails or warns on the source (the build adds -Werror) is an error.
+fails or warns on the source (the build adds -Wextra -Werror) is an error.
 """
 
 import hashlib
@@ -47,7 +47,7 @@ def _build(cache_dir: Path):
     target.parent.mkdir(parents=True, exist_ok=True)
     partial = target.with_name(target.name + ".partial")
     cmd = cc + shlex.split(sysconfig.get_config_var("CFLAGS") or "") + [
-        "-Werror", "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"], str(SOURCE), "-o", str(partial),
+        "-Wextra", "-Werror", "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"], str(SOURCE), "-o", str(partial),
     ]
     done = subprocess.run(cmd, capture_output=True, text=True)
     if done.returncode != 0:

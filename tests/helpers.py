@@ -255,6 +255,23 @@ def tail_distance_oracle(nxt):
     return on_cycle, dist
 
 
+def orbit_report_oracle(nxt):
+    """(cycles, max_tail) of a self-map of range(len(nxt)), as the graph
+    kernels return them, from tail_distance_oracle: each cycle traced from
+    its least state, the cycles in increasing order of that state, and the
+    largest distance (0 for the empty map)."""
+    on_cycle, dist = tail_distance_oracle(nxt)
+    cycles, seen = [], set()
+    for s in range(len(nxt)):
+        if on_cycle[s] and s not in seen:
+            cycle = [s]
+            while nxt[cycle[-1]] != s:
+                cycle.append(nxt[cycle[-1]])
+            seen.update(cycle)
+            cycles.append(cycle)
+    return cycles, max(dist, default=0)
+
+
 def parity_vectors_oracle(k):
     """The parity vectors of every residue mod 2^k, bit j the parity at step
     j, by Terras's lift T^j(r + 2^j) = T^j(r) + 3^(o_j(r)) on three lists of

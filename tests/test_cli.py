@@ -143,6 +143,8 @@ def test_curve_commands_refuse_past_the_budget(capsys, argv):
     ["inertia", "--p", "5", "--module", "x^100", "--op", "d1", "--level", "1", "--budget", "10"],
     ["inertia", "--p", "5", "--module", "x^11", "--op", "d1", "--level", "1", "--budget", "10"],
     ["inertia", "--p", "5", "--module", f"x^{10**12}", "--op", "d1", "--level", "1"],
+    ["inertia", "--p", "5", "--module", "x^4", "--op", "d1", "--level", "11", "--budget", "10"],
+    ["inertia", "--p", "5", "--module", "x^4", "--op", "d1", "--level", str(10**8)],
 ])
 def test_inertia_refuses_past_the_budget(capsys, argv):
     assert_one_line_error(capsys, run(argv), 1)

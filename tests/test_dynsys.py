@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 
 import pytest
 
@@ -9,6 +10,7 @@ from helpers import (
     decode,
     encode,
     lane_switch_primes,
+    orbit_report_oracle,
     packed_parity_vectors,
     parity_vector,
     parity_vectors_oracle,
@@ -87,8 +89,8 @@ def test_orbit_squaring_mod_5():
     dec = orbit_decomposition(F)
     assert dec.periodic_count == 2
     assert dec.cycles == (((0,),), ((1,),))
-    assert dec.tail_lengths[(2,)] == 2
-    assert dec.tail_lengths[(4,)] == 1
+    assert dec.max_tail_length == 2
+    assert dec.to_json()["tail_state_count"] == 3
 
 
 def test_partition_property_random_maps():
@@ -100,8 +102,7 @@ def test_partition_property_random_maps():
         comps = tuple(random_poly(rng, n, fp, max_deg=3) for _ in range(n))
         F = SelfMap(p, n, comps)
         dec = orbit_decomposition(F)
-        assert dec.periodic_count + len(dec.tail_lengths) == p**n
-        assert sum(dec.cycle_lengths) == dec.periodic_count
+        assert len({s for c in dec.cycles for s in c}) == dec.periodic_count
         # replay every cycle
         for cyc in dec.cycles:
             for i, s in enumerate(cyc):
@@ -110,18 +111,11 @@ def test_partition_property_random_maps():
         nxt = [encode(F(decode(i, p, n)), p) for i in range(p**n)]
         on_cycle, dist = tail_distance_oracle(nxt)
         report = dec.to_json()
+        assert report["periodic_count"] == on_cycle.count(True)
         assert report["tail_state_count"] == on_cycle.count(False)
-        assert report["max_tail_length"] == max(dist)
-        assert dec.tail_lengths == {decode(i, p, n): d for i, d in enumerate(dist) if d}
-        cycles = set()
-        for i in range(p**n):
-            if on_cycle[i]:
-                cyc = [i]
-                while nxt[cyc[-1]] != i:
-                    cyc.append(nxt[cyc[-1]])
-                at = cyc.index(min(cyc))
-                cycles.add(tuple(cyc[at:] + cyc[:at]))
-        assert dec.cycles == tuple(tuple(decode(k, p, n) for k in c) for c in sorted(cycles))
+        assert report["max_tail_length"] == dec.max_tail_length == max(dist)
+        cycles, _ = orbit_report_oracle(nxt)
+        assert dec.cycles == tuple(tuple(decode(k, p, n) for k in c) for c in cycles)
 
 
 def test_graph_kernel_matches_tail_distance_oracle():
@@ -133,16 +127,17 @@ def test_graph_kernel_matches_tail_distance_oracle():
         [(i + 1) % 5**3 for i in range(5**3)],  # one p^n-cycle
         [min(i + 1, 999) for i in range(1000)],  # a chain into a self-loop
     ]
+    expected = [orbit_report_oracle(nxt) for nxt in maps]
+    n = 10**5
     for name, lane in available_backends().items():
-        for nxt in maps:
-            on_cycle, dist = lane.functional_graph_decompose(nxt)
-            assert (list(on_cycle), list(dist)) == tail_distance_oracle(nxt), name
-        # 10^5 states in one chain: too long for the quadratic oracle, so
-        # checked against its closed form
-        n = 10**5
-        on_cycle, dist = lane.functional_graph_decompose([min(i + 1, n - 1) for i in range(n)])
-        assert list(on_cycle) == [False] * (n - 1) + [True], name
-        assert list(dist) == list(range(n - 1, -1, -1)), name
+        for code in "IQ":
+            for nxt, report in zip(maps, expected):
+                assert lane.functional_graph_decompose(array(code, nxt)) == report, (name, code)
+            # 10^5 states in one chain: too long for the quadratic oracle, so
+            # checked against its closed form, as is the empty table
+            chain = array(code, [min(i + 1, n - 1) for i in range(n)])
+            assert lane.functional_graph_decompose(chain) == ([[n - 1]], n - 1), (name, code)
+            assert lane.functional_graph_decompose(array(code)) == ([], 0), (name, code)
 
 
 def components_with_terms(rng, p, n, terms, degree):
@@ -216,7 +211,7 @@ def test_exponents_past_p_give_the_table_of_their_reduction():
             texts = (f"3*x^{e} + y^{e + 1} + x^{e}*y^{e + 2}", f"y^{e} + 2*x^{p}*y^{e + 1} + 1")
             F = SelfMap(p, 2, tuple(poly_parse(t, ["x", "y"], fp) for t in texts))
             nxt = _transition_table(F)
-            assert nxt == [encode(F(decode(idx, p, 2)), p) for idx in range(p * p)], (p, e)
+            assert nxt.tolist() == [encode(F(decode(idx, p, 2)), p) for idx in range(p * p)], (p, e)
 
 
 def test_periodic_count_matches_brute_force():
