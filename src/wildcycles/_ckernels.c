@@ -1,13 +1,21 @@
-/* The compiled kernel lane: the functional-graph walk, in C against the
- * CPython API.
+/* The compiled kernel lane, in C against the CPython API: the transition
+ * table and the functional-graph walk.
  *
- * functional_graph_decompose keeps the contract of the pure kernel in
- * _kernels_py and returns the same cycles and longest tail. It reads the
- * table through the buffer protocol, as the array('I') or array('Q') that
- * poly.grid_image returns, and builds no Python object per state: only the
- * periodic states become ints. Anything else raises TypeError, and a
- * successor outside 0..n-1 raises IndexError before the walk starts, so no
- * table can make it read outside its arrays.
+ * grid_image keeps the contract of the pure packed-lane kernel in
+ * _kernels_py and writes the same table into the caller's array('I') or
+ * array('Q'), but by a plain evaluation per state: for each row of the
+ * higher variables it takes one product per term, then a dot product with
+ * per-term power tables of x_0, reduced mod p once per state. No Python
+ * object is made per state. poly.grid_terms reduces the exponents and
+ * coefficients and picks the word; this side only refuses what would make
+ * it read or write outside its buffers or overflow a word, with TypeError
+ * or ValueError, before it writes.
+ *
+ * functional_graph_decompose keeps the contract of the pure kernel too and
+ * returns the same cycles and longest tail. It reads the table in place
+ * through the buffer protocol, after one pass that raises IndexError for a
+ * successor outside 0..n-1, and builds no Python object per state: only
+ * the periodic states become ints, once the buffer is released.
  *
  * The curve kernels of this lane are the pure ones: module init takes
  * the function objects from wildcycles._kernels_py, which beat a compiled
@@ -17,72 +25,75 @@
 #include <Python.h>
 #include <string.h>
 
+typedef unsigned long long u64;
+
+/* Above this p, (p - 1)^2 no longer fits 64 bits. */
+#define SMALL_P (1ULL << 32)
+/* Entries of the power tables of x_0 that one block of states uses. */
+#define BLOCK_ENTRIES 16384
+
+/* The buffer of a contiguous array of format 'I' or 'Q', and in *wide
+ * which one; TypeError for anything else. */
+static int
+get_words(PyObject *obj, Py_buffer *view, int *wide, const char *name)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_FORMAT | PyBUF_ND) < 0) {
+        if (PyErr_ExceptionMatches(PyExc_BufferError)) {
+            PyErr_Clear();
+            PyErr_Format(PyExc_TypeError, "%s must be a contiguous array", name);
+        }
+        return -1;
+    }
+    const char *format = view->format == NULL ? "B" : view->format;
+    *wide = strcmp(format, "Q") == 0;
+    if (view->ndim != 1 || !(*wide || strcmp(format, "I") == 0)
+        || view->itemsize != (Py_ssize_t)(*wide ? sizeof(u64) : sizeof(unsigned int))) {
+        PyErr_Format(PyExc_TypeError, "%s must be a one-dimensional array of format 'I' or 'Q', not format '%s'",
+                     name, format);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return 0;
+}
+
+static inline Py_ssize_t
+successor(const void *buf, int wide, Py_ssize_t s)
+{
+    return wide ? (Py_ssize_t)((const u64 *)buf)[s] : (Py_ssize_t)((const unsigned int *)buf)[s];
+}
+
 PyDoc_STRVAR(decompose_doc,
 "functional_graph_decompose(nxt) -> (cycles, max_tail)\n\n"
 "The cycles of the self-map s -> nxt[s] of range(len(nxt)), each a list of\n"
 "states from its least one, sorted by that state, and the largest number of\n"
 "steps from any state to its cycle. nxt is an array of format 'I' or 'Q'.");
 
-/* A new list of the cycle through c, from c on. Every state of it is
- * marked -1 in dist, so the caller's scan for periodic states passes over
- * the rest of it. */
-static PyObject *
-cycle_from(const Py_ssize_t *nxt, Py_ssize_t *dist, Py_ssize_t c)
-{
-    Py_ssize_t len = 0, s = c;
-    do {
-        len++;
-        s = nxt[s];
-    } while (s != c);
-    PyObject *cycle = PyList_New(len);
-    if (cycle == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0; i < len; i++, s = nxt[s]) {
-        PyObject *state = PyLong_FromSsize_t(s);
-        if (state == NULL) {
-            Py_DECREF(cycle);
-            return NULL;
-        }
-        PyList_SET_ITEM(cycle, i, state);
-        dist[s] = -1;
-    }
-    return cycle;
-}
-
 static PyObject *
 functional_graph_decompose(PyObject *Py_UNUSED(module), PyObject *arg)
 {
     Py_buffer view;
-    if (PyObject_GetBuffer(arg, &view, PyBUF_FORMAT | PyBUF_ND) < 0)
+    int wide;
+    if (get_words(arg, &view, &wide, "nxt") < 0)
         return NULL;
-    int wide = view.format != NULL && strcmp(view.format, "Q") == 0;
-    if (view.ndim != 1 || view.format == NULL || !(wide || strcmp(view.format, "I") == 0)
-        || view.itemsize != (Py_ssize_t)(wide ? sizeof(unsigned long long) : sizeof(unsigned int))) {
-        PyErr_Format(PyExc_TypeError, "nxt must be a one-dimensional array of format 'I' or 'Q', not format '%s'",
-                     view.format == NULL ? "B" : view.format);
-        PyBuffer_Release(&view);
-        return NULL;
-    }
+    const void *nxt = view.buf;
     Py_ssize_t n = view.shape[0];
-    /* nxt, then dist (-1 unvisited, -2 on the current path), then the path */
-    Py_ssize_t *nxt = PyMem_New(Py_ssize_t, 3 * n);
-    if (nxt == NULL) {
+    for (Py_ssize_t i = 0; i < n; i++) {
+        u64 s = wide ? ((const u64 *)nxt)[i] : ((const unsigned int *)nxt)[i];
+        if (s >= (u64)n) {
+            PyErr_Format(PyExc_IndexError, "successor %llu of state %zd is outside 0..%zd", s, i, n - 1);
+            PyBuffer_Release(&view);
+            return NULL;
+        }
+    }
+    /* dist (-1 unvisited, -2 on the current path), then the path */
+    Py_ssize_t *dist = PyMem_New(Py_ssize_t, 2 * n);
+    if (dist == NULL) {
         PyBuffer_Release(&view);
         return PyErr_NoMemory();
     }
-    Py_ssize_t *dist = nxt + n, *path = dist + n;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        unsigned long long s = wide ? ((const unsigned long long *)view.buf)[i] : ((const unsigned int *)view.buf)[i];
-        if (s >= (unsigned long long)n) {
-            PyErr_Format(PyExc_IndexError, "successor %llu of state %zd is outside 0..%zd", s, i, n - 1);
-            PyBuffer_Release(&view);
-            PyMem_Free(nxt);
-            return NULL;
-        }
-        nxt[i] = (Py_ssize_t)s;
+    Py_ssize_t *path = dist + n;
+    for (Py_ssize_t i = 0; i < n; i++)
         dist[i] = -1;
-    }
-    PyBuffer_Release(&view);
     /* Each unvisited start walks forward, marking and pushing every state,
      * until it meets -2 (it closed a new cycle) or some d >= 0 (it joined
      * a known tree), then numbers its path backward from there; the start
@@ -96,7 +107,7 @@ functional_graph_decompose(PyObject *Py_UNUSED(module), PyObject *arg)
         while (d == -1) {
             dist[s] = -2;
             path[len++] = s;
-            s = nxt[s];
+            s = successor(nxt, wide, s);
             d = dist[s];
         }
         if (d == -2) {
@@ -104,7 +115,7 @@ functional_graph_decompose(PyObject *Py_UNUSED(module), PyObject *arg)
             Py_ssize_t c = s;
             do {
                 dist[c] = 0;
-                c = nxt[c];
+                c = successor(nxt, wide, c);
             } while (c != s);
             while (len > 0 && dist[path[len - 1]] == 0)
                 len--;
@@ -116,28 +127,313 @@ functional_graph_decompose(PyObject *Py_UNUSED(module), PyObject *arg)
             max_tail = d;
     }
     /* The first periodic state met in increasing order is the least of its
-     * cycle, and reading the cycle marks the rest of it off. */
-    PyObject *cycles = PyList_New(0), *result = NULL;
-    if (cycles == NULL)
-        goto done;
+     * cycle. Each cycle is copied from it into the path, one after the
+     * other, and its length is kept at its least state as -1 - length, so
+     * the table is read only before any Python object is made. */
+    Py_ssize_t count = 0, end = 0;
     for (Py_ssize_t i = 0; i < n; i++) {
         if (dist[i] != 0)
             continue;
-        PyObject *cycle = cycle_from(nxt, dist, i);
-        int rc = cycle == NULL ? -1 : PyList_Append(cycles, cycle);
-        Py_XDECREF(cycle);
-        if (rc < 0)
+        Py_ssize_t c = i, len = 0;
+        do {
+            path[end + len++] = c;
+            dist[c] = -1;
+            c = successor(nxt, wide, c);
+        } while (c != i);
+        dist[i] = -1 - len;
+        end += len;
+        count++;
+    }
+    PyBuffer_Release(&view);
+    PyObject *cycles = PyList_New(count), *result = NULL;
+    if (cycles == NULL)
+        goto done;
+    for (Py_ssize_t k = 0, at = 0; k < count; k++) {
+        Py_ssize_t len = -1 - dist[path[at]];
+        PyObject *cycle = PyList_New(len);
+        if (cycle == NULL)
             goto done;
+        PyList_SET_ITEM(cycles, k, cycle);
+        for (Py_ssize_t j = 0; j < len; j++) {
+            PyObject *state = PyLong_FromSsize_t(path[at++]);
+            if (state == NULL)
+                goto done;
+            PyList_SET_ITEM(cycle, j, state);
+        }
     }
     result = Py_BuildValue("(On)", cycles, max_tail);
 done:
     Py_XDECREF(cycles);
-    PyMem_Free(nxt);
+    PyMem_Free(dist);
+    return result;
+}
+
+/* a * b mod p for a, b < p: the plain product where it fits 64 bits, else
+ * by doubling, so every p < 2^64 is exact. */
+static u64
+mulmod(u64 a, u64 b, u64 p)
+{
+    if (p <= SMALL_P)
+        return a * b % p;
+    u64 r = 0;
+    for (; b; b >>= 1) {
+        if (b & 1)
+            r = r >= p - a ? r - (p - a) : r + a;
+        a = a >= p - a ? a - (p - a) : a + a;
+    }
+    return r;
+}
+
+static u64
+powmod(u64 x, u64 e, u64 p)
+{
+    u64 r = 1;
+    for (; e; e >>= 1) {
+        if (e & 1)
+            r = mulmod(r, x, p);
+        x = mulmod(x, x, p);
+    }
+    return r;
+}
+
+/* An int in 0..2^64-1 into *out; TypeError for a non-int, ValueError
+ * for an int out of that range. */
+static int
+as_u64(PyObject *obj, u64 *out)
+{
+    if (!PyLong_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "expected an int, not %.200s", Py_TYPE(obj)->tp_name);
+        return -1;
+    }
+    *out = PyLong_AsUnsignedLongLong(obj);
+    if (*out == (u64)-1 && PyErr_Occurred()) {
+        PyErr_Format(PyExc_ValueError, "%R is not an int in 0..2^64-1", obj);
+        return -1;
+    }
+    return 0;
+}
+
+/* The terms of each component, flat: per component its term count T, then
+ * T records of the coefficient and the n exponents. */
+static u64 *
+read_terms(PyObject *components, Py_ssize_t m, u64 p, Py_ssize_t n, Py_ssize_t *most)
+{
+    PyObject **items = PySequence_Fast_ITEMS(components);
+    Py_ssize_t size = m;
+    *most = 1;
+    for (Py_ssize_t k = 0; k < m; k++) {
+        if (!PyDict_Check(items[k])) {
+            PyErr_Format(PyExc_TypeError, "component %zd is a %.200s, not a dict of terms", k, Py_TYPE(items[k])->tp_name);
+            return NULL;
+        }
+        Py_ssize_t terms = PyDict_GET_SIZE(items[k]);
+        if (terms > *most)
+            *most = terms;
+        size += terms * (n + 1);
+    }
+    u64 *flat = PyMem_New(u64, size), *at = flat;
+    if (flat == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    for (Py_ssize_t k = 0; k < m; k++) {
+        PyObject *exps, *coeff;
+        Py_ssize_t pos = 0;
+        *at++ = (u64)PyDict_GET_SIZE(items[k]);
+        while (PyDict_Next(items[k], &pos, &exps, &coeff)) {
+            if (!PyTuple_Check(exps)) {
+                PyErr_Format(PyExc_TypeError, "term %R of component %zd is not a tuple of exponents", exps, k);
+                goto fail;
+            }
+            if (PyTuple_GET_SIZE(exps) != n) {
+                PyErr_Format(PyExc_ValueError, "term %R of component %zd does not have %zd exponents", exps, k, n);
+                goto fail;
+            }
+            if (as_u64(coeff, at) < 0)
+                goto fail;
+            if (*at++ >= p) {
+                PyErr_Format(PyExc_ValueError, "coefficient %R is not reduced mod %llu", coeff, p);
+                goto fail;
+            }
+            for (Py_ssize_t i = 0; i < n; i++)
+                if (as_u64(PyTuple_GET_ITEM(exps, i), at++) < 0)
+                    goto fail;
+        }
+    }
+    return flat;
+fail:
+    PyMem_Free(flat);
+    return NULL;
+}
+
+/* out[s] += (f(x) mod p) * pk at every state s = row * L + x_0, f the
+ * component whose T terms start at term, each a coefficient and n
+ * exponents. The states go by blocks of x_0 of at most `block`: a block
+ * takes T power tables of x_0 (pw), then per row the T products of the
+ * coefficients with the powers of the higher variables (r), read from
+ * tables of every x (hp), and b dot products (acc), each reduced once.
+ * scratch holds T * block + block + T + T * (n - 1) * p words. */
+static void
+add_component(void *out, int wide, u64 pk, const u64 *term, Py_ssize_t T, u64 p, Py_ssize_t n,
+              Py_ssize_t L, Py_ssize_t rows, Py_ssize_t block, u64 *scratch)
+{
+    u64 *pw = scratch, *acc = pw + T * block, *r = acc + block, *hp = r + T;
+    const Py_ssize_t rec = n + 1, high = n - 1;
+    /* products added to a sum before it must be reduced again */
+    const u64 chunk = p <= SMALL_P ? (~0ULL - (p - 1)) / ((p - 1) * (p - 1)) : 0;
+    /* When every sum stays below 2^32 (so p <= 2^16), one Barrett step
+     * reduces it: with bs = 30 + bits(p) >= 32 and bm = 2^bs / p <= 2^31,
+     * (v * bm) >> bs is v / p or one less, so v - p * it is below 2p. */
+    const int narrow = p <= (1ULL << 16) && (u64)T <= 0xFFFFFFFFULL / ((p - 1) * (p - 1));
+    int bs = 30;
+    for (u64 q = p; q; q >>= 1)
+        bs++;
+    const u64 bm = (1ULL << bs) / p;
+    for (Py_ssize_t t = 0; t < T; t++)
+        for (Py_ssize_t i = 0; i < high; i++)
+            for (u64 x = 0; x < p; x++)
+                hp[(t * high + i) * (Py_ssize_t)p + (Py_ssize_t)x] = powmod(x, term[t * rec + 2 + i], p);
+    for (Py_ssize_t x0 = 0; x0 < L; x0 += block) {
+        const Py_ssize_t b = L - x0 < block ? L - x0 : block;
+        for (Py_ssize_t t = 0; t < T; t++)
+            for (Py_ssize_t j = 0; j < b; j++)
+                pw[t * b + j] = n ? powmod((u64)(x0 + j), term[t * rec + 1], p) : 1;
+        for (Py_ssize_t row = 0; row < rows; row++) {
+            for (Py_ssize_t t = 0; t < T; t++) {
+                u64 v = term[t * rec], rest = (u64)row;
+                for (Py_ssize_t i = 0; i < high && v; i++, rest /= p)
+                    v = mulmod(v, hp[(t * high + i) * (Py_ssize_t)p + (Py_ssize_t)(rest % p)], p);
+                r[t] = v;
+            }
+            memset(acc, 0, (size_t)b * sizeof(u64));
+            u64 since = 0;
+            for (Py_ssize_t t = 0; t < T; t++) {
+                const u64 c = r[t], *powers = pw + t * b;
+                if (c == 0)
+                    continue;
+                if (p > SMALL_P) {
+                    for (Py_ssize_t j = 0; j < b; j++) {
+                        u64 v = mulmod(c, powers[j], p);
+                        acc[j] = acc[j] >= p - v ? acc[j] - (p - v) : acc[j] + v;
+                    }
+                    continue;
+                }
+                if (since++ == chunk) {
+                    for (Py_ssize_t j = 0; j < b; j++)
+                        acc[j] %= p;
+                    since = 1;
+                }
+                /* both factors are below 2^32 here */
+                for (Py_ssize_t j = 0; j < b; j++)
+                    acc[j] += (u64)(unsigned int)c * (unsigned int)powers[j];
+            }
+            if (narrow)
+                for (Py_ssize_t j = 0; j < b; j++) {
+                    unsigned int v = (unsigned int)acc[j];
+                    v -= (unsigned int)((v * bm) >> bs) * (unsigned int)p;
+                    acc[j] = v >= p ? v - p : v;
+                }
+            else
+                for (Py_ssize_t j = 0; j < b; j++)
+                    acc[j] %= p;
+            Py_ssize_t at = row * L + x0;
+            if (wide) {
+                u64 *words = (u64 *)out + at;
+                for (Py_ssize_t j = 0; j < b; j++)
+                    words[j] += acc[j] * pk;
+            }
+            else {
+                unsigned int *words = (unsigned int *)out + at;
+                for (Py_ssize_t j = 0; j < b; j++)
+                    words[j] += (unsigned int)(acc[j] * pk);
+            }
+        }
+    }
+}
+
+PyDoc_STRVAR(grid_image_doc,
+"grid_image(terms, p, n, out)\n\n"
+"Writes sum_k (f_k(x) mod p) p^k into out for every point x of F_p^n, at\n"
+"the state index sum_i x_i p^i. terms holds one dict per f_k, from tuples of\n"
+"n exponents to coefficients in 0..p-1; out is an array of format 'I' or\n"
+"'Q' of p^n words, each wide enough for p^len(terms) - 1.");
+
+static PyObject *
+grid_image(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *terms, *p_obj, *n_obj, *out;
+    if (!PyArg_ParseTuple(args, "OOOO:grid_image", &terms, &p_obj, &n_obj, &out))
+        return NULL;
+    u64 p, n64;
+    if (as_u64(p_obj, &p) < 0 || as_u64(n_obj, &n64) < 0)
+        return NULL;
+    if (p < 2) {
+        PyErr_SetString(PyExc_ValueError, "p must be at least 2");
+        return NULL;
+    }
+    Py_ssize_t total = 1, n = 0;
+    for (; (u64)n < n64; n++) {
+        if ((u64)total > (u64)PY_SSIZE_T_MAX / p) {
+            PyErr_Format(PyExc_ValueError, "%llu^%llu states do not fit an array", p, n64);
+            return NULL;
+        }
+        total *= (Py_ssize_t)p;
+    }
+    PyObject *components = PySequence_Fast(terms, "terms must be a sequence of dicts");
+    if (components == NULL)
+        return NULL;
+    Py_ssize_t m = PySequence_Fast_GET_SIZE(components), most;
+    u64 *flat = NULL, *scratch = NULL;
+    PyObject *result = NULL;
+    Py_buffer view;
+    int wide;
+    if (get_words(out, &view, &wide, "out") < 0)
+        goto release;
+    if (view.readonly || view.shape[0] != total) {
+        PyErr_Format(PyExc_ValueError, "out must be a writable array of %zd words", total);
+        goto done;
+    }
+    /* the largest index, p^m - 1, must fit the word */
+    u64 top = 0, word_max = wide ? ~0ULL : 0xFFFFFFFFULL;
+    for (Py_ssize_t k = 0; k < m; k++) {
+        if (p - 1 > word_max || top > (word_max - (p - 1)) / p) {
+            PyErr_Format(PyExc_ValueError, "indices below %llu^%zd do not fit %d-bit words", p, m, wide ? 64 : 32);
+            goto done;
+        }
+        top = top * p + (p - 1);
+    }
+    flat = read_terms(components, m, p, n, &most);
+    if (flat == NULL)
+        goto done;
+    const Py_ssize_t L = n ? (Py_ssize_t)p : 1, rows = total / L;
+    const Py_ssize_t block = L < BLOCK_ENTRIES / most ? L : (BLOCK_ENTRIES / most > 1 ? BLOCK_ENTRIES / most : 1);
+    scratch = PyMem_New(u64, (most + 1) * block + most + most * (n ? n - 1 : 0) * L);
+    if (scratch == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    memset(view.buf, 0, (size_t)view.len);
+    const u64 *term = flat;
+    u64 pk = 1;
+    for (Py_ssize_t k = 0; k < m; k++, pk *= p) {
+        Py_ssize_t T = (Py_ssize_t)*term++;
+        if (T > 0)
+            add_component(view.buf, wide, pk, term, T, p, n, L, rows, block, scratch);
+        term += T * (n + 1);
+    }
+    result = Py_NewRef(Py_None);
+done:
+    PyBuffer_Release(&view);
+release:
+    Py_DECREF(components);
+    PyMem_Free(flat);
+    PyMem_Free(scratch);
     return result;
 }
 
 static PyMethodDef methods[] = {
     {"functional_graph_decompose", functional_graph_decompose, METH_O, decompose_doc},
+    {"grid_image", grid_image, METH_VARARGS, grid_image_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,19 +1,24 @@
 """Pure-Python kernels for the exhaustive-enumeration hot loops.
 
-The compiled lane (_ckernels.c) has its own functional_graph_decompose,
-tested against the one here: both read the transition table as the array
-poly.grid_image returns and give back only what the orbit report needs,
-the cycles and the longest tail, with no per-state list. That lane
-re-exports these curve kernels as they are: the slice counts come from one
-O(p) histogram, and the exhaustive count visits its p^2 pairs inside
-str.count, the interpreter's own C code, so both beat a compiled double
-loop. backend.py picks the lane.
+The compiled lane (_ckernels.c) has its own grid_image and
+functional_graph_decompose, tested against the ones here, which stay the
+reference. grid_image writes the transition table into the array that
+poly.grid_terms allocates, from packed integer lanes, one lane per state;
+the compiled one evaluates each state plainly. The graph kernels read that
+array and give back only what the orbit report needs, the cycles and the
+longest tail, with no per-state list. That lane re-exports these curve
+kernels as they are: the slice counts come from one O(p) histogram, and the
+exhaustive count visits its p^2 pairs inside str.count, the interpreter's
+own C code, so both beat a compiled double loop. backend.py picks the lane.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
-from typing import List, Tuple
+from itertools import repeat
+from operator import mul
+from typing import Dict, List, Sequence, Tuple
 
 BACKEND_NAME = "pure"
 
@@ -48,10 +53,89 @@ def curve_is_singular(p: int, a: int, b: int) -> bool:
     return False
 
 
+def _lane_layout(p: int, groups: int, word: int) -> Tuple[int, int, int]:
+    """(width, s, mult) for grid_image: lanes of `width` bits, the least
+    multiple of the `word` that holds v * mult for every v below
+    groups * p^2 < 2^s, with Barrett's shift s and multiplier
+    mult = 2^s // p."""
+    bound = groups * p * p
+    s = bound.bit_length()
+    mult = (1 << s) // p
+    return -(-((bound - 1) * mult).bit_length() // word) * word, s, mult
+
+
+def grid_image(terms: Sequence[Dict[Tuple[int, ...], int]], p: int, n: int, out: array) -> None:
+    """Writes sum_k (f_k(x) mod p) p^k into out for every point x of F_p^n,
+    listed by the state index sum_i x_i p^i (variable 0 least significant):
+    the index of the image of x when the f_k are the components of a
+    self-map, and 0 exactly where every f_k vanishes. terms holds one dict
+    per f_k, from tuples of n exponents to coefficients in 0..p-1, and out
+    is an array of format 'I' or 'Q' of p^n words, as poly.grid_terms
+    makes them.
+
+    Each f_k's values are one int, one lane per state. The recursion on the
+    last variable groups the terms by its exponent e and takes each group's
+    table of the other variables, p times smaller; the block of states with
+    x_last = w is the scalar sum over e of (w^e mod p) * inner_e, and the p
+    blocks are joined as bytes. With one variable left the blocks are single
+    lanes, so that level is instead the sum of c * P_e over the terms c x^e,
+    P_e the packed table of w^e mod p. A lane is then below groups * p^2,
+    groups the largest term count, and every level is reduced mod p at once
+    by Barrett's method: the estimate ((v * mult) >> s) of v // p, masked to
+    each lane, is at most one too small, so one masked conditional
+    subtraction of p finishes. The image is the same weighted sum of the
+    reduced ints, read out once through each lane's low word, with no
+    Python int per state.
+    """
+    groups = max([len(f) for f in terms] + [1])
+    code, word = out.typecode, 8 * out.itemsize
+    width, s, mult = _lane_layout(p, groups, word)
+    size, t, stride = width >> 3, p.bit_length(), width // word
+    # per level j, over its p^j lanes: the quotient mask (the bits of a lane
+    # below width - s), bit 0 of each lane, and 2^t - p in each lane, which
+    # carries a lane into bit t iff it is at least p (p < 2^t)
+    masks = []
+    for j in range(n + 1):
+        ones = int.from_bytes((1).to_bytes(size, "little") * p**j, "little")
+        masks.append((ones * ((1 << (width - s)) - 1), ones, ones * ((1 << t) - p)))
+
+    def table(e: int) -> int:
+        """P_e: w^e mod p in lane w, for w = 0..p-1."""
+        words = array(code, bytes(size * p))
+        words[::stride] = array(code, map(pow, range(p), repeat(e), repeat(p)))
+        if sys.byteorder == "big":
+            words.byteswap()
+        return int.from_bytes(words, "little")
+
+    def reduced(terms: Dict[Tuple[int, ...], int], j: int) -> int:
+        if j == 0:
+            return sum(terms.values())  # at most one term, below p
+        if j == 1:
+            v = sum([c * table(e) for (e,), c in terms.items()])
+        else:
+            parts: Dict[int, Dict[Tuple[int, ...], int]] = {}
+            for e, c in terms.items():
+                parts.setdefault(e[-1], {})[e[:-1]] = c
+            inners = [reduced(rest, j - 1) for rest in parts.values()]
+            powers = zip(*[map(pow, range(p), repeat(e), repeat(p)) for e in parts])
+            block = size * p ** (j - 1)
+            v = int.from_bytes(b"".join([sum(map(mul, ws, inners)).to_bytes(block, "little") for ws in powers]), "little")
+        qmask, ones, lift = masks[j]
+        v -= (((v * mult) >> s) & qmask) * p
+        return v - (((v + lift) >> t) & ones) * p
+
+    image = 0
+    for k, f in enumerate(terms):
+        image += reduced(f, n) * p**k
+    lanes = array(code, image.to_bytes(size * p**n, "little"))
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    out[:] = lanes[::stride]
+
+
 def functional_graph_decompose(nxt: array) -> Tuple[List[List[int]], int]:
     """The cycles and the longest tail of the self-map s -> nxt[s] of
-    range(len(nxt)), nxt an array of unsigned ints as poly.grid_image
-    returns it.
+    range(len(nxt)), nxt an array of unsigned ints as grid_image fills it.
 
     Returns (cycles, max_tail): each cycle is a list of states from its
     least one, the cycles are sorted by that state, and max_tail is the

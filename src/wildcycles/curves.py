@@ -22,10 +22,10 @@ from itertools import compress
 from operator import not_
 from typing import List, Optional, Tuple
 
-from . import _kernels_py as kernels
+from .backend import kernels
 from .errors import DEFAULT_STATE_BUDGET, DomainMismatch, NotPrime, SingularCurve, StateBudgetExceeded
 from .fields import PrimeField, is_prime
-from .poly import MPoly, grid_image, grid_point
+from .poly import MPoly, grid_point, grid_terms
 
 
 @dataclass(frozen=True)
@@ -162,12 +162,13 @@ def verify_identity(c: CurveSpec, budget: int = DEFAULT_STATE_BUDGET) -> SliceCo
 
 def critical_locus(f: MPoly, p: int, budget: int = DEFAULT_STATE_BUDGET) -> List[Tuple[int, ...]]:
     """All points of F_p^n where every partial derivative of f vanishes, in
-    lexicographic order (f over F_p): the states that grid_image of the
-    partials sends to index 0, each partial reduced mod p in its lanes."""
+    lexicographic order (f over F_p): the states that the lane's grid_image
+    of the partials sends to index 0."""
     n = f.nvars
     if p**n > budget:
         raise StateBudgetExceeded(f"{p}^{n} exceeds budget {budget}")
     if f.domain != PrimeField(p):
         raise DomainMismatch(f"critical_locus needs f over F_{p}")
-    image = grid_image([f.derivative(i) for i in range(n)], p, n)
+    terms, image = grid_terms([f.derivative(i) for i in range(n)], p, n)
+    kernels.grid_image(terms, p, n, image)
     return sorted(grid_point(idx, p, n) for idx in compress(range(p**n), map(not_, image)))

@@ -14,7 +14,7 @@ from typing import Iterator, List, Optional, Tuple
 from .backend import kernels
 from .errors import DEFAULT_STATE_BUDGET, DomainMismatch, StateBudgetExceeded
 from .fields import PrimeField
-from .poly import MPoly, grid_image, grid_point
+from .poly import MPoly, grid_point, grid_terms
 
 State = Tuple[int, ...]
 
@@ -109,14 +109,16 @@ class OrbitDecomposition:
 
 
 def _transition_table(F: SelfMap) -> array:
-    """nxt[index(s)] = index(F(s)) for every state s, from grid_image: each
-    component's grid values are one packed int, reduced mod p once per
-    level, and the table is their base-p sum, read out as one array."""
+    """nxt[index(s)] = index(F(s)) for every state s: the base-p sum of the
+    components' values, written by the lane's grid_image into the array
+    that grid_terms allocates."""
     p, n = F.p, F.n
     fp = PrimeField(p)
     if any(g.nvars != n or g.domain != fp for g in F.components):
         raise DomainMismatch("component over the wrong ring")
-    return grid_image(F.components, p, n)
+    terms, nxt = grid_terms(F.components, p, n)
+    kernels.grid_image(terms, p, n, nxt)
+    return nxt
 
 
 def orbit_decomposition(
@@ -126,12 +128,11 @@ def orbit_decomposition(
     """Decompose the functional graph of F on all p^n states.
 
     State index sum_i x_i p^i numbers the states, and the work stays on
-    indices: the transition table reduces each component's grid values once
-    per level in packed integer lanes (grid_image), with no per-state
-    polynomial evaluation, and the selected kernel backend walks it as the
-    array it is. The kernel returns only the cycles, each from its least
-    index and sorted by it, and the longest tail, so no Python object is
-    made per state: only the periodic states are decoded into tuples.
+    indices: the selected kernel backend writes the transition table into
+    one array (grid_image) and walks it as it is. The walk returns only the
+    cycles, each from its least index and sorted by it, and the longest
+    tail, so no Python object is made per state: only the periodic states
+    are decoded into tuples.
     """
     p, n = F.p, F.n
     total = p**n

@@ -144,10 +144,11 @@ def weyl_parse(text: str, var_names: Sequence[str], domain) -> WeylOperator:
     Example: "x^2*d1^2 + d2".
     """
     nvars = len(var_names)
-    result = WeylOperator.zero(nvars, domain)
+    terms: Dict[MultiIndex, Dict[Tuple[int, ...], object]] = {}
     for c, e, a in _parse_terms(text, var_names, domain, d_tokens=True):
-        result = result + WeylOperator(nvars, domain, {a: MPoly(nvars, domain, {e: c})})
-    return result
+        coeffs = terms.setdefault(a, {})
+        coeffs[e] = domain.add(coeffs.get(e, domain.zero), c)
+    return WeylOperator(nvars, domain, {a: MPoly(nvars, domain, t) for a, t in terms.items()})
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ import sys
 from array import array
 from fractions import Fraction
 
+from wildcycles._kernels_py import _lane_layout
 from wildcycles.dynsys import _lane_width, _parity_levels
 from wildcycles.fields import QQ, Matrix, PrimeField, is_prime
-from wildcycles.poly import MPoly, _lane_layout
+from wildcycles.poly import MPoly, grid_terms
 
 
 class DenseMatrix:
@@ -341,12 +342,12 @@ def encode(state, p):
 
 def lane_switch_primes(terms, m, budget):
     """Pairs (q, r) of neighbouring primes, r^m within the budget, on the two
-    sides of each point where grid_image widens its lanes for m components
-    of at most `terms` terms. The width grows with p, so each switch is
-    found by bisection."""
+    sides of each point where the pure grid_image widens its lanes for m
+    components of at most `terms` terms. The width grows with p, so each
+    switch is found by bisection."""
 
     def width(p):
-        return _lane_layout(p, terms, m)[0]
+        return _lane_layout(p, terms, 32 if p**m <= 1 << 32 else 64)[0]
 
     top = round(budget ** (1 / m))
     while top**m > budget:
@@ -478,6 +479,24 @@ def available_backends():
         out["c"] = _ckernels
     except ImportError:
         pass
+    return out
+
+
+def each_lane(monkeypatch):
+    """Each built kernel lane by name, swapped in turn into dynsys and
+    curves, as the lane check of perfbench swaps the pure one in."""
+    from wildcycles import curves, dynsys
+
+    for name, kernels in available_backends().items():
+        monkeypatch.setattr(dynsys, "kernels", kernels)
+        monkeypatch.setattr(curves, "kernels", kernels)
+        yield name, kernels
+
+
+def table(kernels, fs, p, n):
+    """The table that kernels.grid_image writes for the components fs."""
+    terms, out = grid_terms(fs, p, n)
+    kernels.grid_image(terms, p, n, out)
     return out
 
 

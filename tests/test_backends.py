@@ -1,6 +1,7 @@
-"""The compiled graph kernel must agree with the pure-Python reference
-exactly, on tables of 32- and 64-bit words, and every lane must refuse a
-successor outside the state range."""
+"""The compiled kernels must agree with the pure-Python references exactly:
+the graph kernel on tables of 32- and 64-bit words, where every lane must
+refuse a successor outside the state range, and the table kernel, which
+must refuse malformed input before it writes."""
 
 import os
 import random
@@ -11,9 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from helpers import available_backends
+from helpers import available_backends, random_poly
 from wildcycles import backend
 from wildcycles import _kernels_py as pure
+from wildcycles.fields import PrimeField
+from wildcycles.poly import grid_terms
 
 backends = available_backends()
 compiled = backends.get("c")
@@ -110,3 +113,159 @@ def test_compiled_graph_decompose_reads_only_unsigned_word_arrays():
 
 def test_selected_backend_named():
     assert backend.BACKEND_NAME in ("pure", "c")
+
+
+def random_terms(rng, p, n, m):
+    """m components in n variables over F_p as the grid_image kernels take
+    them, exponents not reduced: zero and constant components among them,
+    and exponents at p, past it and at 10^12."""
+    exps = [0, 1, 2, p - 1, p, p + 1, 2 * p, 10**12]
+    comps = []
+    for _ in range(m):
+        kind = rng.random()
+        if kind < 0.2:
+            comps.append({})
+        elif kind < 0.35:
+            comps.append({(0,) * n: rng.randrange(1, p)})
+        else:
+            size = rng.randrange(1, 7)
+            comps.append({tuple(rng.choice(exps) for _ in range(n)): rng.randrange(p) for _ in range(size)})
+    return comps
+
+
+def many_terms(rng, p, n, size):
+    """One component of `size` distinct terms in n variables over F_p, with
+    exponents below max(3p, 2 * size), beside a zero one."""
+    bound = max(3 * p, 2 * size)
+    keys = rng.sample(range(bound**n), size)
+    return [{tuple(k // bound**i % bound for i in range(n)): rng.randrange(p) for k in keys}, {}]
+
+
+def filled(kernels, terms, p, n):
+    """The table kernels.grid_image writes for terms, in the word
+    grid_terms would pick."""
+    code = "I" if p ** len(terms) <= 1 << 32 else "Q"
+    out = array(code, [0]) * p**n
+    kernels.grid_image(terms, p, n, out)
+    return out
+
+
+@pytest.mark.skipif(compiled is None, reason="compiled extension not built")
+def test_grid_image_lanes_agree():
+    """Both kernels write the same table: from raw terms with exponents past
+    p, from grid_terms' reduced ones, with 64-bit words when the components
+    outnumber the variables, past the blocks of x_0 (one term count above
+    the block), past 2^16 where the sums leave 32 bits, and for n = 0 at a
+    p beyond 2^32."""
+    rng = random.Random(149)
+    for _ in range(150):
+        p = rng.choice([2, 3, 5, 7, 11, 101])
+        n = rng.choice([0, 1, 2, 3]) if p < 20 else rng.choice([1, 2])
+        m = rng.choice([0, 1, n, n + 1, 3 * n + 2])
+        terms = random_terms(rng, p, n, m)
+        assert filled(compiled, terms, p, n) == filled(pure, terms, p, n), (p, n, terms)
+    for p, n, m in ((5, 1, 14), (5, 2, 27), (3, 3, 40), (7, 1, 22)):
+        terms = random_terms(rng, p, n, m)
+        assert p**m > 1 << 32
+        assert filled(compiled, terms, p, n).typecode == "Q"
+        assert filled(compiled, terms, p, n) == filled(pure, terms, p, n), (p, n, m)
+    for p, n, size in ((331, 1, 100), (7, 1, 16385), (70001, 1, 3), (211, 2, 30)):
+        terms = many_terms(rng, p, n, size)
+        assert filled(compiled, terms, p, n) == filled(pure, terms, p, n), (p, n, size)
+    p = (1 << 61) - 1
+    terms = [{(): p - 2}]
+    assert filled(compiled, terms, p, 0).tolist() == filled(pure, terms, p, 0).tolist() == [p - 2]
+    for p, n in ((2, 3), (7, 2), (13, 2), (31, 1)):
+        fs = [random_poly(rng, n, PrimeField(p), max_deg=3 * p, max_terms=6) for _ in range(n + 1)]
+        terms, out = grid_terms(fs, p, n)
+        compiled.grid_image(terms, p, n, out)
+        assert out == filled(pure, terms, p, n), (p, n)
+
+
+_MALFORMED = [
+    # (terms, p, n, out, error)
+    (5, 5, 1, array("I", [0] * 5), TypeError),
+    ([[((1,), 1)]], 5, 1, array("I", [0] * 5), TypeError),
+    ([{1: 1}], 5, 1, array("I", [0] * 5), TypeError),
+    ([{(1, 2): 1}], 5, 1, array("I", [0] * 5), ValueError),
+    ([{(-1,): 1}], 5, 1, array("I", [0] * 5), ValueError),
+    ([{(1 << 64,): 1}], 5, 1, array("I", [0] * 5), ValueError),
+    ([{(1.0,): 1}], 5, 1, array("I", [0] * 5), TypeError),
+    ([{(1,): 5}], 5, 1, array("I", [0] * 5), ValueError),
+    ([{(1,): -1}], 5, 1, array("I", [0] * 5), ValueError),
+    ([{(1,): "1"}], 5, 1, array("I", [0] * 5), TypeError),
+    ([], 1, 1, array("I", [0]), ValueError),
+    ([], -5, 1, array("I", [0] * 5), ValueError),
+    ([], 5.0, 1, array("I", [0] * 5), TypeError),
+    ([], 5, -1, array("I", [0] * 5), ValueError),
+    ([], 5, 100, array("I", [0] * 5), ValueError),
+    ([], 5, 1, array("I", [0] * 4), ValueError),
+    ([], 5, 1, array("I", [0] * 6), ValueError),
+    ([], 5, 1, array("i", [0] * 5), TypeError),
+    ([], 5, 1, array("q", [0] * 5), TypeError),
+    ([], 5, 1, bytes(20), TypeError),
+    ([], 5, 1, [0] * 5, TypeError),
+    ([], 5, 1, memoryview(array("I", [0] * 5)).toreadonly(), ValueError),
+    ([], 5, 1, memoryview(array("I", [0] * 10))[::2], TypeError),
+    ([], 5, 1, memoryview(array("I", [0] * 10)).cast("B").cast("I", [5, 2]), TypeError),
+    ([{(1,): 1}] * 14, 5, 1, array("I", [0] * 5), ValueError),
+    ([{(1,): 1}] * 28, 5, 1, array("Q", [0] * 5), ValueError),
+]
+
+
+@pytest.mark.skipif(compiled is None, reason="compiled extension not built")
+def test_compiled_grid_image_refuses_malformed_input():
+    # each refusal comes before the first write
+    for terms, p, n, out, error in _MALFORMED:
+        before = bytes(out) if isinstance(out, (array, memoryview)) else None
+        with pytest.raises(error):
+            compiled.grid_image(terms, p, n, out)
+        if before is not None:
+            assert bytes(out) == before
+
+
+_DEBUG_TABLE_CHECK = """
+import importlib.util, itertools, random, sys
+from array import array
+sys.path.insert(0, sys.argv[2])
+sys.path.insert(0, sys.argv[3])
+from wildcycles import _kernels_py as pure
+from test_backends import _MALFORMED, filled, many_terms, random_terms
+spec = importlib.util.spec_from_file_location("wildcycles._ckernels", sys.argv[1])
+compiled = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compiled)
+for terms, p, n, out, error in _MALFORMED:
+    try:
+        compiled.grid_image(terms, p, n, out)
+    except error:
+        pass
+    else:
+        raise AssertionError((terms, p, n))
+rng = random.Random(157)
+for p in (2, 3, 5):
+    for n in range(4):
+        for m in range(4):
+            for _ in range(3):
+                terms = random_terms(rng, p, n, m)
+                table = filled(compiled, terms, p, n)
+                assert table == filled(pure, terms, p, n), (p, n, terms)
+                if m == n:
+                    assert compiled.functional_graph_decompose(table) == pure.functional_graph_decompose(table)
+for p, n, size in ((331, 1, 100), (7, 1, 16385), (70001, 1, 3)):
+    terms = many_terms(rng, p, n, size)
+    assert filled(compiled, terms, p, n) == filled(pure, terms, p, n), (p, n, size)
+"""
+
+
+@pytest.mark.skipif(compiled is None, reason="compiled extension not built")
+def test_grid_image_stays_in_its_buffer():
+    # under Python's debug allocator, which guards both ends of every block,
+    # the table kernel writes tables of up to 3 variables and 3 components,
+    # over several blocks of x_0, and goes through every refusal
+    src = Path(pure.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", _DEBUG_TABLE_CHECK, compiled.__file__, str(src), str(Path(__file__).resolve().parent)],
+        env={**os.environ, "PYTHONMALLOC": "debug", "WILDCYCLES_BACKEND": "pure"},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]

@@ -150,6 +150,15 @@ def test_inertia_refuses_past_the_budget(capsys, argv):
     assert_one_line_error(capsys, run(argv), 1)
 
 
+def test_orbits_refuses_indices_past_64_bits(capsys):
+    # 65537^4 states fit a budget of 10^20, but their indices pass 2^64
+    argv = ["orbits", "--p", "65537", "--system", "x;y;z;w", "--mode", "self-map", "--budget", str(10**20)]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: image indices below 65537^4 do not fit 64 bits\n"
+
+
 def test_inertia_runs_at_the_budget(capsys):
     argv = ["inertia", "--p", "5", "--module", "x^10", "--op", "d1", "--level", "1", "--budget", "10"]
     assert run(argv) == 0

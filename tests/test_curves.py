@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import critical_locus_oracle, lane_switch_primes, multiplicity_oracle, random_poly, slice_counts_oracle
+from helpers import critical_locus_oracle, each_lane, lane_switch_primes, multiplicity_oracle, random_poly, slice_counts_oracle
 from wildcycles import _kernels_py
 from wildcycles.curves import (
     CurveSpec,
@@ -177,55 +177,58 @@ def test_curvespec_validation():
         CurveSpec(5, 5, 1)  # a reduces to 0
 
 
-def test_critical_locus_examples():
-    F2 = PrimeField(2)
-    f = poly_parse("y^3+x^2+x^3", ["x", "y"], F2)
-    assert critical_locus(f, 2) == [(0, 0)]
-    F5 = PrimeField(5)
-    assert critical_locus(poly_parse("x^2+y^2", ["x", "y"], F5), 5) == [(0, 0)]
-    # 3x^2 + 1 = 0 needs x^2 = 3, a non-residue mod 5
-    assert critical_locus(poly_parse("1+x^3+x", ["x"], F5), 5) == []
+def test_critical_locus_examples(monkeypatch):
+    for lane, _ in each_lane(monkeypatch):
+        F2 = PrimeField(2)
+        f = poly_parse("y^3+x^2+x^3", ["x", "y"], F2)
+        assert critical_locus(f, 2) == [(0, 0)]
+        F5 = PrimeField(5)
+        assert critical_locus(poly_parse("x^2+y^2", ["x", "y"], F5), 5) == [(0, 0)]
+        # 3x^2 + 1 = 0 needs x^2 = 3, a non-residue mod 5
+        assert critical_locus(poly_parse("1+x^3+x", ["x"], F5), 5) == []
 
 
-def test_critical_locus_matches_pointwise_oracle():
+def test_critical_locus_matches_pointwise_oracle(monkeypatch):
     """Random f for p <= 7, then for p up to 31; one variable on both sides
-    of the first lane switch for partials of three terms; a constant or zero
-    f is critical everywhere."""
-    rng = random.Random(113)
-    nonempty = 0
-    for _ in range(60):
-        p = rng.choice([2, 3, 5, 7])
-        n = rng.choice([1, 2, 3])
-        fp = PrimeField(p)
-        # degrees up to 2p, so exponents at p and past it occur
-        f = random_poly(rng, n, fp, max_deg=2 * p, max_terms=5)
-        locus = critical_locus(f, p)
-        assert locus == critical_locus_oracle(f, p)
-        nonempty += bool(locus)
-    assert nonempty >= 20
-    rng = random.Random(131)
-    proper = 0
-    for _ in range(30):
-        p = rng.choice([11, 13, 17, 19, 23, 29, 31])
-        n = rng.choice([1, 2] if p > 13 else [1, 2, 3])
-        fp = PrimeField(p)
-        f = random_poly(rng, n, fp, max_deg=2 * p, max_terms=5)
-        locus = critical_locus(f, p)
-        assert locus == critical_locus_oracle(f, p)
-        proper += 0 < len(locus) < p**n
-    assert proper >= 15
-    ((q, r),) = lane_switch_primes(3, 1, 10**7)[:1]
-    for p in (q, r):
-        # f' = 2x^(p+1) + 6x^2 + 6x, three terms
-        f = poly_parse(f"x^{p + 2} + 2*x^3 + 3*x^2 + 7", ["x"], PrimeField(p))
-        assert len(f.derivative(0).terms) == 3
-        locus = critical_locus(f, p)
-        assert locus == critical_locus_oracle(f, p)
-        assert (0,) in locus
-    for p, n in ((2, 3), (7, 2), (31, 2), (q, 1)):
-        every = list(itertools.product(range(p), repeat=n))
-        assert critical_locus(MPoly.constant(n, PrimeField(p), 3 % p), p) == every
-        assert critical_locus(MPoly.zero(n, PrimeField(p)), p) == every
+    of the pure lane's first lane switch for partials of three terms; a
+    constant or zero f is critical everywhere. Every lane writes each
+    table."""
+    for lane, _ in each_lane(monkeypatch):
+        rng = random.Random(113)
+        nonempty = 0
+        for _ in range(60):
+            p = rng.choice([2, 3, 5, 7])
+            n = rng.choice([1, 2, 3])
+            fp = PrimeField(p)
+            # degrees up to 2p, so exponents at p and past it occur
+            f = random_poly(rng, n, fp, max_deg=2 * p, max_terms=5)
+            locus = critical_locus(f, p)
+            assert locus == critical_locus_oracle(f, p), (lane, p)
+            nonempty += bool(locus)
+        assert nonempty >= 20
+        rng = random.Random(131)
+        proper = 0
+        for _ in range(30):
+            p = rng.choice([11, 13, 17, 19, 23, 29, 31])
+            n = rng.choice([1, 2] if p > 13 else [1, 2, 3])
+            fp = PrimeField(p)
+            f = random_poly(rng, n, fp, max_deg=2 * p, max_terms=5)
+            locus = critical_locus(f, p)
+            assert locus == critical_locus_oracle(f, p), (lane, p)
+            proper += 0 < len(locus) < p**n
+        assert proper >= 15
+        ((q, r),) = lane_switch_primes(3, 1, 10**7)[:1]
+        for p in (q, r):
+            # f' = 2x^(p+1) + 6x^2 + 6x, three terms
+            f = poly_parse(f"x^{p + 2} + 2*x^3 + 3*x^2 + 7", ["x"], PrimeField(p))
+            assert len(f.derivative(0).terms) == 3
+            locus = critical_locus(f, p)
+            assert locus == critical_locus_oracle(f, p), (lane, p)
+            assert (0,) in locus
+        for p, n in ((2, 3), (7, 2), (31, 2), (q, 1)):
+            every = list(itertools.product(range(p), repeat=n))
+            assert critical_locus(MPoly.constant(n, PrimeField(p), 3 % p), p) == every
+            assert critical_locus(MPoly.zero(n, PrimeField(p)), p) == every
 
 
 def test_critical_locus_needs_f_over_the_same_field():

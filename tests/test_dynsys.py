@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from array import array
 
 import pytest
@@ -8,6 +9,7 @@ from helpers import (
     available_backends,
     brute_periodic_count,
     decode,
+    each_lane,
     encode,
     lane_switch_primes,
     orbit_report_oracle,
@@ -140,6 +142,28 @@ def test_graph_kernel_matches_tail_distance_oracle():
             assert lane.functional_graph_decompose(array(code)) == ([], 0), (name, code)
 
 
+@pytest.mark.skipif("c" not in available_backends(), reason="compiled extension not built")
+def test_orbit_decomposition_memory_on_the_compiled_lane(monkeypatch):
+    """On the compiled lane the 1009^2 = 1,018,081 states of a quadratic map
+    take the table, one 32-bit word a state, and the walk's distances and
+    path, two Py_ssize_t a state: five tables in all. The traced peak may
+    reach six, a table's room for the terms and the decoded periodic
+    states; packed lanes for the table, or the walk's old copy of the
+    successors, would pass it."""
+    monkeypatch.setattr(dynsys, "kernels", available_backends()["c"])
+    p = 1009
+    fp = PrimeField(p)
+    F = SelfMap(p, 2, tuple(poly_parse(t, ["x", "y"], fp) for t in ("7*x*y + 15*y", "18*x^2 + 4*y")))
+    tracemalloc.start()
+    try:
+        report = orbit_decomposition(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < report.periodic_count < p**2
+    assert peak <= 6 * 4 * p**2, peak / (4 * p**2)
+
+
 def components_with_terms(rng, p, n, terms, degree):
     """A first component of exactly `terms` terms, one of them x_0^degree,
     followed by a zero and a constant component, in turn."""
@@ -153,65 +177,72 @@ def components_with_terms(rng, p, n, terms, degree):
     return tuple(comps)
 
 
-def test_transition_table_matches_pointwise_evaluation():
+def test_transition_table_matches_pointwise_evaluation(monkeypatch):
     """Random maps of F_p^n for p <= 7; then primes on both sides of every
     switch of grid_image's lane width under the default state budget:
     one-term maps of F_p (32 -> 64 -> 96 bits, the last at p = 2097143 /
     2097169), three-term maps of F_p^2 and 200-term maps of F_p^3, each with
     an exponent past p and with zero and constant components beside the
     first. Tables of more than 5000 states are checked at a
-    seeded sample."""
-    rng = random.Random(89)
-    for _ in range(40):
-        p = rng.choice([2, 3, 5, 7])
-        n = rng.choice([1, 2, 3])
-        fp = PrimeField(p)
-        comps = []
-        for _ in range(n):
-            kind = rng.choice(["zero", "constant", "random"])
-            if kind == "zero":
-                comps.append(MPoly.zero(n, fp))
-            elif kind == "constant":
-                comps.append(MPoly.constant(n, fp, rng.randrange(1, p)))
-            else:
-                # total degree up to 2p, so exponents >= p occur
-                comps.append(random_poly(rng, n, fp, max_deg=2 * p, max_terms=5))
-        F = SelfMap(p, n, tuple(comps))
-        nxt = _transition_table(F)
-        assert len(nxt) == p**n
-        for idx in range(p**n):
-            image = F(decode(idx, p, n))
-            assert nxt[idx] == encode(image, p)
-    rng = random.Random(127)
-    checked = 0
-    for n, terms in ((1, 1), (2, 3), (3, 200)):
-        for pair in lane_switch_primes(terms, n, dynsys.DEFAULT_STATE_BUDGET):
-            for p in pair:
-                F = SelfMap(p, n, components_with_terms(rng, p, n, terms, p + 3))
-                nxt = _transition_table(F)
-                total = p**n
-                assert len(nxt) == total
-                sample = range(total) if total <= 5000 else [0, total - 1] + rng.sample(range(total), 300)
-                for idx in sample:
-                    assert nxt[idx] == encode(F(decode(idx, p, n)), p), (p, n, idx)
-                checked += 1
-    assert checked == 8
-
-
-def test_exponents_past_p_give_the_table_of_their_reduction():
-    """x^e and x^((e - 1) mod (p - 1) + 1) agree on F_p for e >= 1, so their
-    tables do; and tables with exponents far past p match pointwise."""
-    p = 100003
-    fp = PrimeField(p)
-    big, small = (SelfMap(p, 1, (poly_parse(t, ["x"], fp),)) for t in (f"5*x^{p + 3}", "5*x^4"))
-    assert _transition_table(big) == _transition_table(small)
-    for p in (2, 3, 5, 7):
-        fp = PrimeField(p)
-        for e in (p - 1, p, p + 1, 2 * p - 1, 2 * p, 10**12, 10**12 + 1):
-            texts = (f"3*x^{e} + y^{e + 1} + x^{e}*y^{e + 2}", f"y^{e} + 2*x^{p}*y^{e + 1} + 1")
-            F = SelfMap(p, 2, tuple(poly_parse(t, ["x", "y"], fp) for t in texts))
+    seeded sample. Every lane writes each table."""
+    for lane, _ in each_lane(monkeypatch):
+        rng = random.Random(89)
+        for _ in range(40):
+            p = rng.choice([2, 3, 5, 7])
+            n = rng.choice([1, 2, 3])
+            fp = PrimeField(p)
+            comps = []
+            for _ in range(n):
+                kind = rng.choice(["zero", "constant", "random"])
+                if kind == "zero":
+                    comps.append(MPoly.zero(n, fp))
+                elif kind == "constant":
+                    comps.append(MPoly.constant(n, fp, rng.randrange(1, p)))
+                else:
+                    # total degree up to 2p, so exponents >= p occur
+                    comps.append(random_poly(rng, n, fp, max_deg=2 * p, max_terms=5))
+            F = SelfMap(p, n, tuple(comps))
             nxt = _transition_table(F)
-            assert nxt.tolist() == [encode(F(decode(idx, p, 2)), p) for idx in range(p * p)], (p, e)
+            assert len(nxt) == p**n
+            for idx in range(p**n):
+                image = F(decode(idx, p, n))
+                assert nxt[idx] == encode(image, p)
+        rng = random.Random(127)
+        checked = 0
+        for n, terms in ((1, 1), (2, 3), (3, 200)):
+            for pair in lane_switch_primes(terms, n, dynsys.DEFAULT_STATE_BUDGET):
+                for p in pair:
+                    F = SelfMap(p, n, components_with_terms(rng, p, n, terms, p + 3))
+                    nxt = _transition_table(F)
+                    total = p**n
+                    assert len(nxt) == total
+                    sample = range(total) if total <= 5000 else [0, total - 1] + rng.sample(range(total), 300)
+                    for idx in sample:
+                        assert nxt[idx] == encode(F(decode(idx, p, n)), p), (lane, p, n, idx)
+                    checked += 1
+        assert checked == 8
+
+
+def test_exponents_past_p_give_the_table_of_their_reduction(monkeypatch):
+    """x^e and x^((e - 1) mod (p - 1) + 1) agree on F_p for e >= 1, so their
+    tables do; and tables with exponents far past p, up to past 2^64,
+    match pointwise, on every lane."""
+    for lane, _ in each_lane(monkeypatch):
+        p = 100003
+        fp = PrimeField(p)
+        big, small = (SelfMap(p, 1, (poly_parse(t, ["x"], fp),)) for t in (f"5*x^{p + 3}", "5*x^4"))
+        assert _transition_table(big) == _transition_table(small)
+        for p in (2, 3, 5, 7):
+            fp = PrimeField(p)
+            for e in (p - 1, p, p + 1, 2 * p - 1, 2 * p, 10**12, 10**12 + 1, 10**30):
+                # x^p and x meet, and their coefficients add past p
+                texts = (
+                    f"3*x^{e} + y^{e + 1} + x^{e}*y^{e + 2}",
+                    f"y^{e} + 2*x^{p}*y^{e + 1} + {p - 1}*x^{p} + {p - 1}*x + 1",
+                )
+                F = SelfMap(p, 2, tuple(poly_parse(t, ["x", "y"], fp) for t in texts))
+                nxt = _transition_table(F)
+                assert nxt.tolist() == [encode(F(decode(idx, p, 2)), p) for idx in range(p * p)], (lane, p, e)
 
 
 def test_periodic_count_matches_brute_force():

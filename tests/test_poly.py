@@ -1,13 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import lane_switch_primes, multiplication_operator, random_poly
-from wildcycles.errors import DomainMismatch, IndexOutOfRange, ParseError, UnknownVariable
+from helpers import available_backends, lane_switch_primes, multiplication_operator, random_poly, table
+from wildcycles.errors import DomainMismatch, IndexOutOfRange, ParseError, StateBudgetExceeded, UnknownVariable
 from wildcycles.fields import QQ, PrimeField, is_prime
-from wildcycles.poly import MPoly, grid_image, grid_point, poly_parse
-from wildcycles.weyl import weyl_parse
+from wildcycles.poly import MPoly, grid_point, grid_terms, poly_parse
+from wildcycles.weyl import WeylOperator, weyl_parse
 
 
 F2 = PrimeField(2)
@@ -27,6 +28,17 @@ def test_parse_zero():
 def test_parse_reduces_mod_p():
     f = poly_parse("3*x^2 - 2*x", ["x"], F3)
     assert f.terms == {(1,): 1}
+
+
+def test_repeated_terms_add_up():
+    # a monomial written twice is one term, its coefficients added in the
+    # domain and dropped where they cancel; so is a derivative's coefficient
+    assert poly_parse("x + 2*x - y + y^2 + y", ["x", "y"], QQ).terms == {(1, 0): 3, (0, 2): 1}
+    assert poly_parse("2*x^2 + x + 3*x^2", ["x"], F5).terms == {(1,): 1}
+    assert poly_parse("x - x", ["x"], QQ).terms == {}
+    D = weyl_parse("x*d1 + 2*x*d1 + d1 + x^2 - x^2 + 1/2*d1", ["x"], QQ)
+    assert D == WeylOperator(1, QQ, {(1,): MPoly(1, QQ, {(1,): 3, (0,): Fraction(3, 2)})})
+    assert weyl_parse("x*d1 + 2*x*d1", ["x"], F3).terms == {}
 
 
 def test_parse_rational_coeff():
@@ -157,7 +169,8 @@ def test_negative_coeff_normalized_char_p():
 def test_grid_image_reads_64_bit_words_past_2_to_the_32():
     """With more components than variables the image indices pass 2^32 while
     the grid stays small: 14 components over F_5 reach 5^14 > 2^32, which
-    grid_image reads through 64-bit words, and 5^28 > 2^64 is refused."""
+    every lane's grid_image writes as 64-bit words, and 5^28 > 2^64 is
+    refused."""
     rng = random.Random(137)
     for p, n, m in ((5, 1, 14), (5, 2, 14), (7, 1, 12), (3, 3, 21)):
         fp = PrimeField(p)
@@ -167,21 +180,36 @@ def test_grid_image_reads_64_bit_words_past_2_to_the_32():
             sum(f.eval(point) * p**k for k, f in enumerate(fs))
             for point in (grid_point(i, p, n) for i in range(p**n))
         ]
-        assert grid_image(fs, p, n).tolist() == expected
-    with pytest.raises(ValueError):
-        grid_image([MPoly.zero(1, F5)] * 28, 5, 1)
+        for kernels in available_backends().values():
+            assert table(kernels, fs, p, n).tolist() == expected
+    with pytest.raises(StateBudgetExceeded):
+        grid_terms([MPoly.zero(1, F5)] * 28, 5, 1)
 
 
 def test_grid_image_lanes_at_their_bound():
     """f = sum over i < g of (p-1) x^(2i+1) y^(2i+1) reaches the lane bound
     g (p-1)^2 at x = 1, y = p - 1 (and its one-variable form at x = p - 1),
-    checked at every prime below 60 and on both sides of the first lane
-    switch for g terms in one variable."""
+    checked at every prime below 60 and on both sides of the pure lane's
+    first lane switch for g terms in one variable, on every lane. Then
+    one variable on both sides of g (p - 1)^2 = 2^32, where the compiled
+    lane's sums leave 32 bits, at x = p - 1 and a sample."""
     for g in range(1, 7):
         primes = [p for p in range(2, 60) if is_prime(p)]
         for p in primes + list(lane_switch_primes(g, 1, 10**5)[0]):
             fp = PrimeField(p)
             for n in (1, 2) if p < 60 else (1,):
                 f = MPoly(n, fp, {(2 * i + 1,) * n: p - 1 for i in range(g)})
-                points = [grid_point(i, p, n) for i in range(p**n)]
-                assert grid_image([f], p, n).tolist() == [f.eval(x) for x in points], (g, p, n)
+                expected = [f.eval(grid_point(i, p, n)) for i in range(p**n)]
+                for name, kernels in available_backends().items():
+                    assert table(kernels, [f], p, n).tolist() == expected, (name, g, p, n)
+    rng = random.Random(139)
+    for g in range(1, 4):
+        edge = math.isqrt((2**32 - 1) // g) + 1  # the largest p with g (p - 1)^2 < 2^32
+        q = max(p for p in range(edge - 100, edge + 1) if is_prime(p))
+        r = min(p for p in range(edge + 1, edge + 100) if is_prime(p))
+        for p in (q, r):
+            f = MPoly(1, PrimeField(p), {(2 * i + 1,): p - 1 for i in range(g)})
+            points = [0, 1, p - 1] + rng.sample(range(p), 50)
+            for name, kernels in available_backends().items():
+                image = table(kernels, [f], p, 1)
+                assert [image[x] for x in points] == [f.eval((x,)) for x in points], (name, g, p)
