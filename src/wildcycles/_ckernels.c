@@ -281,14 +281,6 @@ add_component(void *out, int wide, u64 pk, const u64 *term, Py_ssize_t T, u64 p,
     const Py_ssize_t rec = n + 1, high = n - 1;
     /* products added to a sum before it must be reduced again */
     const u64 chunk = p <= SMALL_P ? (~0ULL - (p - 1)) / ((p - 1) * (p - 1)) : 0;
-    /* When every sum stays below 2^32 (so p <= 2^16), one Barrett step
-     * reduces it: with bs = 30 + bits(p) >= 32 and bm = 2^bs / p <= 2^31,
-     * (v * bm) >> bs is v / p or one less, so v - p * it is below 2p. */
-    const int narrow = p <= (1ULL << 16) && (u64)T <= 0xFFFFFFFFULL / ((p - 1) * (p - 1));
-    int bs = 30;
-    for (u64 q = p; q; q >>= 1)
-        bs++;
-    const u64 bm = (1ULL << bs) / p;
     for (Py_ssize_t t = 0; t < T; t++)
         for (Py_ssize_t i = 0; i < high; i++)
             for (u64 x = 0; x < p; x++)
@@ -327,15 +319,8 @@ add_component(void *out, int wide, u64 pk, const u64 *term, Py_ssize_t T, u64 p,
                 for (Py_ssize_t j = 0; j < b; j++)
                     acc[j] += (u64)(unsigned int)c * (unsigned int)powers[j];
             }
-            if (narrow)
-                for (Py_ssize_t j = 0; j < b; j++) {
-                    unsigned int v = (unsigned int)acc[j];
-                    v -= (unsigned int)((v * bm) >> bs) * (unsigned int)p;
-                    acc[j] = v >= p ? v - p : v;
-                }
-            else
-                for (Py_ssize_t j = 0; j < b; j++)
-                    acc[j] %= p;
+            for (Py_ssize_t j = 0; j < b; j++)
+                acc[j] %= p;
             Py_ssize_t at = row * L + x0;
             if (wide) {
                 u64 *words = (u64 *)out + at;

@@ -3,7 +3,7 @@
 The compiled lane (_ckernels.c) has its own grid_image and
 functional_graph_decompose, tested against the ones here, which stay the
 reference. grid_image writes the transition table into the array that
-poly.grid_terms allocates, from packed integer lanes, one lane per state;
+poly.grid_table allocates, from packed integer lanes, one lane per state;
 the compiled one evaluates each state plainly. The graph kernels read that
 array and give back only what the orbit report needs, the cycles and the
 longest tail, with no per-state list. That lane re-exports these curve
@@ -70,7 +70,7 @@ def grid_image(terms: Sequence[Dict[Tuple[int, ...], int]], p: int, n: int, out:
     the index of the image of x when the f_k are the components of a
     self-map, and 0 exactly where every f_k vanishes. terms holds one dict
     per f_k, from tuples of n exponents to coefficients in 0..p-1, and out
-    is an array of format 'I' or 'Q' of p^n words, as poly.grid_terms
+    is an array of format 'I' or 'Q' of p^n words, as poly.grid_table
     makes them.
 
     Each f_k's values are one int, one lane per state. The recursion on the

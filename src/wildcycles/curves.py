@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 from .backend import kernels
 from .errors import DEFAULT_STATE_BUDGET, DomainMismatch, NotPrime, SingularCurve, StateBudgetExceeded
 from .fields import PrimeField, is_prime
-from .poly import MPoly, grid_point, grid_terms
+from .poly import MPoly, grid_point, grid_table
 
 
 @dataclass(frozen=True)
@@ -169,6 +169,5 @@ def critical_locus(f: MPoly, p: int, budget: int = DEFAULT_STATE_BUDGET) -> List
         raise StateBudgetExceeded(f"{p}^{n} exceeds budget {budget}")
     if f.domain != PrimeField(p):
         raise DomainMismatch(f"critical_locus needs f over F_{p}")
-    terms, image = grid_terms([f.derivative(i) for i in range(n)], p, n)
-    kernels.grid_image(terms, p, n, image)
+    image = grid_table(kernels, [f.derivative(i) for i in range(n)], p, n)
     return sorted(grid_point(idx, p, n) for idx in compress(range(p**n), map(not_, image)))

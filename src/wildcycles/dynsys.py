@@ -14,7 +14,7 @@ from typing import Iterator, List, Optional, Tuple
 from .backend import kernels
 from .errors import DEFAULT_STATE_BUDGET, DomainMismatch, StateBudgetExceeded
 from .fields import PrimeField
-from .poly import MPoly, grid_point, grid_terms
+from .poly import MPoly, grid_point, grid_table
 
 State = Tuple[int, ...]
 
@@ -110,15 +110,12 @@ class OrbitDecomposition:
 
 def _transition_table(F: SelfMap) -> array:
     """nxt[index(s)] = index(F(s)) for every state s: the base-p sum of the
-    components' values, written by the lane's grid_image into the array
-    that grid_terms allocates."""
+    components' values, written by the lane's grid_image."""
     p, n = F.p, F.n
     fp = PrimeField(p)
     if any(g.nvars != n or g.domain != fp for g in F.components):
         raise DomainMismatch("component over the wrong ring")
-    terms, nxt = grid_terms(F.components, p, n)
-    kernels.grid_image(terms, p, n, nxt)
-    return nxt
+    return grid_table(kernels, F.components, p, n)
 
 
 def orbit_decomposition(

@@ -419,7 +419,7 @@ def poly_parse(text: str, var_names: Sequence[str], domain) -> MPoly:
 
 def grid_point(idx: int, p: int, n: int) -> Exponents:
     """The point of F_p^n at state index idx = sum_i x_i p^i, the inverse of
-    the numbering that the tables of grid_image list by."""
+    the numbering that the tables of grid_table list by."""
     out = []
     for _ in range(n):
         idx, x = divmod(idx, p)
@@ -427,21 +427,27 @@ def grid_point(idx: int, p: int, n: int) -> Exponents:
     return tuple(out)
 
 
-def grid_terms(fs: Sequence[MPoly], p: int, n: int) -> Tuple[List[Dict[Exponents, int]], array]:
-    """The arguments of the kernels' grid_image for the components fs, each
-    over F_p in n variables: their terms, and a zeroed array of p^n words
-    for the table.
-
-    Each exponent e >= 1 becomes (e - 1) mod (p - 1) + 1, which has the
-    same powers on F_p (w^p = w), and the coefficients of terms that meet
-    are added mod p, those that cancel dropped. The image indices, below
-    p^m for m components, are written as 32-bit words where they fit, else
-    as 64-bit ones; past 2^64 the table is refused with
-    StateBudgetExceeded.
-    """
-    m = len(fs)
+def table_word(p: int, m: int) -> str:
+    """The array format of a table of m components over F_p, whose image
+    indices lie below p^m: 'I' (32-bit words) where they fit, else 'Q'
+    (64-bit words); past 2^64 the table is refused with
+    StateBudgetExceeded."""
     if p**m > 1 << 64:
         raise StateBudgetExceeded(f"image indices below {p}^{m} do not fit 64 bits")
+    return "I" if p**m <= 1 << 32 else "Q"
+
+
+def grid_table(kernels, fs: Sequence[MPoly], p: int, n: int) -> array:
+    """The table that kernels.grid_image writes for the components fs, each
+    over F_p in n variables: at every state index sum_i x_i p^i, the index
+    sum_k (f_k(x) mod p) p^k, in an array of p^n words of table_word.
+
+    The kernels take the terms reduced: each exponent e >= 1 becomes
+    (e - 1) mod (p - 1) + 1, which has the same powers on F_p (w^p = w),
+    and the coefficients of terms that meet are added mod p, those that
+    cancel dropped.
+    """
+    out = array(table_word(p, len(fs)), [0]) * p**n
     terms = []
     for f in fs:
         reduced: Dict[Exponents, int] = {}
@@ -449,7 +455,8 @@ def grid_terms(fs: Sequence[MPoly], p: int, n: int) -> Tuple[List[Dict[Exponents
             e = tuple([(k - 1) % (p - 1) + 1 if k else 0 for k in e])
             reduced[e] = (reduced.get(e, 0) + c) % p
         terms.append({e: c for e, c in reduced.items() if c})
-    return terms, array("I" if p**m <= 1 << 32 else "Q", [0]) * p**n
+    kernels.grid_image(terms, p, n, out)
+    return out
 
 
 def reduce_mod_p(f: MPoly, p: int) -> MPoly:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from wildcycles._kernels_py import _lane_layout
 from wildcycles.dynsys import _lane_width, _parity_levels
 from wildcycles.fields import QQ, Matrix, PrimeField, is_prime
-from wildcycles.poly import MPoly, grid_terms
+from wildcycles.poly import MPoly, table_word
 
 
 class DenseMatrix:
@@ -347,7 +347,7 @@ def lane_switch_primes(terms, m, budget):
     switch is found by bisection."""
 
     def width(p):
-        return _lane_layout(p, terms, 32 if p**m <= 1 << 32 else 64)[0]
+        return _lane_layout(p, terms, 32 if table_word(p, m) == "I" else 64)[0]
 
     top = round(budget ** (1 / m))
     while top**m > budget:
@@ -491,13 +491,6 @@ def each_lane(monkeypatch):
         monkeypatch.setattr(dynsys, "kernels", kernels)
         monkeypatch.setattr(curves, "kernels", kernels)
         yield name, kernels
-
-
-def table(kernels, fs, p, n):
-    """The table that kernels.grid_image writes for the components fs."""
-    terms, out = grid_terms(fs, p, n)
-    kernels.grid_image(terms, p, n, out)
-    return out
 
 
 def parity_vector(start, k):

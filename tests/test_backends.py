@@ -16,7 +16,7 @@ from helpers import available_backends, random_poly
 from wildcycles import backend
 from wildcycles import _kernels_py as pure
 from wildcycles.fields import PrimeField
-from wildcycles.poly import grid_terms
+from wildcycles.poly import grid_table, table_word
 
 backends = available_backends()
 compiled = backends.get("c")
@@ -142,10 +142,9 @@ def many_terms(rng, p, n, size):
 
 
 def filled(kernels, terms, p, n):
-    """The table kernels.grid_image writes for terms, in the word
-    grid_terms would pick."""
-    code = "I" if p ** len(terms) <= 1 << 32 else "Q"
-    out = array(code, [0]) * p**n
+    """The table kernels.grid_image writes for terms, in the word that
+    grid_table would pick."""
+    out = array(table_word(p, len(terms)), [0]) * p**n
     kernels.grid_image(terms, p, n, out)
     return out
 
@@ -153,10 +152,10 @@ def filled(kernels, terms, p, n):
 @pytest.mark.skipif(compiled is None, reason="compiled extension not built")
 def test_grid_image_lanes_agree():
     """Both kernels write the same table: from raw terms with exponents past
-    p, from grid_terms' reduced ones, with 64-bit words when the components
+    p, from grid_table's reduced ones, with 64-bit words when the components
     outnumber the variables, past the blocks of x_0 (one term count above
-    the block), past 2^16 where the sums leave 32 bits, and for n = 0 at a
-    p beyond 2^32."""
+    the block), past 2^16 where a sum of products leaves 32 bits, and for
+    n = 0 at a p beyond 2^32."""
     rng = random.Random(149)
     for _ in range(150):
         p = rng.choice([2, 3, 5, 7, 11, 101])
@@ -177,9 +176,7 @@ def test_grid_image_lanes_agree():
     assert filled(compiled, terms, p, 0).tolist() == filled(pure, terms, p, 0).tolist() == [p - 2]
     for p, n in ((2, 3), (7, 2), (13, 2), (31, 1)):
         fs = [random_poly(rng, n, PrimeField(p), max_deg=3 * p, max_terms=6) for _ in range(n + 1)]
-        terms, out = grid_terms(fs, p, n)
-        compiled.grid_image(terms, p, n, out)
-        assert out == filled(pure, terms, p, n), (p, n)
+        assert grid_table(compiled, fs, p, n) == grid_table(pure, fs, p, n), (p, n)
 
 
 _MALFORMED = [

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import available_backends, lane_switch_primes, multiplication_operator, random_poly, table
+from helpers import available_backends, lane_switch_primes, multiplication_operator, random_poly
 from wildcycles.errors import DomainMismatch, IndexOutOfRange, ParseError, StateBudgetExceeded, UnknownVariable
 from wildcycles.fields import QQ, PrimeField, is_prime
-from wildcycles.poly import MPoly, grid_point, grid_terms, poly_parse
+from wildcycles.poly import MPoly, grid_point, grid_table, poly_parse
 from wildcycles.weyl import WeylOperator, weyl_parse
 
 
@@ -181,9 +181,10 @@ def test_grid_image_reads_64_bit_words_past_2_to_the_32():
             for point in (grid_point(i, p, n) for i in range(p**n))
         ]
         for kernels in available_backends().values():
-            assert table(kernels, fs, p, n).tolist() == expected
-    with pytest.raises(StateBudgetExceeded):
-        grid_terms([MPoly.zero(1, F5)] * 28, 5, 1)
+            assert grid_table(kernels, fs, p, n).tolist() == expected
+    for kernels in available_backends().values():
+        with pytest.raises(StateBudgetExceeded):
+            grid_table(kernels, [MPoly.zero(1, F5)] * 28, 5, 1)
 
 
 def test_grid_image_lanes_at_their_bound():
@@ -192,7 +193,7 @@ def test_grid_image_lanes_at_their_bound():
     checked at every prime below 60 and on both sides of the pure lane's
     first lane switch for g terms in one variable, on every lane. Then
     one variable on both sides of g (p - 1)^2 = 2^32, where the compiled
-    lane's sums leave 32 bits, at x = p - 1 and a sample."""
+    lane's sums of products leave 32 bits, at x = p - 1 and a sample."""
     for g in range(1, 7):
         primes = [p for p in range(2, 60) if is_prime(p)]
         for p in primes + list(lane_switch_primes(g, 1, 10**5)[0]):
@@ -201,7 +202,7 @@ def test_grid_image_lanes_at_their_bound():
                 f = MPoly(n, fp, {(2 * i + 1,) * n: p - 1 for i in range(g)})
                 expected = [f.eval(grid_point(i, p, n)) for i in range(p**n)]
                 for name, kernels in available_backends().items():
-                    assert table(kernels, [f], p, n).tolist() == expected, (name, g, p, n)
+                    assert grid_table(kernels, [f], p, n).tolist() == expected, (name, g, p, n)
     rng = random.Random(139)
     for g in range(1, 4):
         edge = math.isqrt((2**32 - 1) // g) + 1  # the largest p with g (p - 1)^2 < 2^32
@@ -211,5 +212,5 @@ def test_grid_image_lanes_at_their_bound():
             f = MPoly(1, PrimeField(p), {(2 * i + 1,): p - 1 for i in range(g)})
             points = [0, 1, p - 1] + rng.sample(range(p), 50)
             for name, kernels in available_backends().items():
-                image = table(kernels, [f], p, 1)
+                image = grid_table(kernels, [f], p, 1)
                 assert [image[x] for x in points] == [f.eval((x,)) for x in points], (name, g, p)
