@@ -53,6 +53,12 @@ FLAG_LINES = [
     'wildcycles collatz-bijection --k 14',
     'wildcycles collatz-bijection --k 16',
     'wildcycles curve-count --p 7 --a 3 --b 0',
+    # double roots at x = +-1 on slices 3 and 4; every x critical (mult 3)
+    # at p = 3; p = 2; and p - 1 = 2^9 * 15, the longest square-root loop
+    'wildcycles curve-count --p 7 --a 1 --b 4',
+    'wildcycles curve-count --p 3 --a 1 --b 0',
+    'wildcycles curve-count --p 2 --a 1 --b 1',
+    'wildcycles curve-count --p 7681 --a 1 --b 7678 --budget 100000000',
     'wildcycles curve-sweep --pmax 23 --samples 3 --seed 5',
     'wildcycles curve-sweep --pmax 13 --samples 2 --seed 1 --format text',
     'wildcycles theorem1-probe --f "x^2 + y^3" --p 3 --h 2 --vars x,y',
