@@ -7,9 +7,12 @@ poly.grid_table allocates, from packed integer lanes, one lane per state;
 the compiled one evaluates each state plainly. The graph kernels read that
 array and give back only what the orbit report needs, the cycles and the
 longest tail, with no per-state list. That lane re-exports these curve
-kernels as they are: the slice counts come from one O(p) histogram, and the
-exhaustive count visits its p^2 pairs inside str.count, the interpreter's
-own C code, so both beat a compiled double loop. backend.py picks the lane.
+kernels as they are: the slice counts come from one histogram over half of
+F_p, the singularity check from the critical points, at most two, found by
+a modular square root, and the exhaustive count visits its p^2 pairs inside
+str.count, the interpreter's own C code, so all of them beat a compiled
+loop. curve_critical_points, shared with curves' multiplicities, is a
+helper of both lanes, not a kernel. backend.py picks the lane.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from array import array
 from itertools import repeat
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
+
+from .fields import sqrt_mod
 
 BACKEND_NAME = "pure"
 
@@ -34,23 +39,46 @@ def curve_affine_count(p: int, a: int, b: int) -> int:
 
 
 def curve_slice_counts(p: int, a: int, b: int) -> List[int]:
-    """l_i = #{x : a x^3 + b x + i^2 = 0 in F_p} for i = 0..p-1, from one
-    histogram of a x^3 + b x: l_i is its count at -i^2."""
+    """l_i = #{x : a x^3 + b x + i^2 = 0 in F_p} for i = 0..p-1.
+
+    v(x) = a x^3 + b x is odd, so for odd p one histogram H of v over
+    x = 1..(p-1)/2 serves x and -x: l_i = H[-i^2] + H[i^2], plus 1 at
+    i = 0 for x = 0, and l_i = l_(p-i). At p = 2, x = 1 is its own
+    negative: l = [2 - v(1), v(1)]."""
+    if p == 2:
+        v = (a + b) % 2
+        return [2 - v, v]
+    h = p // 2
     hist = [0] * p
-    for x in range(p):
-        hist[(a * x * x * x + b * x) % p] += 1
-    return [hist[-i * i % p] for i in range(p)]
+    for x in range(1, h + 1):
+        hist[(a * x * x + b) * x % p] += 1
+    half = [hist[s] + hist[-s] for s in [i * i % p for i in range(h + 1)]]
+    half[0] += 1
+    return half + half[:0:-1]
+
+
+def curve_critical_points(p: int, a: int, b: int) -> List[int]:
+    """The x in F_p, ascending, where 3 a x^2 + b = 0: where a slice
+    polynomial a X^3 + b X + i^2 can have a multiple root. For p > 3 they
+    are the square roots of -b (3a)^-1, by sqrt_mod (a is nonzero mod p);
+    for p <= 3, where 3a may vanish, a scan finds them."""
+    if p <= 3:
+        return [x for x in range(p) if (3 * a * x * x + b) % p == 0]
+    r = sqrt_mod(-b * pow(3 * a, -1, p), p)
+    if r is None:
+        return []
+    return [r] if r == 0 else [r, p - r]
 
 
 def curve_is_singular(p: int, a: int, b: int) -> bool:
-    """Some affine point satisfies the equation and both partials."""
-    for x in range(p):
-        if (3 * a * x * x + b) % p != 0:
-            continue
-        for y in range(p):
-            if (2 * y) % p == 0 and (y * y + a * x * x * x + b * x) % p == 0:
-                return True
-    return False
+    """Some affine point satisfies the equation and both partials,
+    3 a x^2 + b = 0 and 2y = 0. For odd p that is y = 0 and a critical x
+    with a x^3 + b x = 0; at p = 2 every y has 2y = 0 and the y^2 cover
+    F_2, so any critical x."""
+    xs = curve_critical_points(p, a, b)
+    if p == 2:
+        return bool(xs)
+    return any((a * x * x + b) * x % p == 0 for x in xs)
 
 
 def _lane_layout(p: int, groups: int, word: int) -> Tuple[int, int, int]:

@@ -289,6 +289,11 @@ def _sweep_cases(pmax: int, samples: int, seed: int):
 
 
 def _cmd_curve_sweep(args) -> int:
+    # either would sweep no curve and still exit 0
+    if args.samples < 0:
+        raise ValueError(f"curve-sweep: --samples must be at least 0, not {args.samples}")
+    if args.pmax < 2:
+        raise ValueError(f"curve-sweep: --pmax must be at least 2, not {args.pmax}")
     # refused before the first case, so that no partial sweep is printed
     check_enumeration_budget(args.pmax, args.budget)
     total = holds = nonsingular = hasse_ok = 0

@@ -3,12 +3,15 @@
 Curves follow the sign convention y^2 + a*x^3 + b*x = 0 verbatim. The slice
 sum and the naive point count are computed by disjoint code paths so the
 identity doubles as a bug detector: the slice counts come in O(p) from one
-histogram of a*x^3 + b*x, while the naive count visits all p^2 pairs (x, y)
-inside str.count, over a string of the p squares. These are the pure kernels
-on both lanes: a compiled double loop is slower than either. Multiplicities
-come in O(p) from a table of square roots and Hasse derivatives. The
-summation range i = 0..p-1 coincides with i = 1..p modulo p and is recorded
-in the report. The naive count refuses a curve whose p^2 pairs exceed the
+histogram of the odd polynomial a*x^3 + b*x over half of F_p, while the
+naive count visits all p^2 pairs (x, y) inside str.count, over a string of
+the p squares. These are the pure kernels on both lanes: a compiled double
+loop is slower than either. Multiple roots lie only over the critical
+points 3*a*x^2 + b = 0, in closed form for p > 3 by a modular square root:
+the singularity check looks at those points alone, and the multiplicities
+are the distinct counts plus a correction on the at most four slices over
+them. The summation range i = 0..p-1 coincides with i = 1..p modulo p and
+is recorded in the report. The naive count refuses a curve whose p^2 pairs exceed the
 state budget, or whose p is past the code points a str can hold, with
 StateBudgetExceeded.
 """
@@ -20,11 +23,12 @@ import sys
 from dataclasses import dataclass
 from itertools import compress
 from operator import not_
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from ._kernels_py import curve_critical_points
 from .backend import kernels
 from .errors import DEFAULT_STATE_BUDGET, DomainMismatch, NotPrime, SingularCurve, StateBudgetExceeded
-from .fields import PrimeField, is_prime
+from .fields import PrimeField, is_prime, sqrt_mod
 from .poly import MPoly, grid_point, grid_table
 
 
@@ -65,28 +69,24 @@ def slice_counts(c: CurveSpec) -> List[int]:
     return list(kernels.curve_slice_counts(c.p, c.a, c.b))
 
 
-def slice_counts_with_multiplicity(c: CurveSpec) -> List[int]:
+def slice_counts_with_multiplicity(c: CurveSpec, l: Optional[Sequence[int]] = None) -> List[int]:
     """Root count weighted by multiplicity, for comparison with the
-    distinct-root counts the identity uses.
+    distinct-root counts l of slice_counts (computed unless given).
 
-    x is a root of slice i iff i^2 = -(a*x^3 + b*x), so a table of square
-    roots sends each x to at most two slices. Its multiplicity there is the
-    order of the first nonzero Hasse derivative 3*a*x^2 + b, 3*a*x, a, which
-    does not depend on i and is valid in every characteristic."""
+    A root x of slice i, i^2 = -(a*x^3 + b*x), has multiplicity above 1
+    only where x is critical, 3*a*x^2 + b = 0. There it is 2 where
+    3*a*x != 0 and 3 where 3*a*x = 0: the order of the first nonzero
+    Hasse derivative 3*a*x^2 + b, 3*a*x, a, valid in every characteristic.
+    So each critical x adds its multiplicity - 1 to l on the slices
+    +-sqrt(-(a*x^3 + b*x)), which sqrt_mod finds."""
     p, a, b = c.p, c.a, c.b
-    roots: List[List[int]] = [[] for _ in range(p)]
-    for i in range(p):
-        roots[i * i % p].append(i)
-    out = [0] * p
-    for x in range(p):
-        if (3 * a * x * x + b) % p:
-            mult = 1
-        elif 3 * a * x % p:
-            mult = 2
-        else:
-            mult = 3
-        for i in roots[-(a * x * x * x + b * x) % p]:
-            out[i] += mult
+    out = slice_counts(c) if l is None else list(l)
+    for x in curve_critical_points(p, a, b):
+        r = sqrt_mod(-(a * x * x + b) * x, p)
+        if r is not None:
+            extra = 1 if 3 * a * x % p else 2
+            for i in {r, -r % p}:
+                out[i] += extra
     return out
 
 
@@ -156,7 +156,7 @@ def verify_identity(c: CurveSpec, budget: int = DEFAULT_STATE_BUDGET) -> SliceCo
         identity_holds=lhs == rhs,
         singular=singular,
         hasse_ok=hasse_ok,
-        l_with_multiplicity=tuple(slice_counts_with_multiplicity(c)),
+        l_with_multiplicity=tuple(slice_counts_with_multiplicity(c, l)),
     )
 
 

@@ -9,7 +9,7 @@ domain-agnostic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from .errors import NotPrime, ZeroInverse
 
@@ -28,6 +28,40 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def sqrt_mod(t: int, p: int) -> Optional[int]:
+    """The lesser square root of t mod the prime p, or None when t is not a
+    square mod p.
+
+    Euler's criterion decides t^((p-1)/2) = 1; then Tonelli and Shanks
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.5.1):
+    with p - 1 = 2^e q, q odd, and z = n^q for the least non-residue n,
+    x = t^((q+1)/2) is a root up to the error b = t^q, whose order 2^m in
+    the 2-Sylow subgroup drops each step while x is corrected by a power
+    of z."""
+    t %= p
+    if t < 2 or p == 2:
+        return t
+    if pow(t, (p - 1) >> 1, p) != 1:
+        return None
+    e = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> e
+    n = 2
+    while pow(n, (p - 1) >> 1, p) == 1:
+        n += 1
+    y, r = pow(n, q, p), e
+    x = pow(t, (q - 1) >> 1, p)
+    b = t * x * x % p
+    x = t * x % p
+    while b != 1:
+        m, b2 = 1, b * b % p
+        while b2 != 1:
+            m, b2 = m + 1, b2 * b2 % p
+        z = pow(y, 1 << (r - m - 1), p)
+        y, r = z * z % p, m
+        x, b = x * z % p, b * y % p
+    return min(x, p - x)
 
 
 class PrimeField:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -445,9 +446,13 @@ def grid_table(kernels, fs: Sequence[MPoly], p: int, n: int) -> array:
     The kernels take the terms reduced: each exponent e >= 1 becomes
     (e - 1) mod (p - 1) + 1, which has the same powers on F_p (w^p = w),
     and the coefficients of terms that meet are added mod p, those that
-    cancel dropped.
+    cancel dropped. A table past sys.maxsize bytes, the most an array
+    holds, is refused with StateBudgetExceeded before it is allocated.
     """
-    out = array(table_word(p, len(fs)), [0]) * p**n
+    out = array(table_word(p, len(fs)), [0])
+    if out.itemsize * p**n > sys.maxsize:
+        raise StateBudgetExceeded(f"{p}^{n} states of {out.itemsize} bytes exceed {sys.maxsize} bytes, the largest array")
+    out *= p**n
     terms = []
     for f in fs:
         reduced: Dict[Exponents, int] = {}

@@ -372,21 +372,25 @@ def lane_switch_primes(terms, m, budget):
 
 
 def slice_counts_oracle(p, a, b):
-    """l_i by testing every x against every slice: O(p^2)."""
+    """l_i by testing every x against every slice: O(p^2), the p
+    comparisons of each slice inside list.count."""
     values = [(a * x * x * x + b * x) % p for x in range(p)]
-    return [sum(1 for v in values if (v + i * i) % p == 0) for i in range(p)]
+    return [values.count(-i * i % p) for i in range(p)]
 
 
 def multiplicity_oracle(p, a, b):
     """Roots of a x^3 + b x + i^2 per slice, each counted with its
-    multiplicity, found by repeated synthetic division by (X - x)."""
-    out = []
-    for i in range(p):
+    multiplicity, found by repeated synthetic division by (X - x): every x
+    is tested against the polynomial of every slice, O(p^2). Slices with
+    the same i^2 share one polynomial, counted once."""
+    values = [(a * x * x * x + b * x) % p for x in range(p)]
+    weighted = {}
+    for c in [i * i % p for i in range(p)]:
+        if c in weighted:
+            continue
         total = 0
-        for x in range(p):
-            if (a * x * x * x + b * x + i * i) % p != 0:
-                continue
-            coeffs = [a, 0, b, (i * i) % p]
+        for x in itertools.compress(range(p), map((-c % p).__eq__, values)):
+            coeffs = [a, 0, b, c]
             mult = 0
             while True:
                 rem = 0
@@ -401,8 +405,20 @@ def multiplicity_oracle(p, a, b):
                 if not coeffs:
                     break
             total += mult
-        out.append(total)
-    return out
+        weighted[c] = total
+    return [weighted[i * i % p] for i in range(p)]
+
+
+def singularity_oracle(p, a, b):
+    """Whether some (x, y) in F_p^2 lies on y^2 + a x^3 + b x = 0 with both
+    partials, 3 a x^2 + b and 2 y, zero: every y is tried at each x where
+    the x-partial vanishes."""
+    return any(
+        (2 * y) % p == 0 and (y * y + a * x * x * x + b * x) % p == 0
+        for x in range(p)
+        if (3 * a * x * x + b) % p == 0
+        for y in range(p)
+    )
 
 
 def derivative_oracle(f, i):

@@ -103,6 +103,12 @@ def test_malformed_poly_exit_2(capsys):
     ["milnor", "--f", "x^2", "--p", "three"],
     ["milnor", "--f", "x^2", "--p", "3", "--format", "xml"],
     [],
+    # a negative sample count or no prime up to --pmax would check nothing
+    # and still exit 0
+    ["curve-sweep", "--samples", "-1"],
+    ["curve-sweep", "--samples", "-1", "--format", "text"],
+    ["curve-sweep", "--pmax", "1"],
+    ["curve-sweep", "--pmax", "-5", "--format", "text"],
 ])
 def test_bad_argument_is_one_line_usage_error(capsys, argv):
     assert_one_line_usage_error(capsys, run(argv))
@@ -157,6 +163,21 @@ def test_orbits_refuses_indices_past_64_bits(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == "error: image indices below 65537^4 do not fit 64 bits\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--p", "65521", "--system", "x;y;z;w", "--mode", "self-map"],
+    ["orbits", "--p", "46337", "--system", "x;y;z;w", "--mode", "self-map"],
+    ["theorem1-probe", "--f", "x^2 + y^2 + z^2 + w^2", "--p", "65521", "--vars", "x,y,z,w"],
+])
+def test_tables_past_the_largest_array_are_refused(capsys, argv):
+    # 65521^4 indices fit 64 bits but not an index-sized int, and 46337^4
+    # states of 8 bytes pass sys.maxsize bytes: refused before allocation
+    code = run(argv + ["--budget", str(10**20)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.endswith("bytes, the largest array\n")
+    assert captured.err.count("\n") == 1
 
 
 def test_inertia_runs_at_the_budget(capsys):

@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from helpers import critical_locus_oracle, each_lane, lane_switch_primes, multiplicity_oracle, random_poly, slice_counts_oracle
+from helpers import (
+    critical_locus_oracle,
+    each_lane,
+    lane_switch_primes,
+    multiplicity_oracle,
+    random_poly,
+    singularity_oracle,
+    slice_counts_oracle,
+)
 from wildcycles import _kernels_py
 from wildcycles.curves import (
     CurveSpec,
@@ -125,19 +133,37 @@ def test_multiplicity_counts_at_least_distinct():
     spec2 = CurveSpec(5, 1, 0)
     assert slice_counts(spec2)[0] == 1
     assert slice_counts_with_multiplicity(spec2)[0] == 3
+    # 3x^2 + 4 = 0 at x = +-1 mod 7, where -(x^3 + 4x) is 2 and 5: x = 1
+    # is a double root of the slices +-3 (i^2 = 2), and 5 is not a square
+    spec3 = CurveSpec(7, 1, 4)
+    l, lm = slice_counts(spec3), slice_counts_with_multiplicity(spec3)
+    assert [m - d for d, m in zip(l, lm)] == [0, 0, 0, 1, 1, 0, 0]
+    # every x critical at p = 3, b = 0, so every root triple; at p = 2,
+    # x^3 + x = x (x + 1)^2
+    assert slice_counts(CurveSpec(3, 1, 0)) == [1, 1, 1]
+    assert slice_counts_with_multiplicity(CurveSpec(3, 1, 0)) == [3, 3, 3]
+    assert slice_counts_with_multiplicity(CurveSpec(2, 1, 1)) == [3, 0]
 
 
 def test_linear_time_curve_paths_match_quadratic_oracles():
+    """Every curve at every prime p < 60, p = 2 and 3 and b = 0 among them:
+    the symmetric histogram, the multiplicities from the critical points
+    and the singularity check from them, against oracles that test every
+    x against every slice, and every y where the x-partial vanishes."""
+
     def check(p, a, b):
         spec = CurveSpec(p, a, b)
-        assert _kernels_py.curve_slice_counts(p, a, b) == slice_counts_oracle(p, a, b)
-        assert slice_counts_with_multiplicity(spec) == multiplicity_oracle(p, a, b)
+        l, lm = slice_counts(spec), multiplicity_oracle(p, a, b)
+        assert l == slice_counts_oracle(p, a, b)
+        assert slice_counts_with_multiplicity(spec) == slice_counts_with_multiplicity(spec, l) == lm
+        assert singularity_check(spec) == singularity_oracle(p, a, b)
 
-    for p in (2, 3, 5, 7, 11, 13):
+    for p in filter(is_prime, range(60)):
         for a in range(1, p):
             for b in range(p):
                 check(p, a, b)
-                assert _kernels_py.curve_affine_count(p, a, b) == brute_affine(p, a, b)
+                if p <= 13:
+                    assert _kernels_py.curve_affine_count(p, a, b) == brute_affine(p, a, b)
     rng = random.Random(79)
     for p in (97, 211, 1201):
         for _ in range(3):

@@ -5,7 +5,7 @@ import pytest
 
 from wildcycles.errors import NotPrime, ZeroInverse
 from helpers import DenseMatrix
-from wildcycles.fields import QQ, Matrix, PrimeField, is_prime
+from wildcycles.fields import QQ, Matrix, PrimeField, is_prime, sqrt_mod
 
 
 def test_inv_identity_f7():
@@ -40,6 +40,35 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
     for n in range(25):
         assert is_prime(n) == (n in primes)
+
+
+def test_sqrt_mod_matches_brute_force():
+    """Every t, negative and past p among them, at every prime p < 200:
+    the lesser root where t is a square, None where it is not."""
+    for p in filter(is_prime, range(200)):
+        roots = {}
+        for y in range(p):
+            roots.setdefault(y * y % p, y)
+        for t in range(-p, 2 * p):
+            assert sqrt_mod(t, p) == roots.get(t % p), (t, p)
+
+
+def test_sqrt_mod_at_long_two_power_chains():
+    """p - 1 = 2^9 * 15 at 7681 and 2^16 at 65537, where Tonelli-Shanks
+    takes its longest loops; the squares of seeded y, and non-squares."""
+    rng = random.Random(22)
+    for p in (7681, 65537):
+        for _ in range(200):
+            y = rng.randrange(p)
+            assert sqrt_mod(y * y, p) == min(y, p - y)
+            t = rng.randrange(1, p)
+            r = sqrt_mod(t, p)
+            if pow(t, (p - 1) // 2, p) == 1:
+                assert r * r % p == t and r <= p - r
+            else:
+                assert r is None
+        # -1 is a square for p = 1 mod 4; the least non-squares are 13 and 3
+        assert sqrt_mod(-1, p) is not None and sqrt_mod(13 if p == 7681 else 3, p) is None
 
 
 def test_inv_property_random():
