@@ -1,15 +1,15 @@
 /* The compiled kernel lane, in C against the CPython API: the transition
  * table and the functional-graph walk.
  *
- * grid_image keeps the contract of the pure packed-lane kernel in
- * _kernels_py and writes the same table into the caller's array('I') or
- * array('Q'), but by a plain evaluation per state: for each row of the
- * higher variables it takes one product per term, then a dot product with
- * per-term power tables of x_0, reduced mod p once per state. No Python
- * object is made per state. poly.grid_terms reduces the exponents and
- * coefficients and picks the word; this side only refuses what would make
- * it read or write outside its buffers or overflow a word, with TypeError
- * or ValueError, before it writes.
+ * grid_image keeps the contract of the pure kernel in _kernels_py and
+ * writes the same table into the caller's array('I') or array('Q'), but
+ * by a plain evaluation per state: for each row of the higher variables it
+ * takes one product per term, then a dot product with per-term power
+ * tables of x_0, reduced mod p once per state. No Python object is made
+ * per state. poly.grid_table checks the budget and the ring, reduces the
+ * exponents and coefficients and picks the word; this side only refuses
+ * what would make it read or write outside its buffers or overflow a
+ * word, with TypeError or ValueError, before it writes.
  *
  * functional_graph_decompose keeps the contract of the pure kernel too and
  * returns the same cycles and longest tail. It reads the table in place

@@ -3,8 +3,9 @@
 The compiled lane (_ckernels.c) has its own grid_image and
 functional_graph_decompose, tested against the ones here, which stay the
 reference. grid_image writes the transition table into the array that
-poly.grid_table allocates, from packed integer lanes, one lane per state;
-the compiled one evaluates each state plainly. The graph kernels read that
+poly.grid_table allocates, one block of states per value of the last
+variable, each block from packed integer lanes, one lane per state; the
+compiled one evaluates each state plainly. The graph kernels read that
 array and give back only what the orbit report needs, the cycles and the
 longest tail, with no per-state list. That lane re-exports these curve
 kernels as they are: the slice counts come from one histogram over half of
@@ -20,7 +21,6 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import repeat
-from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .fields import sqrt_mod
@@ -101,64 +101,67 @@ def grid_image(terms: Sequence[Dict[Tuple[int, ...], int]], p: int, n: int, out:
     is an array of format 'I' or 'Q' of p^n words, as poly.grid_table
     makes them.
 
-    Each f_k's values are one int, one lane per state. The recursion on the
-    last variable groups the terms by its exponent e and takes each group's
-    table of the other variables, p times smaller; the block of states with
-    x_last = w is the scalar sum over e of (w^e mod p) * inner_e, and the p
-    blocks are joined as bytes. With one variable left the blocks are single
-    lanes, so that level is instead the sum of c * P_e over the terms c x^e,
-    P_e the packed table of w^e mod p. A lane is then below groups * p^2,
-    groups the largest term count, and every level is reduced mod p at once
-    by Barrett's method: the estimate ((v * mult) >> s) of v // p, masked to
-    each lane, is at most one too small, so one masked conditional
-    subtraction of p finishes. The image is the same weighted sum of the
-    reduced ints, read out once through each lane's low word, with no
-    Python int per state.
+    The table is written one block at a time: block w holds the p^(n-1)
+    states with x_last = w, or every state when n <= 1, and each state of
+    a block is one lane of an int. Each tuple of exponents of the variables
+    within a block has one such int, its table, built once: the product of
+    their powers mod p in every lane. On block w, f_k is the sum over those
+    tuples of the table times the scalar sum of c * w^d mod p over the
+    terms of f_k with that tuple, d the exponent of x_last. A lane is then
+    below groups * p^2, groups the largest term count, and is reduced mod p
+    by Barrett's method: the estimate ((v * mult) >> s) of v // p, masked
+    to each lane, is at most one too small, so one masked conditional
+    subtraction of p finishes. The block's image is the same weighted sum
+    of the reduced ints, read out through each lane's low word into its
+    slice of out, with no Python int per state.
     """
     groups = max([len(f) for f in terms] + [1])
     code, word = out.typecode, 8 * out.itemsize
     width, s, mult = _lane_layout(p, groups, word)
-    size, t, stride = width >> 3, p.bit_length(), width // word
-    # per level j, over its p^j lanes: the quotient mask (the bits of a lane
-    # below width - s), bit 0 of each lane, and 2^t - p in each lane, which
-    # carries a lane into bit t iff it is at least p (p < 2^t)
-    masks = []
-    for j in range(n + 1):
-        ones = int.from_bytes((1).to_bytes(size, "little") * p**j, "little")
-        masks.append((ones * ((1 << (width - s)) - 1), ones, ones * ((1 << t) - p)))
+    size, t = width >> 3, p.bit_length()
+    # from one lane's low word to the next in the native bytes of an int:
+    # little-endian puts lane 0 and each lane's low word first, big-endian
+    # puts both last, so there the slices run back from the end
+    step = width // word if sys.byteorder == "little" else -width // word
+    inner = n - 1 if n > 1 else n  # the variables that vary within a block
+    block = p**inner
+    # bit 0 of each lane, the quotient mask (the bits of a lane below
+    # width - s), and 2^t - p in each lane, which carries a lane into bit t
+    # iff it is at least p (p < 2^t)
+    ones = int.from_bytes((1).to_bytes(size, "little") * block, "little")
+    qmask, lift = ones * ((1 << (width - s)) - 1), ones * ((1 << t) - p)
 
-    def table(e: int) -> int:
-        """P_e: w^e mod p in lane w, for w = 0..p-1."""
-        words = array(code, bytes(size * p))
-        words[::stride] = array(code, map(pow, range(p), repeat(e), repeat(p)))
-        if sys.byteorder == "big":
-            words.byteswap()
-        return int.from_bytes(words, "little")
+    def table(e: Tuple[int, ...]) -> int:
+        """prod_i x_i^(e_i) mod p in the lane of each state of a block."""
+        values = [1]
+        for i, k in enumerate(e):
+            powers = list(map(pow, range(p), repeat(k), repeat(p)))
+            values = [v * x % p for x in powers for v in values] if i else powers
+        lanes = array(code, bytes(size * block))
+        lanes[::step] = array(code, values)
+        return int.from_bytes(lanes, sys.byteorder)
 
-    def reduced(terms: Dict[Tuple[int, ...], int], j: int) -> int:
-        if j == 0:
-            return sum(terms.values())  # at most one term, below p
-        if j == 1:
-            v = sum([c * table(e) for (e,), c in terms.items()])
-        else:
-            parts: Dict[int, Dict[Tuple[int, ...], int]] = {}
-            for e, c in terms.items():
-                parts.setdefault(e[-1], {})[e[:-1]] = c
-            inners = [reduced(rest, j - 1) for rest in parts.values()]
-            powers = zip(*[map(pow, range(p), repeat(e), repeat(p)) for e in parts])
-            block = size * p ** (j - 1)
-            v = int.from_bytes(b"".join([sum(map(mul, ws, inners)).to_bytes(block, "little") for ws in powers]), "little")
-        qmask, ones, lift = masks[j]
-        v -= (((v * mult) >> s) & qmask) * p
-        return v - (((v + lift) >> t) & ones) * p
-
-    image = 0
-    for k, f in enumerate(terms):
-        image += reduced(f, n) * p**k
-    lanes = array(code, image.to_bytes(size * p**n, "little"))
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    out[:] = lanes[::stride]
+    blocks = range(len(out) // block)
+    # per f_k, its terms c x^e grouped by the exponents of the variables
+    # within a block, each group as {d: c}, d the last exponent (0 if n <= 1)
+    grouped = []
+    for f in terms:
+        grouped.append({})
+        for e, c in f.items():
+            grouped[-1].setdefault(e[:inner], {})[e[-1] if n > 1 else 0] = c
+    tables = {e: table(e) for e in set().union(*grouped)}
+    # each group's table and its scalar sum c * w^d mod p on every block w
+    components = [
+        [(tables[e], [sum([c * pow(w, d, p) for d, c in cs.items()]) % p for w in blocks]) for e, cs in g.items()]
+        for g in grouped
+    ]
+    for w in blocks:
+        image = 0
+        for k, parts in enumerate(components):
+            v = sum([P * scalars[w] for P, scalars in parts])
+            v -= (((v * mult) >> s) & qmask) * p
+            image += (v - (((v + lift) >> t) & ones) * p) * p**k
+        out[w * block : (w + 1) * block] = array(code, image.to_bytes(size * block, sys.byteorder))[::step]
 
 
 def functional_graph_decompose(nxt: array) -> Tuple[List[List[int]], int]:

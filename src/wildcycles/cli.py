@@ -386,7 +386,8 @@ def _read_config(path: str) -> dict:
 def _parse(argv: Sequence[str]):
     """(cmd, config) for argv, or (cmd, None) when it asks for help. config
     holds every flag of cmd under its name with - as _, each converted to its
-    kind or left at its default; the budget falls back to ENV_BUDGET."""
+    kind or left at its default; the budget falls back to ENV_BUDGET, and a
+    negative one is a usage error."""
     cmd, given, path = None, {}, None
     tokens = iter(argv)
     for token in tokens:
@@ -428,12 +429,15 @@ def _parse(argv: Sequence[str]):
         elif flag in given and kind is not str and value not in kind:
             raise ValueError(f"{cmd}: --{flag} takes one of {', '.join(kind)}, not {value!r}")
         config[flag.replace("-", "_")] = value
+    source = f"{cmd}: --budget"
     if config["budget"] is None:
-        budget = os.environ.get(ENV_BUDGET, str(DEFAULT_STATE_BUDGET))
+        source, budget = ENV_BUDGET, os.environ.get(ENV_BUDGET, str(DEFAULT_STATE_BUDGET))
         try:
             config["budget"] = int(budget)
         except ValueError:
             raise ValueError(f"{ENV_BUDGET} is not an integer: {budget!r}") from None
+    if config["budget"] < 0:
+        raise ValueError(f"{source} must be at least 0, not {config['budget']}")
     return cmd, config
 
 

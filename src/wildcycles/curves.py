@@ -27,8 +27,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from ._kernels_py import curve_critical_points
 from .backend import kernels
-from .errors import DEFAULT_STATE_BUDGET, DomainMismatch, NotPrime, SingularCurve, StateBudgetExceeded
-from .fields import PrimeField, is_prime, sqrt_mod
+from .errors import DEFAULT_STATE_BUDGET, NotPrime, SingularCurve, StateBudgetExceeded
+from .fields import is_prime, sqrt_mod
 from .poly import MPoly, grid_point, grid_table
 
 
@@ -163,11 +163,8 @@ def verify_identity(c: CurveSpec, budget: int = DEFAULT_STATE_BUDGET) -> SliceCo
 def critical_locus(f: MPoly, p: int, budget: int = DEFAULT_STATE_BUDGET) -> List[Tuple[int, ...]]:
     """All points of F_p^n where every partial derivative of f vanishes, in
     lexicographic order (f over F_p): the states that the lane's grid_image
-    of the partials sends to index 0."""
+    of the partials sends to index 0. poly.grid_table refuses p^n states
+    past the budget, and partials not over F_p."""
     n = f.nvars
-    if p**n > budget:
-        raise StateBudgetExceeded(f"{p}^{n} exceeds budget {budget}")
-    if f.domain != PrimeField(p):
-        raise DomainMismatch(f"critical_locus needs f over F_{p}")
-    image = grid_table(kernels, [f.derivative(i) for i in range(n)], p, n)
+    image = grid_table(kernels, [f.derivative(i) for i in range(n)], p, n, budget)
     return sorted(grid_point(idx, p, n) for idx in compress(range(p**n), map(not_, image)))

@@ -7,12 +7,11 @@ dx/ds = g(x); the step h is recorded in every report rather than hidden.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from .backend import kernels
-from .errors import DEFAULT_STATE_BUDGET, DomainMismatch, StateBudgetExceeded
+from .errors import DEFAULT_STATE_BUDGET, DomainMismatch
 from .fields import PrimeField
 from .poly import MPoly, grid_point, grid_table
 
@@ -108,16 +107,6 @@ class OrbitDecomposition:
         }
 
 
-def _transition_table(F: SelfMap) -> array:
-    """nxt[index(s)] = index(F(s)) for every state s: the base-p sum of the
-    components' values, written by the lane's grid_image."""
-    p, n = F.p, F.n
-    fp = PrimeField(p)
-    if any(g.nvars != n or g.domain != fp for g in F.components):
-        raise DomainMismatch("component over the wrong ring")
-    return grid_table(kernels, F.components, p, n)
-
-
 def orbit_decomposition(
     F: SelfMap,
     budget: int = DEFAULT_STATE_BUDGET,
@@ -126,16 +115,13 @@ def orbit_decomposition(
 
     State index sum_i x_i p^i numbers the states, and the work stays on
     indices: the selected kernel backend writes the transition table into
-    one array (grid_image) and walks it as it is. The walk returns only the
-    cycles, each from its least index and sorted by it, and the longest
-    tail, so no Python object is made per state: only the periodic states
-    are decoded into tuples.
+    one array (poly.grid_table, which refuses it past the budget) and walks
+    it as it is. The walk returns only the cycles, each from its least
+    index and sorted by it, and the longest tail, so no Python object is
+    made per state: only the periodic states are decoded into tuples.
     """
     p, n = F.p, F.n
-    total = p**n
-    if total > budget:
-        raise StateBudgetExceeded(f"{p}^{n} = {total} exceeds budget {budget}")
-    cycles, max_tail = kernels.functional_graph_decompose(_transition_table(F))
+    cycles, max_tail = kernels.functional_graph_decompose(grid_table(kernels, F.components, p, n, budget))
     return OrbitDecomposition(
         p=p,
         n=n,
@@ -191,6 +177,8 @@ def collatz_orbit(start: int, variant: str = "paper", budget: int = 10**4) -> Co
     """
     if start < 0:
         raise ValueError("start must be nonnegative")
+    if budget < 0:
+        raise ValueError(f"the step budget must be nonnegative, not {budget}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     seen = {start: 0}

@@ -223,20 +223,23 @@ class Matrix:
                 pivots[r] = (column, combination)
                 return True
             c = dom.div(column[r], pivot[0][r])
-            _subtract(column, c, pivot[0], dom)
+            _subtract(column, 0, pivot[0], dom.char, c)
             if combination is not None:
-                _subtract(combination, c, pivot[1], dom)
+                _subtract(combination, 0, pivot[1], dom.char, c)
         return False
 
 
-def _subtract(target: dict, c, source: dict, dom):
-    """target -= c * source over dom, dropping the entries that cancel."""
-    p = dom.char
-    for i, v in source.items():
-        x = target.get(i, dom.zero) - c * v
+def _subtract(h: dict, q: int, g: dict, p: int, c=None) -> None:
+    """h -= c * x^q * g in place, c = 1 if None, mod p unless p is 0,
+    dropping the terms that cancel: on polynomials keyed by packed
+    monomials, where adding q multiplies by x^q, and with q = 0 on any
+    sparse vector keyed by int, as the columns of a Matrix."""
+    for m, v in g.items():
+        m += q
+        x = h.get(m, 0) - (v if c is None else c * v)
         if p:
             x %= p
         if x:
-            target[i] = x
+            h[m] = x
         else:
-            del target[i]
+            del h[m]

@@ -24,7 +24,7 @@ from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainMismatch
-from .fields import QQ
+from .fields import QQ, _subtract
 from .poly import GREVLEX, Exponents, MonomialOrder, MPoly, reduce_mod_p
 
 INFINITE = float("inf")
@@ -238,20 +238,6 @@ class _Layout:
         box = map(sum, itertools.product(*(range(0, b << s, 1 << s) for b, s in zip(bounds, self.shifts))))
         corners = [le for le in leads if all(le & other for other in others)]
         return (m for m in box if all((m - c) & self.guards for c in corners)) if corners else box
-
-
-def _subtract(h: dict, q: int, g: dict, p: int, c=None) -> None:
-    """h -= c * x^q * g in place, c = 1 if None, mod p unless p is 0,
-    dropping the terms that cancel."""
-    for m, v in g.items():
-        m += q
-        x = h.get(m, 0) - (v if c is None else c * v)
-        if p:
-            x %= p
-        if x:
-            h[m] = x
-        else:
-            del h[m]
 
 
 def _packed(polys: Sequence[MPoly], kind: str, work: Callable):

@@ -13,7 +13,7 @@ import sys
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import DomainMismatch, IndexOutOfRange, ParseError, StateBudgetExceeded, UnknownVariable
+from .errors import DEFAULT_STATE_BUDGET, DomainMismatch, IndexOutOfRange, ParseError, StateBudgetExceeded, UnknownVariable
 from .fields import PrimeField
 
 Exponents = Tuple[int, ...]
@@ -438,7 +438,7 @@ def table_word(p: int, m: int) -> str:
     return "I" if p**m <= 1 << 32 else "Q"
 
 
-def grid_table(kernels, fs: Sequence[MPoly], p: int, n: int) -> array:
+def grid_table(kernels, fs: Sequence[MPoly], p: int, n: int, budget: int = DEFAULT_STATE_BUDGET) -> array:
     """The table that kernels.grid_image writes for the components fs, each
     over F_p in n variables: at every state index sum_i x_i p^i, the index
     sum_k (f_k(x) mod p) p^k, in an array of p^n words of table_word.
@@ -446,9 +446,16 @@ def grid_table(kernels, fs: Sequence[MPoly], p: int, n: int) -> array:
     The kernels take the terms reduced: each exponent e >= 1 becomes
     (e - 1) mod (p - 1) + 1, which has the same powers on F_p (w^p = w),
     and the coefficients of terms that meet are added mod p, those that
-    cancel dropped. A table past sys.maxsize bytes, the most an array
-    holds, is refused with StateBudgetExceeded before it is allocated.
+    cancel dropped. Before anything is allocated, p^n states past the
+    budget, or a table past sys.maxsize bytes, the most an array holds,
+    are refused with StateBudgetExceeded, and a component not over F_p in
+    n variables with DomainMismatch.
     """
+    if p**n > budget:
+        raise StateBudgetExceeded(f"{p}^{n} = {p**n} states exceed budget {budget}")
+    fp = PrimeField(p)
+    if any(f.nvars != n or f.domain != fp for f in fs):
+        raise DomainMismatch(f"a component is not over F_{p} in {n} variables")
     out = array(table_word(p, len(fs)), [0])
     if out.itemsize * p**n > sys.maxsize:
         raise StateBudgetExceeded(f"{p}^{n} states of {out.itemsize} bytes exceed {sys.maxsize} bytes, the largest array")

@@ -109,6 +109,11 @@ def test_malformed_poly_exit_2(capsys):
     ["curve-sweep", "--samples", "-1", "--format", "text"],
     ["curve-sweep", "--pmax", "1"],
     ["curve-sweep", "--pmax", "-5", "--format", "text"],
+    # a negative budget would refuse every table, and a negative step
+    # budget would report an orbit it never started as exhausted
+    ["orbits", "--p", "5", "--system", "x", "--budget", "-1"],
+    ["milnor", "--f", "x^2", "--p", "3", "--budget=-1"],
+    ["collatz", "--start", "3", "--step-budget", "-1"],
 ])
 def test_bad_argument_is_one_line_usage_error(capsys, argv):
     assert_one_line_usage_error(capsys, run(argv))
@@ -124,6 +129,8 @@ def test_front_end_failures_are_one_line_usage_errors(tmp_path, monkeypatch, cap
         assert_one_line_usage_error(capsys, run(["curve-sweep", "--config", str(cfg)]))
     monkeypatch.setenv(ENV_BUDGET, "abc")
     assert_one_line_usage_error(capsys, run(["collatz", "--start", "3"]))
+    monkeypatch.setenv(ENV_BUDGET, "-1")
+    assert_one_line_usage_error(capsys, run(["orbits", "--p", "5", "--system", "x"]))
 
 
 def test_unknown_flag_exit_2(capsys):

@@ -9,7 +9,6 @@ from helpers import (
     available_backends,
     brute_periodic_count,
     decode,
-    each_lane,
     encode,
     lane_switch_primes,
     orbit_report_oracle,
@@ -25,7 +24,6 @@ from wildcycles.dynsys import (
     SelfMap,
     _lane_width,
     _level_splits,
-    _transition_table,
     as_self_map,
     collatz_all_reach_one,
     collatz_orbit,
@@ -37,7 +35,7 @@ from wildcycles.dynsys import (
 )
 from wildcycles.errors import StateBudgetExceeded
 from wildcycles.fields import PrimeField
-from wildcycles.poly import MPoly, poly_parse
+from wildcycles.poly import MPoly, grid_table, poly_parse
 
 
 def system(p, texts, names=None, mode="vector-field"):
@@ -164,6 +162,30 @@ def test_orbit_decomposition_memory_on_the_compiled_lane(monkeypatch):
     assert peak <= 6 * 4 * p**2, peak / (4 * p**2)
 
 
+def test_transition_table_memory_on_the_pure_lane():
+    """The pure grid_image writes the table one block of p^(n-1) states at a
+    time, so beside the array it holds only packed ints and lists of one
+    block: at 1009^2 and 101^3, about 10^6 states each, the traced peak of
+    grid_table stays within three arrays (it reads about 1.1 and 1.2).
+    Packed lanes over every state at once pass the bound: a whole-table
+    build peaked at 8.5 and 8.6 arrays."""
+    pure = available_backends()["pure"]
+    for p, names, texts in (
+        (1009, ["x", "y"], ("7*x*y + 15*y", "18*x^2 + 4*y")),
+        (101, ["x", "y", "z"], ("7*x*y + 15*z", "18*y^2 + 4*x", "3*z^2 + 5*x*y")),
+    ):
+        fp = PrimeField(p)
+        fs = [poly_parse(t, names, fp) for t in texts]
+        tracemalloc.start()
+        try:
+            table = grid_table(pure, fs, p, len(names))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = table.itemsize * len(table)
+        assert peak <= 3 * size, (p, peak / size)
+
+
 def components_with_terms(rng, p, n, terms, degree):
     """A first component of exactly `terms` terms, one of them x_0^degree,
     followed by a zero and a constant component, in turn."""
@@ -177,7 +199,7 @@ def components_with_terms(rng, p, n, terms, degree):
     return tuple(comps)
 
 
-def test_transition_table_matches_pointwise_evaluation(monkeypatch):
+def test_transition_table_matches_pointwise_evaluation():
     """Random maps of F_p^n for p <= 7; then primes on both sides of every
     switch of grid_image's lane width under the default state budget:
     one-term maps of F_p (32 -> 64 -> 96 bits, the last at p = 2097143 /
@@ -185,7 +207,7 @@ def test_transition_table_matches_pointwise_evaluation(monkeypatch):
     an exponent past p and with zero and constant components beside the
     first. Tables of more than 5000 states are checked at a
     seeded sample. Every lane writes each table."""
-    for lane, _ in each_lane(monkeypatch):
+    for lane, kernels in available_backends().items():
         rng = random.Random(89)
         for _ in range(40):
             p = rng.choice([2, 3, 5, 7])
@@ -202,7 +224,7 @@ def test_transition_table_matches_pointwise_evaluation(monkeypatch):
                     # total degree up to 2p, so exponents >= p occur
                     comps.append(random_poly(rng, n, fp, max_deg=2 * p, max_terms=5))
             F = SelfMap(p, n, tuple(comps))
-            nxt = _transition_table(F)
+            nxt = grid_table(kernels, F.components, p, n)
             assert len(nxt) == p**n
             for idx in range(p**n):
                 image = F(decode(idx, p, n))
@@ -213,7 +235,7 @@ def test_transition_table_matches_pointwise_evaluation(monkeypatch):
             for pair in lane_switch_primes(terms, n, dynsys.DEFAULT_STATE_BUDGET):
                 for p in pair:
                     F = SelfMap(p, n, components_with_terms(rng, p, n, terms, p + 3))
-                    nxt = _transition_table(F)
+                    nxt = grid_table(kernels, F.components, p, n)
                     total = p**n
                     assert len(nxt) == total
                     sample = range(total) if total <= 5000 else [0, total - 1] + rng.sample(range(total), 300)
@@ -223,15 +245,15 @@ def test_transition_table_matches_pointwise_evaluation(monkeypatch):
         assert checked == 8
 
 
-def test_exponents_past_p_give_the_table_of_their_reduction(monkeypatch):
+def test_exponents_past_p_give_the_table_of_their_reduction():
     """x^e and x^((e - 1) mod (p - 1) + 1) agree on F_p for e >= 1, so their
     tables do; and tables with exponents far past p, up to past 2^64,
     match pointwise, on every lane."""
-    for lane, _ in each_lane(monkeypatch):
+    for lane, kernels in available_backends().items():
         p = 100003
         fp = PrimeField(p)
         big, small = (SelfMap(p, 1, (poly_parse(t, ["x"], fp),)) for t in (f"5*x^{p + 3}", "5*x^4"))
-        assert _transition_table(big) == _transition_table(small)
+        assert grid_table(kernels, big.components, p, 1) == grid_table(kernels, small.components, p, 1)
         for p in (2, 3, 5, 7):
             fp = PrimeField(p)
             for e in (p - 1, p, p + 1, 2 * p - 1, 2 * p, 10**12, 10**12 + 1, 10**30):
@@ -241,7 +263,7 @@ def test_exponents_past_p_give_the_table_of_their_reduction(monkeypatch):
                     f"y^{e} + 2*x^{p}*y^{e + 1} + {p - 1}*x^{p} + {p - 1}*x + 1",
                 )
                 F = SelfMap(p, 2, tuple(poly_parse(t, ["x", "y"], fp) for t in texts))
-                nxt = _transition_table(F)
+                nxt = grid_table(kernels, F.components, p, 2)
                 assert nxt.tolist() == [encode(F(decode(idx, p, 2)), p) for idx in range(p * p)], (lane, p, e)
 
 

@@ -166,6 +166,20 @@ def test_negative_coeff_normalized_char_p():
     assert f.terms == {(1,): 4}
 
 
+def test_grid_table_refuses_past_the_budget_and_off_the_field():
+    """grid_table is the one gate for a table: p^n states past the budget,
+    and a component over another ring or in another number of variables,
+    are refused before the kernel runs, on every lane."""
+    f = poly_parse("x*y + 1", ["x", "y"], F5)
+    for kernels in available_backends().values():
+        assert len(grid_table(kernels, [f], 5, 2, budget=25)) == 25
+        with pytest.raises(StateBudgetExceeded, match=r"^5\^2 = 25 states exceed budget 24$"):
+            grid_table(kernels, [f], 5, 2, budget=24)
+        for g in (poly_parse("x*y + 1", ["x", "y"], QQ), poly_parse("x*y + 1", ["x", "y"], PrimeField(7)), MPoly.zero(3, F5)):
+            with pytest.raises(DomainMismatch):
+                grid_table(kernels, [f, g], 5, 2)
+
+
 def test_grid_image_reads_64_bit_words_past_2_to_the_32():
     """With more components than variables the image indices pass 2^32 while
     the grid stays small: 14 components over F_5 reach 5^14 > 2^32, which
