@@ -1,5 +1,5 @@
 /* The compiled kernel lane, in C against the CPython API: the transition
- * table and the functional-graph walk.
+ * table, the functional-graph walk and the two curve enumerations.
  *
  * grid_image keeps the contract of the pure kernel in _kernels_py and
  * writes the same table into the caller's array('I') or array('Q'), but
@@ -17,9 +17,14 @@
  * successor outside 0..n-1, and builds no Python object per state: only
  * the periodic states become ints, once the buffer is released.
  *
- * The curve kernels of this lane are the pure ones: module init takes
- * the function objects from wildcycles._kernels_py, which beat a compiled
- * double loop (see that module).
+ * curve_affine_count still compares every pair (x, y) of F_p^2: one table
+ * of the squares y^2 mod p, then per x one target -(a x^3 + b x) mod p,
+ * counted over the table by a loop with no branch and no division, which
+ * the compiler vectorises. curve_slice_counts is the pure kernel's
+ * histogram over half of F_p. Both take p only up to 0x10FFFF, the bound
+ * that curves.check_enumeration_budget puts on both lanes, so no product
+ * leaves 64 bits. curve_is_singular is the pure function, which module
+ * init takes from wildcycles._kernels_py: it looks at two points at most.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -416,7 +421,107 @@ release:
     return result;
 }
 
+/* Above this p the curve kernels refuse: sys.maxunicode, the bound that
+ * curves.check_enumeration_budget sets on both lanes. Below it, (p - 1)^3
+ * + p and every table index fit their types. */
+#define CURVE_P_MAX 0x10FFFFULL
+
+/* p, a, b of the curve y^2 + a x^3 + b x = 0, parsed by format; TypeError
+ * for a non-int, ValueError unless 2 <= p <= CURVE_P_MAX and 0 <= a, b < p. */
+static int
+curve_args(PyObject *args, const char *format, u64 *p, u64 *a, u64 *b)
+{
+    PyObject *p_obj, *a_obj, *b_obj;
+    if (!PyArg_ParseTuple(args, format, &p_obj, &a_obj, &b_obj)
+        || as_u64(p_obj, p) < 0 || as_u64(a_obj, a) < 0 || as_u64(b_obj, b) < 0)
+        return -1;
+    if (*p < 2 || *p > CURVE_P_MAX) {
+        PyErr_Format(PyExc_ValueError, "p = %llu is not in 2..%llu", *p, CURVE_P_MAX);
+        return -1;
+    }
+    if (*a >= *p || *b >= *p) {
+        PyErr_Format(PyExc_ValueError, "a = %llu and b = %llu must be reduced mod %llu", *a, *b, *p);
+        return -1;
+    }
+    return 0;
+}
+
+PyDoc_STRVAR(curve_affine_count_doc,
+"curve_affine_count(p, a, b) -> int\n\n"
+"#{(x, y) in F_p^2 : y^2 + a x^3 + b x = 0}, every pair compared; needs\n"
+"2 <= p <= 0x10FFFF and 0 <= a, b < p.");
+
+static PyObject *
+curve_affine_count(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    u64 p, a, b;
+    if (curve_args(args, "OOO:curve_affine_count", &p, &a, &b) < 0)
+        return NULL;
+    unsigned int *sq = PyMem_New(unsigned int, p);
+    if (sq == NULL)
+        return PyErr_NoMemory();
+    const unsigned int q = (unsigned int)p;
+    for (unsigned int y = 0; y < q; y++)
+        sq[y] = (unsigned int)((u64)y * y % p);
+    u64 count = 0;
+    for (u64 x = 0; x < p; x++) {
+        const unsigned int t = (unsigned int)((p - (a * x * x + b) % p * x % p) % p);
+        unsigned int hits = 0;
+        for (unsigned int y = 0; y < q; y++)
+            hits += sq[y] == t;
+        count += hits;
+    }
+    PyMem_Free(sq);
+    return PyLong_FromUnsignedLongLong(count);
+}
+
+PyDoc_STRVAR(curve_slice_counts_doc,
+"curve_slice_counts(p, a, b) -> list\n\n"
+"l_i = #{x : a x^3 + b x + i^2 = 0 in F_p} for i = 0..p-1, from one\n"
+"histogram of a x^3 + b x over x = 1..p//2; needs 2 <= p <= 0x10FFFF and\n"
+"0 <= a, b < p.");
+
+static PyObject *
+curve_slice_counts(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    u64 p, a, b;
+    if (curve_args(args, "OOO:curve_slice_counts", &p, &a, &b) < 0)
+        return NULL;
+    if (p == 2) {
+        const long v = (long)((a + b) % 2);
+        return Py_BuildValue("[ll]", 2 - v, v);
+    }
+    /* a x^3 + b x is odd, so x and -x share the histogram H of x = 1..h:
+     * l_i = H[-i^2] + H[i^2], one more at i = 0 for x = 0, l_(p-i) = l_i */
+    const Py_ssize_t h = (Py_ssize_t)(p / 2);
+    Py_ssize_t *hist = PyMem_New(Py_ssize_t, p);
+    if (hist == NULL)
+        return PyErr_NoMemory();
+    memset(hist, 0, (size_t)p * sizeof(Py_ssize_t));
+    for (u64 x = 1; x <= (u64)h; x++)
+        hist[(a * x * x + b) % p * x % p]++;
+    PyObject *l = PyList_New(2 * h + 1);
+    if (l == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i <= h; i++) {
+        const u64 s = (u64)i * (u64)i % p;
+        PyObject *count = PyLong_FromSsize_t(hist[s] + hist[(p - s) % p] + (i == 0));
+        if (count == NULL) {
+            Py_CLEAR(l);
+            goto done;
+        }
+        PyList_SET_ITEM(l, i, count);
+        if (i > 0)
+            PyList_SET_ITEM(l, 2 * h + 1 - i, Py_NewRef(count));
+    }
+done:
+    PyMem_Free(hist);
+    return l;
+}
+
 static PyMethodDef methods[] = {
+    {"curve_affine_count", curve_affine_count, METH_VARARGS, curve_affine_count_doc},
+    {"curve_slice_counts", curve_slice_counts, METH_VARARGS, curve_slice_counts_doc},
     {"functional_graph_decompose", functional_graph_decompose, METH_O, decompose_doc},
     {"grid_image", grid_image, METH_VARARGS, grid_image_doc},
     {NULL, NULL, 0, NULL},
@@ -432,24 +537,17 @@ static struct PyModuleDef module_def = {
 PyMODINIT_FUNC
 PyInit__ckernels(void)
 {
-    static const char *shared[] = {"curve_affine_count", "curve_slice_counts", "curve_is_singular"};
     PyObject *module = PyModule_Create(&module_def);
     if (module == NULL)
         return NULL;
     PyObject *pure = PyImport_ImportModule("wildcycles._kernels_py");
-    if (pure == NULL || PyModule_AddStringConstant(module, "BACKEND_NAME", "c") < 0)
-        goto fail;
-    for (size_t i = 0; i < sizeof shared / sizeof shared[0]; i++) {
-        PyObject *fn = PyObject_GetAttrString(pure, shared[i]);
-        int rc = fn == NULL ? -1 : PyModule_AddObjectRef(module, shared[i], fn);
-        Py_XDECREF(fn);
-        if (rc < 0)
-            goto fail;
-    }
-    Py_DECREF(pure);
-    return module;
-fail:
+    PyObject *fn = pure == NULL ? NULL : PyObject_GetAttrString(pure, "curve_is_singular");
     Py_XDECREF(pure);
-    Py_DECREF(module);
-    return NULL;
+    int rc = fn == NULL ? -1 : PyModule_AddObjectRef(module, "curve_is_singular", fn);
+    Py_XDECREF(fn);
+    if (rc < 0 || PyModule_AddStringConstant(module, "BACKEND_NAME", "c") < 0) {
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
 }

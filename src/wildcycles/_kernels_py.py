@@ -1,19 +1,20 @@
 """Pure-Python kernels for the exhaustive-enumeration hot loops.
 
-The compiled lane (_ckernels.c) has its own grid_image and
-functional_graph_decompose, tested against the ones here, which stay the
-reference. grid_image writes the transition table into the array that
-poly.grid_table allocates, one block of states per value of the last
-variable, each block from packed integer lanes, one lane per state; the
-compiled one evaluates each state plainly. The graph kernels read that
-array and give back only what the orbit report needs, the cycles and the
-longest tail, with no per-state list. That lane re-exports these curve
-kernels as they are: the slice counts come from one histogram over half of
-F_p, the singularity check from the critical points, at most two, found by
-a modular square root, and the exhaustive count visits its p^2 pairs inside
-str.count, the interpreter's own C code, so all of them beat a compiled
-loop. curve_critical_points, shared with curves' multiplicities, is a
-helper of both lanes, not a kernel. backend.py picks the lane.
+The compiled lane (_ckernels.c) has its own grid_image,
+functional_graph_decompose, curve_affine_count and curve_slice_counts,
+tested against the ones here, which stay the reference. grid_image writes
+the transition table into the array that poly.grid_table allocates, one
+block of states per value of the last variable, each block from packed
+integer lanes, one lane per state; the compiled one evaluates each state
+plainly. The graph kernels read that array and give back only what the
+orbit report needs, the cycles and the longest tail, with no per-state
+list. The slice counts come from one histogram over half of F_p, and the
+exhaustive count visits its p^2 pairs inside str.count; the compiled lane
+runs the same histogram, and the same comparisons over an array of the
+squares. It re-exports curve_is_singular as it is: the check looks only at
+the critical points, at most two, found by a modular square root.
+curve_critical_points, shared with curves' multiplicities, is a helper of
+both lanes, not a kernel. backend.py picks the lane.
 """
 
 from __future__ import annotations

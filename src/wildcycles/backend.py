@@ -1,8 +1,8 @@
 """Kernel backend selection: compiled extension if importable, else pure Python.
 
-The compiled lane (_ckernels.c) has its own transition-table and
-functional-graph kernels and shares the curve kernels of _kernels_py;
-dynsys and curves call the selected one. Set WILDCYCLES_BACKEND=pure (or =c)
+The compiled lane (_ckernels.c) has its own transition-table,
+functional-graph, point-count and slice-count kernels and shares the
+singularity check of _kernels_py; dynsys and curves call the selected one. Set WILDCYCLES_BACKEND=pure (or =c)
 to force a lane; forcing the compiled lane when the extension is missing
 raises at import time instead of silently downgrading.
 """

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 computation error, 2 usage/parse error.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import sys
@@ -294,8 +295,13 @@ def _cmd_curve_sweep(args) -> int:
         raise ValueError(f"curve-sweep: --samples must be at least 0, not {args.samples}")
     if args.pmax < 2:
         raise ValueError(f"curve-sweep: --pmax must be at least 2, not {args.pmax}")
-    # refused before the first case, so that no partial sweep is printed
-    check_enumeration_budget(args.pmax, args.budget)
+    # refused before the first case, so that no partial sweep is printed: the
+    # least prime of the sweep past what the budget and the kernels allow,
+    # if there is one, is the first curve that verify_identity would refuse
+    allowed = min(math.isqrt(args.budget), sys.maxunicode)
+    refused = next(filter(is_prime, range(allowed + 1, args.pmax + 1)), None)
+    if refused is not None:
+        check_enumeration_budget(refused, args.budget)
     total = holds = nonsingular = hasse_ok = 0
     lines = []
     for spec in _sweep_cases(args.pmax, args.samples, args.seed):

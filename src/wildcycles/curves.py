@@ -4,16 +4,16 @@ Curves follow the sign convention y^2 + a*x^3 + b*x = 0 verbatim. The slice
 sum and the naive point count are computed by disjoint code paths so the
 identity doubles as a bug detector: the slice counts come in O(p) from one
 histogram of the odd polynomial a*x^3 + b*x over half of F_p, while the
-naive count visits all p^2 pairs (x, y) inside str.count, over a string of
-the p squares. These are the pure kernels on both lanes: a compiled double
-loop is slower than either. Multiple roots lie only over the critical
+naive count visits all p^2 pairs (x, y): on the pure lane inside str.count,
+over a string of the p squares, on the compiled lane by comparisons over an
+array of them. Multiple roots lie only over the critical
 points 3*a*x^2 + b = 0, in closed form for p > 3 by a modular square root:
 the singularity check looks at those points alone, and the multiplicities
 are the distinct counts plus a correction on the at most four slices over
 them. The summation range i = 0..p-1 coincides with i = 1..p modulo p and
 is recorded in the report. The naive count refuses a curve whose p^2 pairs exceed the
-state budget, or whose p is past the code points a str can hold, with
-StateBudgetExceeded.
+state budget, or whose p is past the code points a str can hold (the bound
+of both lanes), with StateBudgetExceeded.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ class CurveSpec:
 def check_enumeration_budget(p: int, budget: int) -> None:
     """Raise StateBudgetExceeded unless the p^2 pairs of F_p^2 fit the budget
     and, whatever the budget, p is at most sys.maxunicode: the pure kernel
-    holds residues mod p as code points."""
+    holds residues mod p as code points, and the compiled kernels refuse
+    past the same bound."""
     if p > sys.maxunicode:
         raise StateBudgetExceeded(f"p = {p} exceeds {sys.maxunicode}, the largest p the exhaustive count handles")
     if p * p > budget:
@@ -65,7 +66,8 @@ def naive_count(c: CurveSpec, budget: int = DEFAULT_STATE_BUDGET) -> int:
 
 
 def slice_counts(c: CurveSpec) -> List[int]:
-    """Distinct-root count of a*x^3 + b*x + i^2 per slice y = i."""
+    """Distinct-root count of a*x^3 + b*x + i^2 per slice y = i. The
+    compiled kernel refuses p past sys.maxunicode with ValueError."""
     return list(kernels.curve_slice_counts(c.p, c.a, c.b))
 
 

@@ -8,6 +8,8 @@ when the cache plugin is off). The rest of the suite runs on the
 pure lane unless WILDCYCLES_BACKEND names one. Without a C compiler the
 compiled lane is absent and the lane-agreement tests skip; a compiler that
 fails or warns on the source (the build adds -Wextra -Werror) is an error.
+The fixture `ubsan_extension` builds a second copy, with undefined
+behaviour trapped, into the same cache.
 """
 
 import hashlib
@@ -22,7 +24,10 @@ import sysconfig
 import tempfile
 from pathlib import Path
 
+import pytest
+
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "wildcycles" / "_ckernels.c"
+CC = shlex.split(sysconfig.get_config_var("CC") or "cc")
 
 
 class _BuiltExtension(importlib.abc.MetaPathFinder):
@@ -35,18 +40,18 @@ class _BuiltExtension(importlib.abc.MetaPathFinder):
         return None
 
 
-def _build(cache_dir: Path):
-    """Path of the compiled extension, or None when there is no compiler."""
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    if shutil.which(cc[0]) is None:
+def _build(cache_dir: Path, extra=()):
+    """Path of the compiled extension, built with the interpreter's CFLAGS
+    and then the flags in extra, or None when there is no compiler."""
+    if shutil.which(CC[0]) is None:
         return None
-    digest = hashlib.sha256(SOURCE.read_bytes() + sys.version.encode()).hexdigest()[:16]
+    digest = hashlib.sha256(SOURCE.read_bytes() + sys.version.encode() + " ".join(extra).encode()).hexdigest()[:16]
     target = cache_dir / digest / ("_ckernels" + sysconfig.get_config_var("EXT_SUFFIX"))
     if target.exists():
         return target
     target.parent.mkdir(parents=True, exist_ok=True)
     partial = target.with_name(target.name + ".partial")
-    cmd = cc + shlex.split(sysconfig.get_config_var("CFLAGS") or "") + [
+    cmd = CC + shlex.split(sysconfig.get_config_var("CFLAGS") or "") + list(extra) + [
         "-Wextra", "-Werror", "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"], str(SOURCE), "-o", str(partial),
     ]
     done = subprocess.run(cmd, capture_output=True, text=True)
@@ -54,6 +59,28 @@ def _build(cache_dir: Path):
         raise RuntimeError(f"compiling {SOURCE.name} failed:\n{done.stderr[-2000:]}")
     os.replace(partial, target)
     return target
+
+
+UBSAN = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+
+
+@pytest.fixture(scope="session")
+def ubsan_extension(pytestconfig, tmp_path_factory):
+    """The extension built with the flags in UBSAN, so that the first
+    undefined operation aborts the process; skips when the compiler cannot
+    build a shared object with -fsanitize=undefined at all."""
+    if shutil.which(CC[0]) is None:
+        pytest.skip("no C compiler")
+    probe = tmp_path_factory.mktemp("ubsan-probe")
+    (probe / "probe.c").write_text("int probe(int x) { return x << 1; }\n")
+    done = subprocess.run(
+        CC + list(UBSAN) + ["-shared", "-fPIC", str(probe / "probe.c"), "-o", str(probe / "probe.so")],
+        capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        pytest.skip(f"{CC[0]} cannot build with -fsanitize=undefined: {done.stderr[-300:]}")
+    cache = getattr(pytestconfig, "cache", None)
+    return _build(Path(cache.mkdir("ckernels")) if cache is not None else probe, UBSAN)
 
 
 def pytest_configure(config):

@@ -1,7 +1,9 @@
 """The compiled kernels must agree with the pure-Python references exactly:
 the graph kernel on tables of 32- and 64-bit words, where every lane must
-refuse a successor outside the state range, and the table kernel, which
-must refuse malformed input before it writes."""
+refuse a successor outside the state range, the table kernel, which must
+refuse malformed input before it writes, and the two curve kernels, which
+must refuse a curve outside 2 <= p <= 0x10FFFF, 0 <= a, b < p before they
+allocate."""
 
 import os
 import random
@@ -15,7 +17,7 @@ import pytest
 from helpers import available_backends, random_poly
 from wildcycles import backend
 from wildcycles import _kernels_py as pure
-from wildcycles.fields import PrimeField
+from wildcycles.fields import PrimeField, is_prime
 from wildcycles.poly import grid_table, table_word
 
 backends = available_backends()
@@ -33,11 +35,60 @@ def test_graph_decompose_agrees():
             assert compiled.functional_graph_decompose(table) == pure.functional_graph_decompose(table)
 
 
+_CURVE_KERNELS = ("curve_affine_count", "curve_slice_counts")
+# (args, error) that each compiled curve kernel refuses
+_CURVE_REFUSALS = [
+    ((0, 0, 0), ValueError),
+    ((1, 0, 0), ValueError),
+    ((0x110000, 1, 1), ValueError),
+    ((5, -1, 1), ValueError),
+    ((5, 5, 1), ValueError),
+    ((5, 1, -1), ValueError),
+    ((5, 1, 5), ValueError),
+    ((1 << 64, 1, 1), ValueError),
+    ((5.0, 1, 1), TypeError),
+    ((5, 1), TypeError),
+    ((5, 1, 1, 1), TypeError),
+]
+
+
+@pytest.mark.skipif(compiled is None, reason="compiled extension not built")
+def test_curve_kernels_agree():
+    # every curve at every prime p < 60, then seeded ones up to p = 65537,
+    # where the pure slice counts add up to the affine count in place of
+    # the pure count's 2^32 pairs
+    for p in filter(is_prime, range(60)):
+        for a in range(1, p):
+            for b in range(p):
+                for name in _CURVE_KERNELS:
+                    assert getattr(compiled, name)(p, a, b) == getattr(pure, name)(p, a, b), (name, p, a, b)
+    rng = random.Random(163)
+    for p in (997, 1201, 7681, 65537):
+        a, b = rng.randrange(1, p), rng.randrange(p)
+        l = pure.curve_slice_counts(p, a, b)
+        assert compiled.curve_slice_counts(p, a, b) == l, (p, a, b)
+        count = pure.curve_affine_count(p, a, b) if p < 10**4 else sum(l)
+        assert compiled.curve_affine_count(p, a, b) == count, (p, a, b)
+
+
+@pytest.mark.skipif(compiled is None, reason="compiled extension not built")
+def test_compiled_curve_kernels_refuse_out_of_range_curves():
+    for name in _CURVE_KERNELS:
+        for args, error in _CURVE_REFUSALS:
+            with pytest.raises(error):
+                getattr(compiled, name)(*args)
+    # the largest p on both lanes, and the same single slice at p = 2
+    assert compiled.curve_slice_counts(0x10FFFF, 1, 0) == pure.curve_slice_counts(0x10FFFF, 1, 0)
+    assert compiled.curve_slice_counts(2, 1, 1) == [2, 0]
+
+
 _DEBUG_HEAP_CHECK = """
 import importlib.util, itertools, sys
 from array import array
 sys.path.insert(0, sys.argv[2])
+sys.path.insert(0, sys.argv[3])
 from wildcycles import _kernels_py as pure
+from test_backends import _CURVE_KERNELS, _CURVE_REFUSALS
 spec = importlib.util.spec_from_file_location("wildcycles._ckernels", sys.argv[1])
 compiled = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compiled)
@@ -54,20 +105,43 @@ for n in range(5):
         for code in "IQ":
             table = array(code, nxt)
             assert compiled.functional_graph_decompose(table) == pure.functional_graph_decompose(table), nxt
+for name in _CURVE_KERNELS:
+    for args, error in _CURVE_REFUSALS:
+        try:
+            getattr(compiled, name)(*args)
+        except error:
+            pass
+        else:
+            raise AssertionError((name, args))
+    for p in (2, 3, 5, 7, 11, 13):
+        for a in range(1, p):
+            for b in range(p):
+                assert getattr(compiled, name)(p, a, b) == getattr(pure, name)(p, a, b), (name, p, a, b)
+    for p, a, b in ((997, 5, 0), (7681, 7680, 1234)):
+        assert getattr(compiled, name)(p, a, b) == getattr(pure, name)(p, a, b), (name, p, a, b)
+assert compiled.curve_slice_counts(0x10FFFF, 0x10FFFE, 3) == pure.curve_slice_counts(0x10FFFF, 0x10FFFE, 3)
 """
+
+
+def run_check(script, extension, **env):
+    """Runs one of the check scripts below in a fresh interpreter on the
+    compiled extension at path `extension`, the pure lane selected."""
+    here = Path(__file__).resolve().parent
+    return subprocess.run(
+        [sys.executable, "-c", script, str(extension), str(here.parent / "src"), str(here)],
+        env={**os.environ, **env, "WILDCYCLES_BACKEND": "pure"},
+        capture_output=True, text=True, timeout=300,
+    )
 
 
 @pytest.mark.skipif(compiled is None, reason="compiled extension not built")
 def test_graph_decompose_stays_in_its_buffer():
     # Python's debug allocator guards both ends of every block and aborts
     # on free when a write overran it; every map on up to 4 states runs, as
-    # 32- and 64-bit tables, and so do the refusals.
-    src = Path(pure.__file__).resolve().parent.parent
-    done = subprocess.run(
-        [sys.executable, "-c", _DEBUG_HEAP_CHECK, compiled.__file__, str(src)],
-        env={**os.environ, "PYTHONMALLOC": "debug", "WILDCYCLES_BACKEND": "pure"},
-        capture_output=True, text=True, timeout=120,
-    )
+    # 32- and 64-bit tables, and so do the refusals, and the curve kernels
+    # on every curve at p <= 13, on a few up to the largest p, and on their
+    # refusals.
+    done = run_check(_DEBUG_HEAP_CHECK, compiled.__file__, PYTHONMALLOC="debug")
     assert done.returncode == 0, done.stderr[-2000:]
 
 
@@ -222,8 +296,7 @@ def test_compiled_grid_image_refuses_malformed_input():
 
 
 _DEBUG_TABLE_CHECK = """
-import importlib.util, itertools, random, sys
-from array import array
+import importlib.util, random, sys
 sys.path.insert(0, sys.argv[2])
 sys.path.insert(0, sys.argv[3])
 from wildcycles import _kernels_py as pure
@@ -251,6 +324,9 @@ for p in (2, 3, 5):
 for p, n, size in ((331, 1, 100), (7, 1, 16385), (70001, 1, 3)):
     terms = many_terms(rng, p, n, size)
     assert filled(compiled, terms, p, n) == filled(pure, terms, p, n), (p, n, size)
+p = (1 << 61) - 1
+for c in (0, 1, p - 2, p - 1):
+    assert filled(compiled, [{(): c}], p, 0).tolist() == filled(pure, [{(): c}], p, 0).tolist() == [c]
 """
 
 
@@ -259,10 +335,14 @@ def test_grid_image_stays_in_its_buffer():
     # under Python's debug allocator, which guards both ends of every block,
     # the table kernel writes tables of up to 3 variables and 3 components,
     # over several blocks of x_0, and goes through every refusal
-    src = Path(pure.__file__).resolve().parent.parent
-    done = subprocess.run(
-        [sys.executable, "-c", _DEBUG_TABLE_CHECK, compiled.__file__, str(src), str(Path(__file__).resolve().parent)],
-        env={**os.environ, "PYTHONMALLOC": "debug", "WILDCYCLES_BACKEND": "pure"},
-        capture_output=True, text=True, timeout=300,
-    )
+    done = run_check(_DEBUG_TABLE_CHECK, compiled.__file__, PYTHONMALLOC="debug")
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+@pytest.mark.skipif(compiled is None, reason="compiled extension not built")
+def test_kernels_do_nothing_undefined(ubsan_extension):
+    # both check scripts again, on a build where the first overflow of a
+    # signed type, over-wide shift or misaligned read aborts the process
+    for script in (_DEBUG_HEAP_CHECK, _DEBUG_TABLE_CHECK):
+        done = run_check(script, ubsan_extension)
+        assert done.returncode == 0 and "runtime error" not in done.stderr, done.stderr[-2000:]

@@ -147,9 +147,18 @@ def test_help_exits_0(capsys):
     ["curve-count", "--p", "100003", "--a", "1", "--b", "1", "--budget", "10"],
     ["curve-count", "--p", "1114117", "--a", "1", "--b", "1", "--budget", str(10**20)],
     ["curve-sweep", "--pmax", "101", "--samples", "2", "--budget", "10200"],
+    ["curve-sweep", "--pmax", "7", "--samples", "1", "--budget", "30"],
+    ["curve-sweep", "--pmax", str(10**30), "--samples", "1", "--budget", str(10**40)],
 ])
 def test_curve_commands_refuse_past_the_budget(capsys, argv):
     assert_one_line_error(capsys, run(argv), 1)
+
+
+def test_curve_sweep_budget_reads_the_primes_it_sweeps(capsys):
+    # --pmax 6 sweeps p = 2, 3, 5, and 5^2 = 25 pairs fit a budget of 30
+    code, out = run_lines(capsys, "curve-sweep", "--pmax", "6", "--samples", "1", "--budget", "30")
+    assert code == 0
+    assert [json.loads(l)["payload"]["p"] for l in out.splitlines()] == [2, 3, 5]
 
 
 @pytest.mark.parametrize("argv", [

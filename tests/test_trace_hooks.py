@@ -3,12 +3,13 @@ rename that would break `perfbench/run.py --trace 1` fails here first."""
 
 import importlib.util
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 from helpers import available_backends
-from wildcycles import _kernels_py, backend, cli
+from wildcycles import _kernels_py, backend, cli, curves
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 compiled = available_backends().get("c")
@@ -48,10 +49,14 @@ def test_every_span_target_resolves_and_records(monkeypatch, capsys):
 
 @pytest.mark.skipif(compiled is None, reason="compiled extension not built")
 def test_every_span_target_resolves_on_the_compiled_lane(monkeypatch, capsys):
-    for name in ("curve_affine_count", "curve_slice_counts", "curve_is_singular"):
-        assert getattr(compiled, name) is getattr(_kernels_py, name)
+    # the compiled lane has its own count and slice kernels and shares the
+    # singularity check; the tracer must wrap and unwrap both kinds
+    for name in ("curve_affine_count", "curve_slice_counts"):
+        assert isinstance(getattr(compiled, name), types.BuiltinFunctionType)
+    assert compiled.curve_is_singular is _kernels_py.curve_is_singular
     spans = load_spans()
     monkeypatch.setattr(backend, "kernels", compiled)
+    monkeypatch.setattr(curves, "kernels", compiled)
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -61,5 +66,5 @@ def test_every_span_target_resolves_on_the_compiled_lane(monkeypatch, capsys):
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert tracer.totals()[0]["curves.kernel"] > 0
+    assert tracer.totals()[0]["curves.kernel"] == 3
     assert not any(hasattr(resolve(m, a), "__wrapped__") for m, a, _, _ in spans.TARGETS)
