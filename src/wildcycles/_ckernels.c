@@ -5,8 +5,10 @@
  * writes the same table into the caller's array('I') or array('Q'), but
  * by a plain evaluation per state: for each row of the higher variables it
  * takes one product per term, then a dot product with per-term power
- * tables of x_0, reduced mod p once per state. No Python object is made
- * per state. poly.grid_table checks the budget and the ring, reduces the
+ * tables of x_0, reduced mod p once per state: for p <= 2^32 by one
+ * Barrett step, a product in unsigned __int128 (a GCC and Clang type,
+ * which the build needs) and no division. No Python object is made per
+ * state. poly.grid_table checks the budget and the ring, reduces the
  * exponents and coefficients and picks the word; this side only refuses
  * what would make it read or write outside its buffers or overflow a
  * word, with TypeError or ValueError, before it writes.
@@ -189,6 +191,16 @@ mulmod(u64 a, u64 b, u64 p)
     return r;
 }
 
+/* a mod p for p <= 2^32 by Barrett's method, with m = (2^64 - 1) / p
+ * computed once: 2^64 - m p <= p, so (a m) >> 64 falls short of a / p by
+ * less than a / 2^64 < 1, and one conditional subtraction finishes. */
+static inline u64
+barrett(u64 a, u64 p, u64 m)
+{
+    u64 r = a - (u64)(((unsigned __int128)a * m) >> 64) * p;
+    return r >= p ? r - p : r;
+}
+
 static u64
 powmod(u64 x, u64 e, u64 p)
 {
@@ -276,7 +288,8 @@ fail:
  * exponents. The states go by blocks of x_0 of at most `block`: a block
  * takes T power tables of x_0 (pw), then per row the T products of the
  * coefficients with the powers of the higher variables (r), read from
- * tables of every x (hp), and b dot products (acc), each reduced once.
+ * tables of every x (hp), and b dot products (acc), each reduced once, by
+ * barrett() for p <= 2^32.
  * scratch holds T * block + block + T + T * (n - 1) * p words. */
 static void
 add_component(void *out, int wide, u64 pk, const u64 *term, Py_ssize_t T, u64 p, Py_ssize_t n,
@@ -286,6 +299,7 @@ add_component(void *out, int wide, u64 pk, const u64 *term, Py_ssize_t T, u64 p,
     const Py_ssize_t rec = n + 1, high = n - 1;
     /* products added to a sum before it must be reduced again */
     const u64 chunk = p <= SMALL_P ? (~0ULL - (p - 1)) / ((p - 1) * (p - 1)) : 0;
+    const u64 m = ~0ULL / p;
     for (Py_ssize_t t = 0; t < T; t++)
         for (Py_ssize_t i = 0; i < high; i++)
             for (u64 x = 0; x < p; x++)
@@ -317,15 +331,16 @@ add_component(void *out, int wide, u64 pk, const u64 *term, Py_ssize_t T, u64 p,
                 }
                 if (since++ == chunk) {
                     for (Py_ssize_t j = 0; j < b; j++)
-                        acc[j] %= p;
+                        acc[j] = barrett(acc[j], p, m);
                     since = 1;
                 }
                 /* both factors are below 2^32 here */
                 for (Py_ssize_t j = 0; j < b; j++)
                     acc[j] += (u64)(unsigned int)c * (unsigned int)powers[j];
             }
-            for (Py_ssize_t j = 0; j < b; j++)
-                acc[j] %= p;
+            if (p <= SMALL_P)
+                for (Py_ssize_t j = 0; j < b; j++)
+                    acc[j] = barrett(acc[j], p, m);
             Py_ssize_t at = row * L + x0;
             if (wide) {
                 u64 *words = (u64 *)out + at;

@@ -29,12 +29,21 @@ from .fields import sqrt_mod
 BACKEND_NAME = "pure"
 
 
+def _check_curve_p(p: int) -> None:
+    """ValueError unless 2 <= p <= sys.maxunicode, the range of p that the
+    curve kernels of both lanes take."""
+    if not 2 <= p <= sys.maxunicode:
+        raise ValueError(f"p = {p} is not in 2..{sys.maxunicode}")
+
+
 def curve_affine_count(p: int, a: int, b: int) -> int:
     """#{(x, y) in F_p^2 : y^2 + a x^3 + b x = 0} by full 2D enumeration.
 
     The p squares y^2 mod p are one str of code points, and each x counts
     the code point -(a x^3 + b x) in it with str.count: every (x, y) pair
-    is visited, by C code. Needs p <= sys.maxunicode, the range of chr."""
+    is visited, by C code. Refuses p outside 2..sys.maxunicode, the range
+    of chr, with ValueError."""
+    _check_curve_p(p)
     squares = "".join([chr(y * y % p) for y in range(p)])
     return sum([squares.count(chr(-(a * x * x * x + b * x) % p)) for x in range(p)])
 
@@ -45,7 +54,9 @@ def curve_slice_counts(p: int, a: int, b: int) -> List[int]:
     v(x) = a x^3 + b x is odd, so for odd p one histogram H of v over
     x = 1..(p-1)/2 serves x and -x: l_i = H[-i^2] + H[i^2], plus 1 at
     i = 0 for x = 0, and l_i = l_(p-i). At p = 2, x = 1 is its own
-    negative: l = [2 - v(1), v(1)]."""
+    negative: l = [2 - v(1), v(1)]. Refuses p outside 2..sys.maxunicode
+    with ValueError, as the count does."""
+    _check_curve_p(p)
     if p == 2:
         v = (a + b) % 2
         return [2 - v, v]

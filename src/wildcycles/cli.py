@@ -279,6 +279,8 @@ def _cmd_curve_count(args) -> dict:
 
 
 def _sweep_cases(pmax: int, samples: int, seed: int):
+    if not samples:
+        return
     rng = random.Random(seed)
     for p in range(2, pmax + 1):
         if not is_prime(p):

@@ -29,7 +29,7 @@ from ._kernels_py import curve_critical_points
 from .backend import kernels
 from .errors import DEFAULT_STATE_BUDGET, NotPrime, SingularCurve, StateBudgetExceeded
 from .fields import is_prime, sqrt_mod
-from .poly import MPoly, grid_point, grid_table
+from .poly import MPoly, grid_points, grid_table
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def naive_count(c: CurveSpec, budget: int = DEFAULT_STATE_BUDGET) -> int:
 
 def slice_counts(c: CurveSpec) -> List[int]:
     """Distinct-root count of a*x^3 + b*x + i^2 per slice y = i. The
-    compiled kernel refuses p past sys.maxunicode with ValueError."""
+    kernels of both lanes refuse p past sys.maxunicode with ValueError."""
     return list(kernels.curve_slice_counts(c.p, c.a, c.b))
 
 
@@ -169,4 +169,4 @@ def critical_locus(f: MPoly, p: int, budget: int = DEFAULT_STATE_BUDGET) -> List
     past the budget, and partials not over F_p."""
     n = f.nvars
     image = grid_table(kernels, [f.derivative(i) for i in range(n)], p, n, budget)
-    return sorted(grid_point(idx, p, n) for idx in compress(range(p**n), map(not_, image)))
+    return sorted(grid_points(list(compress(range(p**n), map(not_, image))), p, n))

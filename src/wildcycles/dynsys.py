@@ -8,12 +8,13 @@ dx/ds = g(x); the step h is recorded in every report rather than hidden.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, List, Optional, Tuple
 
 from .backend import kernels
 from .errors import DEFAULT_STATE_BUDGET, DomainMismatch
 from .fields import PrimeField
-from .poly import MPoly, grid_point, grid_table
+from .poly import MPoly, grid_points, grid_table
 
 State = Tuple[int, ...]
 
@@ -118,14 +119,16 @@ def orbit_decomposition(
     one array (poly.grid_table, which refuses it past the budget) and walks
     it as it is. The walk returns only the cycles, each from its least
     index and sorted by it, and the longest tail, so no Python object is
-    made per state: only the periodic states are decoded into tuples.
+    made per state: only the periodic states are decoded into tuples, all
+    at once.
     """
     p, n = F.p, F.n
     cycles, max_tail = kernels.functional_graph_decompose(grid_table(kernels, F.components, p, n, budget))
+    points = iter(grid_points([k for c in cycles for k in c], p, n))
     return OrbitDecomposition(
         p=p,
         n=n,
-        cycles=tuple(tuple(grid_point(k, p, n) for k in c) for c in cycles),
+        cycles=tuple(tuple(islice(points, len(c))) for c in cycles),
         max_tail_length=max_tail,
     )
 
@@ -240,40 +243,51 @@ def collatz_all_reach_one(limit: int, budget: int = 10**4) -> int:
     return 0
 
 
-def _lane_width(k: int) -> int:
-    """Bits per lane of the packed lift to depth k: a lifted value stays
-    below 2^(k+1), so 3v + 1 < 6 * 2^k must fit; 16 bits up to k = 13, 32
-    bits up to k = 29."""
-    return 16 if 6 << k <= 1 << 16 else 32
+def _lane_width(k: int, j: int) -> int:
+    """Bits per lane at level j of the packed lift to depth k: a lane there
+    holds a value below 2^(k-j), its lift is below 2^(k-j+1), and the next
+    step's 3v + 1 < 2^(k-j+3) must fit; so the least of 8, 16 and 32 bits
+    that holds k - j + 3 bits."""
+    bits = k - j + 3
+    return 8 if bits <= 8 else 16 if bits <= 16 else 32
 
 
 def _parity_levels(k: int) -> Iterator[int]:
     """For j < k, one int whose lane r holds, in its bit 0, the parity of
-    T^j(r) for every r < 2^(j+1), T the accelerated map.
+    T^j(r) for every r < 2^(j+1), T the accelerated map; the lanes of level
+    j are _lane_width(k, j) bits wide.
 
     Level j is lifted from level j - 1 by Terras's identity
     T^j(r + 2^j) = T^j(r) + 3^(o_j(r)), o_j(r) the number of odd steps among
     the first j. One int per quantity holds every residue of a level, one
-    _lane_width(k)-bit lane per residue: X holds T^j(r) and M holds
-    3^(o_j(r)), and each level is a dozen big-int operations. X and M are
-    reduced mod 2^k after every step, which still fixes every later parity
-    (T^j(r) mod 2^(k-j) is known after j steps), and no lane carries into
-    the next.
+    lane per residue: X holds T^j(r) and M holds 3^(o_j(r)), and each level
+    is a dozen big-int operations. At level j, X and M are reduced mod
+    2^(k-j), which still fixes every later parity (T^j(r) mod 2^(k-j)
+    decides steps j..k-1), and no lane carries into the next. As the
+    values shrink the lanes narrow, from 32 to 16 to 8 bits at most: each
+    int keeps the low half of every lane, one slice of its bytes.
     """
-    width = _lane_width(k)
-    X, M, odd = 0, 1, 0
-    ones, lanes = 1, (1 << k) - 1  # bit 0 of each lane; its low k bits
+    width = _lane_width(k, 0)
+    X, M, odd, ones = 0, 1, 0, 1  # ones: bit 0 of each lane
     for j in range(k):
-        # step level j - 1: odd lanes v -> v + (2v + 1), then every lane is halved
+        # step level j - 1: odd lanes v -> v + (2v + 1), then every lane is
+        # halved; then reduce mod 2^(k-j)
         full = odd * ((1 << width) - 1)
+        lanes = ones * ((1 << (k - j)) - 1)
         X = ((X + (((X << 1) | ones) & full)) >> 1) & lanes
         M = (M + ((M << 1) & full)) & lanes
+        if _lane_width(k, j) < width:
+            # each of the 2^j lanes fits its low half: keep every other half
+            half, size = "H" if width == 32 else "B", (width << j) >> 3
+            X, M, ones = (
+                int.from_bytes(memoryview(v.to_bytes(size, "little")).cast(half)[::2], "little") for v in (X, M, ones)
+            )
+            width >>= 1
         # lift: lane r + 2^j holds T^j(r) + 3^(o_j(r))
         shift = width << j
         X |= (X + M) << shift
         M |= M << shift
         ones |= ones << shift
-        lanes |= lanes << shift
         odd = X & ones
         yield odd
 
@@ -300,5 +314,4 @@ def parity_bijection_check(k: int) -> bool:
     """
     if not 0 <= k <= 24:
         raise ValueError("k out of supported range")
-    width = _lane_width(k)
-    return all(_level_splits(odd, j, width) for j, odd in enumerate(_parity_levels(k)))
+    return all(_level_splits(odd, j, _lane_width(k, j)) for j, odd in enumerate(_parity_levels(k)))

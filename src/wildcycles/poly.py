@@ -418,14 +418,13 @@ def poly_parse(text: str, var_names: Sequence[str], domain) -> MPoly:
     return MPoly(len(var_names), domain, terms)
 
 
-def grid_point(idx: int, p: int, n: int) -> Exponents:
-    """The point of F_p^n at state index idx = sum_i x_i p^i, the inverse of
-    the numbering that the tables of grid_table list by."""
-    out = []
-    for _ in range(n):
-        idx, x = divmod(idx, p)
-        out.append(x)
-    return tuple(out)
+def grid_points(indices: Sequence[int], p: int, n: int) -> List[Exponents]:
+    """The points of F_p^n at the state indices idx = sum_i x_i p^i, the
+    inverse of the numbering that the tables of grid_table list by: one
+    list per coordinate, zipped into tuples."""
+    if not n:
+        return [()] * len(indices)
+    return list(zip(*[[k // q % p for k in indices] for q in [p**i for i in range(n)]]))
 
 
 def table_word(p: int, m: int) -> str:

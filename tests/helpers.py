@@ -304,13 +304,19 @@ def packed_parity_vectors(k):
     """The parity vectors of every residue mod 2^k, in residue order, bit j
     the parity at step j, assembled from the packed lift of
     dynsys._parity_levels: before level j every lane r + 2^j copies the
-    first j parities of lane r, then level j's parities fill bit j."""
-    width = _lane_width(k)
+    first j parities of lane r, then level j's parities fill bit j. V keeps
+    the lanes of level 0, the widest; level j's lanes of
+    _lane_width(k, j) bits are widened to them through their low bytes,
+    since only bit 0 of a lane is set."""
+    width = _lane_width(k, 0)
     V = 0
     for j, odd in enumerate(_parity_levels(k)):
+        narrow, lanes = _lane_width(k, j) // 8, 2 << j
+        wide = bytearray((width // 8) * lanes)
+        wide[:: width // 8] = odd.to_bytes(narrow * lanes, "little")[::narrow]
         V |= V << (width << j)
-        V |= odd << j
-    code = next(c for c in "HIL" if 8 * array(c).itemsize == width)
+        V |= int.from_bytes(wide, "little") << j
+    code = next(c for c in "BHIL" if 8 * array(c).itemsize == width)
     vecs = array(code, V.to_bytes((width // 8) << k, "little"))
     if sys.byteorder == "big":
         vecs.byteswap()

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from helpers import available_backends, random_poly
-from wildcycles import backend
+from wildcycles import backend, curves
 from wildcycles import _kernels_py as pure
 from wildcycles.fields import PrimeField, is_prime
 from wildcycles.poly import grid_table, table_word
@@ -80,6 +80,23 @@ def test_compiled_curve_kernels_refuse_out_of_range_curves():
     # the largest p on both lanes, and the same single slice at p = 2
     assert compiled.curve_slice_counts(0x10FFFF, 1, 0) == pure.curve_slice_counts(0x10FFFF, 1, 0)
     assert compiled.curve_slice_counts(2, 1, 1) == [2, 0]
+
+
+def test_curve_kernels_refuse_the_same_p_on_every_lane(monkeypatch):
+    # p = 1114117 is a prime past sys.maxunicode, so a CurveSpec takes it
+    # and only the kernels stand between it and a slice list; the O(p)
+    # slices go first, so a missing refusal fails before the p^2 count
+    for name, lane in backends.items():
+        for p in (1, 0x110000, 1114117):
+            for kernel in ("curve_slice_counts", "curve_affine_count"):
+                with pytest.raises(ValueError, match=rf"^p = {p} is not in 2\.\.1114111$"):
+                    getattr(lane, kernel)(p, 1, 0)
+        monkeypatch.setattr(curves, "kernels", lane)
+        with pytest.raises(ValueError):
+            curves.slice_counts(curves.CurveSpec(1114117, 1, 0))
+        with pytest.raises(ValueError):
+            curves.slice_counts_with_multiplicity(curves.CurveSpec(1114117, 1, 0))
+        assert lane.curve_slice_counts(2, 1, 1) == [2, 0], name
 
 
 _DEBUG_HEAP_CHECK = """
@@ -215,6 +232,21 @@ def many_terms(rng, p, n, size):
     return [{tuple(k // bound**i % bound for i in range(n)): rng.randrange(p) for k in keys}, {}]
 
 
+def barrett_tables(rng):
+    """(terms, p, n) about the compiled table kernel's Barrett step: one
+    variable on both sides of 2^16 and at 262139 < 2^18, each a sum of
+    products that reaches 2 (p - 1)^2 at x = p - 1, plus a random constant;
+    then constants (n = 0) on both sides of 2^32, past which the kernel
+    reduces each product on its own."""
+    cases = []
+    for p in (65521, 65537, 262139):
+        cases.append(([{(0,): rng.randrange(p), (1,): p - 1, (3,): p - 1}], p, 1))
+    for p in ((1 << 32) - 5, (1 << 32) + 15):
+        for c in (0, 1, p - 2, p - 1):
+            cases.append(([{(): c}] * (2 if p < 1 << 32 else 1), p, 0))
+    return cases
+
+
 def filled(kernels, terms, p, n):
     """The table kernels.grid_image writes for terms, in the word that
     grid_table would pick."""
@@ -229,7 +261,8 @@ def test_grid_image_lanes_agree():
     p, from grid_table's reduced ones, with 64-bit words when the components
     outnumber the variables, past the blocks of x_0 (one term count above
     the block), past 2^16 where a sum of products leaves 32 bits, and for
-    n = 0 at a p beyond 2^32."""
+    n = 0 at a p beyond 2^32, and about the Barrett step of the compiled
+    lane (barrett_tables)."""
     rng = random.Random(149)
     for _ in range(150):
         p = rng.choice([2, 3, 5, 7, 11, 101])
@@ -248,6 +281,8 @@ def test_grid_image_lanes_agree():
     p = (1 << 61) - 1
     terms = [{(): p - 2}]
     assert filled(compiled, terms, p, 0).tolist() == filled(pure, terms, p, 0).tolist() == [p - 2]
+    for terms, p, n in barrett_tables(rng):
+        assert filled(compiled, terms, p, n) == filled(pure, terms, p, n), (p, n, terms)
     for p, n in ((2, 3), (7, 2), (13, 2), (31, 1)):
         fs = [random_poly(rng, n, PrimeField(p), max_deg=3 * p, max_terms=6) for _ in range(n + 1)]
         assert grid_table(compiled, fs, p, n) == grid_table(pure, fs, p, n), (p, n)
@@ -300,7 +335,7 @@ import importlib.util, random, sys
 sys.path.insert(0, sys.argv[2])
 sys.path.insert(0, sys.argv[3])
 from wildcycles import _kernels_py as pure
-from test_backends import _MALFORMED, filled, many_terms, random_terms
+from test_backends import _MALFORMED, barrett_tables, filled, many_terms, random_terms
 spec = importlib.util.spec_from_file_location("wildcycles._ckernels", sys.argv[1])
 compiled = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compiled)
@@ -327,6 +362,8 @@ for p, n, size in ((331, 1, 100), (7, 1, 16385), (70001, 1, 3)):
 p = (1 << 61) - 1
 for c in (0, 1, p - 2, p - 1):
     assert filled(compiled, [{(): c}], p, 0).tolist() == filled(pure, [{(): c}], p, 0).tolist() == [c]
+for terms, p, n in barrett_tables(rng):
+    assert filled(compiled, terms, p, n) == filled(pure, terms, p, n), (p, n, terms)
 """
 
 

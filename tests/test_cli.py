@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -159,6 +160,17 @@ def test_curve_sweep_budget_reads_the_primes_it_sweeps(capsys):
     code, out = run_lines(capsys, "curve-sweep", "--pmax", "6", "--samples", "1", "--budget", "30")
     assert code == 0
     assert [json.loads(l)["payload"]["p"] for l in out.splitlines()] == [2, 3, 5]
+
+
+def test_curve_sweep_of_no_samples_tests_no_prime(capsys):
+    # it tested every p <= --pmax for primality before it swept nothing,
+    # which took 3.1 s
+    t0 = time.perf_counter()
+    argv = ["curve-sweep", "--pmax", "1114116", "--samples", "0", "--budget", str(10**40), "--format", "text"]
+    code, out = run_lines(capsys, *argv)
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 0
+    assert out.splitlines()[-1] == "# 0 cases, identity holds on 0, 0 nonsingular (Hasse ok on 0)"
 
 
 @pytest.mark.parametrize("argv", [

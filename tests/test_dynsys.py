@@ -409,8 +409,38 @@ def test_parity_vectors_match_stepwise_parity_vector():
 
 
 def test_packed_parity_vectors_match_three_list_oracle():
-    for k in range(17):
+    for k in range(19):
         assert packed_parity_vectors(k) == parity_vectors_oracle(k), k
+
+
+def test_parity_lanes_narrow_with_their_values():
+    """Level j of the lift to depth k keeps values below 2^(k-j), so its
+    lanes take the least of 8, 16 and 32 bits that holds k - j + 3 bits:
+    at k = 20, 32 bits for levels 0..6, 16 for 7..14 and 8 for 15..19.
+    Each level's parity int sets only bit 0 of its 2^(j+1) lanes of that
+    width."""
+    assert [_lane_width(20, j) for j in range(20)] == [32] * 7 + [16] * 8 + [8] * 5
+    for k in (0, 1, 5, 6, 13, 14, 24):
+        widths = [_lane_width(k, j) for j in range(k)]
+        assert all(k - j + 3 <= w and (w == 8 or k - j + 3 > w // 2) for j, w in enumerate(widths)), k
+    for k in (6, 14, 18):
+        for j, odd in enumerate(dynsys._parity_levels(k)):
+            size = _lane_width(k, j) // 8
+            ones = int.from_bytes((b"\x01" + bytes(size - 1)) * (2 << j), "little")
+            assert odd & ones == odd, (k, j)
+
+
+def test_parity_lift_memory_at_k_20():
+    """At k = 20 the top levels' lanes are 8 bits wide, so each int of a
+    level is at most 1 MiB: the traced peak stays within 12 of them (it
+    read 7.3 MB; lanes of 32 bits at every level peaked at 31.3 MB)."""
+    tracemalloc.start()
+    try:
+        assert parity_bijection_check(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 << 20, peak / (1 << 20)
 
 
 def test_parity_bijection_check_matches_distinct_oracle_vectors():
@@ -425,7 +455,7 @@ def lanes(width, odd_lanes):
 
 def test_level_split_fails_when_one_pair_agrees():
     # level j = 2 holds lanes 0..7; lanes q and q + 4 must differ in bit 0
-    for width in (16, 32):
+    for width in (8, 16, 32):
         good = lanes(width, (0, 2, 5, 7))
         assert _level_splits(good, 2, width)
         for q in range(4):
@@ -434,9 +464,11 @@ def test_level_split_fails_when_one_pair_agrees():
 
 
 def test_parity_bijection_check_stops_at_the_first_level_that_fails(monkeypatch):
-    width = _lane_width(5)
+    # at k = 14 level 0 has 32-bit lanes and levels 1 and 2 16-bit ones;
     # level 0 splits lanes (0, 1); at level 1 lanes 0 and 2 are both even
-    fake = [lanes(width, (1,)), lanes(width, (1, 3)), lanes(width, (1, 2, 4, 7))]
+    width = [_lane_width(14, j) for j in range(3)]
+    assert width == [32, 16, 16]
+    fake = [lanes(width[0], (1,)), lanes(width[1], (1, 3)), lanes(width[2], (1, 2, 4, 7))]
     seen = []
 
     def fake_levels(k):
@@ -445,8 +477,10 @@ def test_parity_bijection_check_stops_at_the_first_level_that_fails(monkeypatch)
             yield odd
 
     monkeypatch.setattr(dynsys, "_parity_levels", fake_levels)
-    assert not parity_bijection_check(5)
+    assert not parity_bijection_check(14)
     assert seen == fake[:2]
+    # levels read at level 0's width would not stop at level 1
+    assert _level_splits(fake[1], 1, width[0])
 
 
 def test_parity_bijection_range_guard():

@@ -7,7 +7,7 @@ import pytest
 from helpers import available_backends, lane_switch_primes, multiplication_operator, random_poly
 from wildcycles.errors import DomainMismatch, IndexOutOfRange, ParseError, StateBudgetExceeded, UnknownVariable
 from wildcycles.fields import QQ, PrimeField, is_prime
-from wildcycles.poly import MPoly, grid_point, grid_table, poly_parse
+from wildcycles.poly import MPoly, grid_points, grid_table, poly_parse
 from wildcycles.weyl import WeylOperator, weyl_parse
 
 
@@ -166,6 +166,22 @@ def test_negative_coeff_normalized_char_p():
     assert f.terms == {(1,): 4}
 
 
+def test_grid_points_invert_the_state_index():
+    """Index sum_i x_i p^i, variable 0 least significant, back to (x_0, ..,
+    x_(n-1)), in the order of the indices given; with n = 0 the one state
+    is ()."""
+    for p, n in ((2, 1), (3, 3), (7, 2), (101, 2)):
+        indices = list(range(p**n))
+        random.Random(p).shuffle(indices)
+        points = grid_points(indices, p, n)
+        assert all(sum(x * p**i for i, x in enumerate(pt)) == k for pt, k in zip(points, indices))
+        assert all(len(pt) == n and all(0 <= x < p for x in pt) for pt in points)
+        assert len(points) == len(indices)
+    assert grid_points([], 5, 2) == []
+    assert grid_points([0, 0], 5, 0) == [(), ()]
+    assert grid_points([7, 0, 24], 5, 2) == [(2, 1), (0, 0), (4, 4)]
+
+
 def test_grid_table_refuses_past_the_budget_and_off_the_field():
     """grid_table is the one gate for a table: p^n states past the budget,
     and a component over another ring or in another number of variables,
@@ -192,7 +208,7 @@ def test_grid_image_reads_64_bit_words_past_2_to_the_32():
         assert p**m > 1 << 32
         expected = [
             sum(f.eval(point) * p**k for k, f in enumerate(fs))
-            for point in (grid_point(i, p, n) for i in range(p**n))
+            for point in grid_points(range(p**n), p, n)
         ]
         for kernels in available_backends().values():
             assert grid_table(kernels, fs, p, n).tolist() == expected
@@ -214,7 +230,7 @@ def test_grid_image_lanes_at_their_bound():
             fp = PrimeField(p)
             for n in (1, 2) if p < 60 else (1,):
                 f = MPoly(n, fp, {(2 * i + 1,) * n: p - 1 for i in range(g)})
-                expected = [f.eval(grid_point(i, p, n)) for i in range(p**n)]
+                expected = [f.eval(point) for point in grid_points(range(p**n), p, n)]
                 for name, kernels in available_backends().items():
                     assert grid_table(kernels, [f], p, n).tolist() == expected, (name, g, p, n)
     rng = random.Random(139)
