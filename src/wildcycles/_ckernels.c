@@ -7,7 +7,8 @@
  * takes one product per term, then a dot product with per-term power
  * tables of x_0, reduced mod p once per state: for p <= 2^32 by one
  * Barrett step, a product in unsigned __int128 (a GCC and Clang type,
- * which the build needs) and no division. No Python object is made per
+ * which the build needs) and no division; past 2^32, by mulmod, one such
+ * product and one division per term. No Python object is made per
  * state. poly.grid_table checks the budget and the ring, reduces the
  * exponents and coefficients and picks the word; this side only refuses
  * what would make it read or write outside its buffers or overflow a
@@ -176,19 +177,14 @@ done:
 }
 
 /* a * b mod p for a, b < p: the plain product where it fits 64 bits, else
- * by doubling, so every p < 2^64 is exact. */
+ * one product in unsigned __int128, so every p < 2^64 is exact and small p
+ * pays no 128-bit division. */
 static u64
 mulmod(u64 a, u64 b, u64 p)
 {
     if (p <= SMALL_P)
         return a * b % p;
-    u64 r = 0;
-    for (; b; b >>= 1) {
-        if (b & 1)
-            r = r >= p - a ? r - (p - a) : r + a;
-        a = a >= p - a ? a - (p - a) : a + a;
-    }
-    return r;
+    return (u64)((unsigned __int128)a * b % p);
 }
 
 /* a mod p for p <= 2^32 by Barrett's method, with m = (2^64 - 1) / p

@@ -30,7 +30,7 @@ from .backend import BACKEND_NAME
 from .curves import CurveSpec, check_enumeration_budget, critical_locus, verify_identity
 from .dynsys import (
     DynamicalSystem,
-    as_self_map,
+    SelfMap,
     collatz_orbit,
     euler_discretize,
     orbit_decomposition,
@@ -108,68 +108,11 @@ def _var_names(args, polys: Sequence[str], operators: Sequence[str] = ()) -> Lis
     if not args.vars:
         return infer_var_names(polys, operators)
     names = [v.strip() for v in args.vars.split(",") if v.strip()]
+    if not names:
+        raise ValueError(f"--vars names no variable: {args.vars!r}")
     if len(set(names)) < len(names):
         raise ValueError(f"--vars repeats a name: {args.vars!r}")
     return names
-
-
-COMMON = {"format": (("json", "text"), "json"), "seed": (int, 0), "budget": (int, None)}
-
-# subcommand: (help line, {flag: (kind, default)}). A kind is int, str or a
-# tuple of choices; a default of ... marks a required flag.
-COMMANDS = {
-    "milnor": ("tame/wild vanishing-cycle split of f at p", {"f": (str, ...), "p": (int, ...), "vars": (str, None)}),
-    "groebner": (
-        "reduced Groebner basis and quotient data",
-        {"gens": (str, ...), "order": (("grevlex", "lex"), "grevlex"), "p": (int, None), "vars": (str, None)},
-    ),
-    "inertia": (
-        "differential-inertia membership report",
-        {"p": (int, ...), "module": (str, ...), "op": (str, ...), "level": (int, ...), "element": (str, None)},
-    ),
-    "weyl-apply": (
-        "apply an operator to a polynomial",
-        {"op": (str, ...), "f": (str, ...), "p": (int, None), "vars": (str, None)},
-    ),
-    "orbits": (
-        "orbit decomposition of an Euler-discretized system",
-        {
-            "p": (int, ...),
-            "system": (str, ...),
-            "h": (int, 1),
-            "mode": (("vector-field", "self-map"), "vector-field"),
-            "vars": (str, None),
-        },
-    ),
-    "collatz": (
-        "Collatz orbit with cycle detection",
-        {"start": (int, ...), "variant": (("paper", "accelerated"), "paper"), "step-budget": (int, 10**4)},
-    ),
-    "collatz-bijection": ("parity-vector bijection mod 2^k", {"k": (int, ...)}),
-    "curve-count": ("slice counts and the point-count identity", {"p": (int, ...), "a": (int, ...), "b": (int, ...)}),
-    "curve-sweep": ("identity sweep over primes and random (a,b)", {"pmax": (int, 101), "samples": (int, 20)}),
-    "theorem1-probe": (
-        "EXPLORATORY side-by-side of Milnor data and periodic points",
-        {"f": (str, ...), "p": (int, ...), "h": (int, 1), "vars": (str, None)},
-    ),
-}
-
-
-def build_parser(cmd: str) -> dict:
-    """The flags of `cmd`, its own then the common ones: {flag: (kind, default)}."""
-    return {**COMMANDS[cmd][1], **COMMON}
-
-
-def _usage(cmd: Optional[str]) -> str:
-    if cmd is None:
-        width = max(map(len, COMMANDS))
-        lines = [f"  {name:<{width}}  {help_}" for name, (help_, _) in COMMANDS.items()]
-        return "usage: wildcycles <cmd> [--config FILE] [--flag value ...]\n\n" + "\n".join(lines)
-    words = ["[--config FILE]"]
-    for flag, (kind, default) in build_parser(cmd).items():
-        word = f"--{flag} " + ("|".join(kind) if isinstance(kind, tuple) else kind.__name__.upper())
-        words.append(word if default is ... else f"[{word}]")
-    return f"usage: wildcycles {cmd} {' '.join(words)}\n\n{COMMANDS[cmd][0]}"
 
 
 # -- subcommand bodies ----------------------------------------------------
@@ -258,7 +201,7 @@ def _parse_system(args) -> DynamicalSystem:
 def _cmd_orbits(args) -> dict:
     sys_ = _parse_system(args)
     vector_field = sys_.mode == "vector-field"
-    F = euler_discretize(sys_, args.h) if vector_field else as_self_map(sys_)
+    F = euler_discretize(sys_, args.h) if vector_field else SelfMap(sys_.p, sys_.n, sys_.components)
     payload = orbit_decomposition(F, budget=args.budget).to_json()
     if vector_field:
         payload["h"] = args.h
@@ -361,17 +304,82 @@ def _cmd_theorem1_probe(args) -> dict:
     }
 
 
-_HANDLERS = {
-    "milnor": _cmd_milnor,
-    "groebner": _cmd_groebner,
-    "inertia": _cmd_inertia,
-    "weyl-apply": _cmd_weyl_apply,
-    "orbits": _cmd_orbits,
-    "collatz": _cmd_collatz,
-    "collatz-bijection": _cmd_collatz_bijection,
-    "curve-count": _cmd_curve_count,
-    "theorem1-probe": _cmd_theorem1_probe,
+COMMON = {"format": (("json", "text"), "json"), "seed": (int, 0), "budget": (int, None)}
+
+# subcommand: (help line, {flag: (kind, default)}, handler). A kind is int,
+# str or a tuple of choices; a default of ... marks a required flag. The
+# handler returns the payload; curve-sweep's prints and returns its exit code.
+COMMANDS = {
+    "milnor": (
+        "tame/wild vanishing-cycle split of f at p",
+        {"f": (str, ...), "p": (int, ...), "vars": (str, None)},
+        _cmd_milnor,
+    ),
+    "groebner": (
+        "reduced Groebner basis and quotient data",
+        {"gens": (str, ...), "order": (("grevlex", "lex"), "grevlex"), "p": (int, None), "vars": (str, None)},
+        _cmd_groebner,
+    ),
+    "inertia": (
+        "differential-inertia membership report",
+        {"p": (int, ...), "module": (str, ...), "op": (str, ...), "level": (int, ...), "element": (str, None)},
+        _cmd_inertia,
+    ),
+    "weyl-apply": (
+        "apply an operator to a polynomial",
+        {"op": (str, ...), "f": (str, ...), "p": (int, None), "vars": (str, None)},
+        _cmd_weyl_apply,
+    ),
+    "orbits": (
+        "orbit decomposition of an Euler-discretized system",
+        {
+            "p": (int, ...),
+            "system": (str, ...),
+            "h": (int, 1),
+            "mode": (("vector-field", "self-map"), "vector-field"),
+            "vars": (str, None),
+        },
+        _cmd_orbits,
+    ),
+    "collatz": (
+        "Collatz orbit with cycle detection",
+        {"start": (int, ...), "variant": (("paper", "accelerated"), "paper"), "step-budget": (int, 10**4)},
+        _cmd_collatz,
+    ),
+    "collatz-bijection": ("parity-vector bijection mod 2^k", {"k": (int, ...)}, _cmd_collatz_bijection),
+    "curve-count": (
+        "slice counts and the point-count identity",
+        {"p": (int, ...), "a": (int, ...), "b": (int, ...)},
+        _cmd_curve_count,
+    ),
+    "curve-sweep": (
+        "identity sweep over primes and random (a,b)",
+        {"pmax": (int, 101), "samples": (int, 20)},
+        _cmd_curve_sweep,
+    ),
+    "theorem1-probe": (
+        "EXPLORATORY side-by-side of Milnor data and periodic points",
+        {"f": (str, ...), "p": (int, ...), "h": (int, 1), "vars": (str, None)},
+        _cmd_theorem1_probe,
+    ),
 }
+
+
+def build_parser(cmd: str) -> dict:
+    """The flags of `cmd`, its own then the common ones: {flag: (kind, default)}."""
+    return {**COMMANDS[cmd][1], **COMMON}
+
+
+def _usage(cmd: Optional[str]) -> str:
+    if cmd is None:
+        width = max(map(len, COMMANDS))
+        lines = [f"  {name:<{width}}  {entry[0]}" for name, entry in COMMANDS.items()]
+        return "usage: wildcycles <cmd> [--config FILE] [--flag value ...]\n\n" + "\n".join(lines)
+    words = ["[--config FILE]"]
+    for flag, (kind, default) in build_parser(cmd).items():
+        word = f"--{flag} " + ("|".join(kind) if isinstance(kind, tuple) else kind.__name__.upper())
+        words.append(word if default is ... else f"[{word}]")
+    return f"usage: wildcycles {cmd} {' '.join(words)}\n\n{COMMANDS[cmd][0]}"
 
 
 def _read_config(path: str) -> dict:
@@ -456,9 +464,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             print(_usage(cmd))
             return 0
         args = SimpleNamespace(**config, backend=BACKEND_NAME)
+        payload = COMMANDS[cmd][2](args)
         if cmd == "curve-sweep":
-            return _cmd_curve_sweep(args)
-        payload = _HANDLERS[cmd](args)
+            return payload
     except (ParseError, ZeroOrderTerm, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

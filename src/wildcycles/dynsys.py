@@ -69,10 +69,6 @@ def euler_discretize(sys: DynamicalSystem, h: int = 1) -> SelfMap:
     return SelfMap(sys.p, sys.n, tuple(comps))
 
 
-def as_self_map(sys: DynamicalSystem) -> SelfMap:
-    return SelfMap(sys.p, sys.n, sys.components)
-
-
 @dataclass(frozen=True)
 class OrbitDecomposition:
     """Complete partition of the state space into cycles and tails.
@@ -137,7 +133,7 @@ def periodic_point_count(
     sys: DynamicalSystem, h: int = 1, budget: int = DEFAULT_STATE_BUDGET
 ) -> int:
     """Number of periodic states of the Euler map of the vector field."""
-    F = euler_discretize(sys, h) if sys.mode == "vector-field" else as_self_map(sys)
+    F = euler_discretize(sys, h) if sys.mode == "vector-field" else SelfMap(sys.p, sys.n, sys.components)
     return orbit_decomposition(F, budget=budget).periodic_count
 
 

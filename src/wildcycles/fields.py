@@ -161,60 +161,53 @@ class Matrix:
         self.rows = rows
         self.columns = list(columns)
         self.domain = domain
-        # the echelon of columns[:_eliminated], row -> (pivot column, None)
+        # the echelon of columns[:_eliminated], row -> (column, combination)
         self._pivots = {}
         self._eliminated = 0
 
-    def add(self, column: dict) -> bool:
+    def add(self, column: dict, combination: Optional[dict] = None) -> bool | dict:
         """Append column and reduce it against the pivots of the columns
-        before it: True when it stays nonzero and becomes a new pivot, that
-        is when it is independent of them and the rank grows."""
+        before it, carrying the combination alongside unless it is None:
+        True when the rank grows; else the combination, now a relation
+        among the columns, or False when none was carried. Carry one only
+        if every column before it carried one."""
         if self._eliminated < len(self.columns):
             self.rank()
         self.columns.append(column)
         self._eliminated += 1
-        return self._reduce(column, None, self._pivots)
+        return self._reduce(column, combination)
 
     def rank(self) -> int:
-        """Rank, by the elimination of kernel_basis without the combinations:
-        the number of columns that keep a pivot. The echelon is kept, so a
-        later add or rank reduces only the columns appended since."""
+        """Rank: the number of columns that keep a pivot. The echelon is
+        kept, so a later add or rank reduces only the columns appended
+        since."""
         for column in self.columns[self._eliminated :]:
-            self._reduce(column, None, self._pivots)
+            self._reduce(column, None)
         self._eliminated = len(self.columns)
         return len(self._pivots)
 
     def kernel_basis(self) -> List[list]:
-        """Basis of the right null space, deterministic.
-
-        Columns are eliminated left to right against stored pivots, each at
-        the largest row of its reduced column, carrying the combination of
-        original columns along. A column that reduces to zero depends on the
-        columns before it and yields the vector of that combination: a 1 in
-        its own column, 0 in every other dependent column. So the vectors,
-        dependent columns ascending, are the reduced echelon kernel basis.
-        """
+        """Basis of the right null space, deterministic: the relations that
+        a fresh Matrix's add returns, column j carrying {j: 1}. A relation
+        has a 1 in its own column and 0 in every other dependent column, as
+        the pivots belong to independent columns, so the vectors, dependent
+        columns ascending, are the reduced echelon kernel basis."""
         dom = self.domain
-        pivots = {}
+        echelon = Matrix(self.rows, [], dom)
         basis = []
         for j, column in enumerate(self.columns):
-            combination = {j: dom.one}
-            if not self._reduce(column, combination, pivots):
-                v = [dom.zero] * len(self.columns)
-                for i, x in combination.items():
-                    v[i] = x
-                basis.append(v)
+            relation = echelon.add(column, {j: dom.one})
+            if relation is not True:
+                basis.append([relation.get(i, dom.zero) for i in range(len(self.columns))])
         return basis
 
-    def _reduce(self, column: dict, combination, pivots: dict) -> bool:
-        """One step of the left-to-right elimination: reduce a copy of column
-        against pivots (row -> (reduced column, combination), unscaled: the
-        pivot entry is whatever the reduction left at row), and the
-        combination dict in place alongside unless it is None. Each step
-        cancels the largest row with one division. A column left nonzero
-        becomes the pivot at its largest row and gives True; one that
-        reduces to zero gives False."""
-        dom = self.domain
+    def _reduce(self, column: dict, combination: Optional[dict]) -> bool | dict:
+        """One step of the left-to-right elimination, as add returns it:
+        reduce a copy of column against the pivots (unscaled: the pivot
+        entry is whatever the reduction left at its row), and the
+        combination in place alongside. Each step cancels the largest row
+        with one division; a column left nonzero becomes the pivot there."""
+        dom, pivots = self.domain, self._pivots
         column = dict(column)
         while column:
             r = max(column)
@@ -226,7 +219,7 @@ class Matrix:
             _subtract(column, 0, pivot[0], dom.char, c)
             if combination is not None:
                 _subtract(combination, 0, pivot[1], dom.char, c)
-        return False
+        return False if combination is None else combination
 
 
 def _subtract(h: dict, q: int, g: dict, p: int, c=None) -> None:

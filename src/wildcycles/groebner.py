@@ -331,14 +331,10 @@ def local_dimension(gens: Sequence[MPoly]) -> Dimension:
     return _dimension(*_packed(_generators(gens), "local", lambda P, hs: [r[1] for r in P.close(hs, P.reduce)]))
 
 
-def jacobian_ideal(f: MPoly) -> List[MPoly]:
-    return [f.derivative(i) for i in range(f.nvars)]
-
-
 def milnor_number(f: MPoly) -> Dimension:
     """Local dimension of the Jacobian ideal quotient; INFINITE if the
     singularity is not isolated."""
-    gens = [g for g in jacobian_ideal(f) if not g.is_zero()]
+    gens = [g for g in map(f.derivative, range(f.nvars)) if not g.is_zero()]
     return local_dimension(gens) if gens else INFINITE
 
 

@@ -10,11 +10,10 @@ module (inertia_membership) and annihilation of a designated element
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainMismatch, IndexOutOfRange, NotCritical, ZeroOrderTerm
 from .fields import Matrix, PrimeField
@@ -58,11 +57,6 @@ class QuotientModule:
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    @functools.cached_property
-    def index(self) -> Dict[Exponents, int]:
-        """Exponent tuple -> basis position."""
-        return {e: i for i, e in enumerate(self.basis)}
 
     def _key(self, e: Exponents) -> int:
         return sum(map(operator.mul, e, self._radix))

@@ -143,13 +143,6 @@ class MPoly:
             return MPoly.zero(self.nvars, dom)
         return MPoly(self.nvars, dom, {e: dom.mul(c, v) for e, v in self.terms.items()})
 
-    def mul_monomial(self, e: Exponents, c) -> "MPoly":
-        dom = self.domain
-        out = {}
-        for e1, c1 in self.terms.items():
-            out[tuple(a + b for a, b in zip(e1, e))] = dom.mul(c, c1)
-        return MPoly(self.nvars, dom, out)
-
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power")

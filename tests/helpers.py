@@ -1,14 +1,13 @@
 """Shared random generators and independent oracles used across tests."""
 
 import itertools
-import random
 import sys
 from array import array
 from fractions import Fraction
 
 from wildcycles._kernels_py import _lane_layout
 from wildcycles.dynsys import _lane_width, _parity_levels
-from wildcycles.fields import QQ, Matrix, PrimeField, is_prime
+from wildcycles.fields import Matrix, PrimeField, is_prime
 from wildcycles.poly import MPoly, table_word
 
 
@@ -123,6 +122,12 @@ def divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def mul_monomial(f, e, c):
+    """c·x^e·f, for c nonzero."""
+    terms = {tuple(a + b for a, b in zip(e1, e)): f.domain.mul(c, c1) for e1, c1 in f.terms.items()}
+    return MPoly(f.nvars, f.domain, terms)
+
+
 def division_oracle(f, gens, order):
     """Textbook multivariate division on exponent tuples: the leading term
     of the running polynomial is cancelled by the first generator whose
@@ -134,7 +139,7 @@ def division_oracle(f, gens, order):
         for g in gens:
             ge, gc = g.leading(order)
             if divides(ge, le):
-                f = f - g.mul_monomial(tuple(a - b for a, b in zip(le, ge)), dom.div(lc, gc))
+                f = f - mul_monomial(g, tuple(a - b for a, b in zip(le, ge)), dom.div(lc, gc))
                 break
         else:
             rem = rem + MPoly.monomial(f.nvars, dom, le, lc)
@@ -147,8 +152,8 @@ def s_poly(f, g, order):
     (fe, fc), (ge, gc) = f.leading(order), g.leading(order)
     lcm = tuple(map(max, fe, ge))
     dom = f.domain
-    mf = f.mul_monomial(tuple(a - b for a, b in zip(lcm, fe)), dom.inv(fc))
-    return mf - g.mul_monomial(tuple(a - b for a, b in zip(lcm, ge)), dom.inv(gc))
+    mf = mul_monomial(f, tuple(a - b for a, b in zip(lcm, fe)), dom.inv(fc))
+    return mf - mul_monomial(g, tuple(a - b for a, b in zip(lcm, ge)), dom.inv(gc))
 
 
 def truncation_oracle(J, d):
@@ -200,7 +205,7 @@ def brute_force_membership(f, gens, max_cofactor_deg):
     target_monos = set(f.terms)
     for g in gens:
         for e in monos:
-            prod = g.mul_monomial(e, dom.one)
+            prod = mul_monomial(g, e, dom.one)
             columns.append(prod)
             target_monos.update(prod.terms)
     rows = sorted(target_monos)
@@ -476,9 +481,10 @@ def compose_oracle(P, Q):
 def module_vector(M, f):
     """The coordinates of f, truncated into the quotient module M, on M's
     monomial basis."""
+    index = {e: i for i, e in enumerate(M.basis)}
     v = [M.field.zero] * M.dimension
     for e, c in M.truncate(f).terms.items():
-        v[M.index[e]] = c
+        v[index[e]] = c
     return v
 
 

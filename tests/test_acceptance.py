@@ -4,11 +4,8 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
 import json
-import math
 import random
 import time
-
-import pytest
 
 from helpers import membership_oracle, random_poly, s_poly
 from wildcycles.cli import run as cli_run

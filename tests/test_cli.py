@@ -115,6 +115,11 @@ def test_malformed_poly_exit_2(capsys):
     ["orbits", "--p", "5", "--system", "x", "--budget", "-1"],
     ["milnor", "--f", "x^2", "--p", "3", "--budget=-1"],
     ["collatz", "--start", "3", "--step-budget", "-1"],
+    # a ring of no variables would make milnor read k/(0), of dimension 1,
+    # as infinite
+    ["milnor", "--f", "5", "--p", "5", "--vars", ","],
+    ["groebner", "--gens", "5", "--vars", " , ,"],
+    ["weyl-apply", "--op", "5", "--f", "5", "--vars", ","],
 ])
 def test_bad_argument_is_one_line_usage_error(capsys, argv):
     assert_one_line_usage_error(capsys, run(argv))

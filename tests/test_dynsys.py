@@ -24,7 +24,6 @@ from wildcycles.dynsys import (
     SelfMap,
     _lane_width,
     _level_splits,
-    as_self_map,
     collatz_all_reach_one,
     collatz_orbit,
     collatz_step,

@@ -191,6 +191,29 @@ def test_add_returns_whether_the_dense_rank_grows():
             assert incremental.rank() == ranks[-1] == dense.rank()
 
 
+def test_add_returns_a_relation_when_the_rank_stays():
+    # column j carries {j: 1}: a dependent column comes back as a relation r
+    # on the columns up to j with r[j] = 1 and sum of r[i]·columns[i] zero,
+    # an independent one as True; without a combination add gives a bool
+    rng = random.Random(41)
+    for domain in (PrimeField(2), PrimeField(7), QQ):
+        for dense in rank_cases(rng, domain):
+            columns = dense.sparse().columns
+            carried, plain = Matrix(dense.rows, [], domain), Matrix(dense.rows, [], domain)
+            for j, column in enumerate(columns):
+                relation, grew = carried.add(column, {j: domain.one}), plain.add(column)
+                assert grew is True or grew is False
+                assert (relation is True) == grew, (domain, dense.rows, dense.entries)
+                if grew:
+                    continue
+                assert relation[j] == domain.one and max(relation) == j
+                for row in range(dense.rows):
+                    total = domain.zero
+                    for i, c in relation.items():
+                        total = domain.add(total, domain.mul(c, columns[i].get(row, domain.zero)))
+                    assert total == domain.zero, (domain, dense.rows, dense.entries, j)
+
+
 def test_rational_arithmetic_exact_two_routes():
     rng = random.Random(17)
     for _ in range(100):
