@@ -2,23 +2,36 @@
 
 Global quotients come from reduced Groebner bases under grevlex or lex.
 Local dimensions at the origin come from one standard basis under a local
-degree order, built by the same pair loop. Both rest on one reduction step,
-Mora's ecart-based weak normal form: plain top reduction under grevlex and
-lex, where the pair loop also reduces the tail. The local dimension is the
-number of standard monomials of that basis, and it is infinite exactly when
-the staircase is unbounded (Mora 1982; Greuel & Pfister, A Singular
-Introduction to Commutative Algebra, sections 1.6-1.7).
+degree order, built by the same pair loop. Both rest on one reduction step
+(`_Layout.cancel`): under the local order in Mora's ecart-based weak normal
+form, and under grevlex and lex in plain division by the first reducer that
+divides, the tail included. The local dimension is the number of standard
+monomials of that basis, and it is infinite exactly when the staircase is
+unbounded (Mora 1982; Greuel & Pfister, A Singular Introduction to
+Commutative Algebra, sections 1.6-1.7).
 
 The engine runs on packed monomials, one int each (`_Layout`), and on
 polynomials as dicts {packed monomial: coefficient}: `buchberger`,
 `normal_form` and the dimensions pack their input on entry, and
-`buchberger` and `normal_form` unpack what they return.
+`buchberger` and `normal_form` unpack what they return. `milnor_number`
+packs f alone and takes its partial derivatives on the packed terms.
+
+Over QQ every coefficient inside the engine is an int: a polynomial is
+packed times the least common denominator of its coefficients, a reducer
+is primitive, and a step h <- a*h - b*x^q*g cancels a term with integer
+cofactors and divides out the content (pseudo-reduction; Geddes, Czapor &
+Labahn, Algorithms for Computer Algebra, 1992). The integer scale of a step
+is a unit of the local ring too, so Mora's weak normal form stays valid.
+Coefficients become Fractions again only on unpacking: `buchberger` makes
+each generator monic, and `normal_form` divides by the scale its remainder
+carries. Over F_p reducers are monic.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -53,8 +66,9 @@ class GroebnerBasis:
         return len(self.generators)
 
 
-# (ecart, leading monomial, monic polynomial, its largest monomial), all
-# monomials packed
+# (ecart, leading monomial, polynomial, its largest monomial), all monomials
+# packed; the polynomial is monic over F_p, and over QQ a primitive integer
+# polynomial with a positive leading coefficient
 Record = Tuple[int, int, dict, int]
 
 
@@ -104,15 +118,38 @@ class _Layout:
         self.lead = min if self.local else partial(max, key=self.key)
 
     def pack(self, f: MPoly) -> dict:
+        """f packed; over QQ times the least common denominator of its
+        coefficients, `_denominator(f)`, so that every coefficient is an int."""
         shifts, top = self.shifts, self.top
-        return {sum(map(int.__lshift__, e, shifts)) + (sum(e) << top): c for e, c in f.terms.items()}
+        h = {sum(map(int.__lshift__, e, shifts)) + (sum(e) << top): c for e, c in f.terms.items()}
+        if not self.p:
+            d = _denominator(f)
+            h = {m: c.numerator * (d // c.denominator) for m, c in h.items()}
+        return h
 
     def exponents(self, m: int) -> Exponents:
         mask = (1 << self.bits) - 1
         return tuple(m >> s & mask for s in self.shifts)
 
-    def unpack(self, h: dict) -> MPoly:
-        return MPoly(self.nvars, self.domain, {self.exponents(m): c for m, c in h.items()})
+    def unpack(self, h: dict, scale=1) -> MPoly:
+        """h / scale as an MPoly, its coefficients back in the domain."""
+        dom = self.domain
+        inv = dom.div(dom.one, scale)
+        return MPoly(self.nvars, dom, {self.exponents(m): dom.mul(c, inv) for m, c in h.items()})
+
+    def partial(self, h: dict, i: int) -> dict:
+        """The derivative of h in variable i: c*x^m goes to c*e_i*x^m/x_i,
+        e_i the exponent in field i, by subtracting one from field i and
+        one from the degree field. The terms with e_i = 0, or under F_p
+        with p | e_i, vanish."""
+        s, p, mask = self.shifts[i], self.p, (1 << self.bits) - 1
+        step = (1 << s) + (1 << self.top)
+        out = {}
+        for m, c in h.items():
+            e = m >> s & mask
+            if e % p if p else e:
+                out[m - step] = c * e % p if p else c * e
+        return out
 
     def lcm(self, a: int, b: int) -> int:
         """In each field the larger exponent, selected by the guard bit of
@@ -126,27 +163,64 @@ class _Layout:
 
     def record(self, g: dict) -> Record:
         """What reduction reads of g, computed once: (ecart, leading
-        monomial, g made monic, the largest monomial of g, which has its
+        monomial, g normalised, the largest monomial of g, which has its
         largest degree). The ecart deg g - deg LM(g) matters only under the
         local order; under grevlex and lex, where division terminates
         without it, it is 0. A reducer's scale does not change a reduction
-        step, so every reducer is monic."""
-        dom, le, top = self.domain, self.lead(g), max(g)
-        inv = dom.inv(g[le])
+        step: over F_p g is made monic, and over QQ it is divided by its
+        content, signed so that its leading coefficient is positive."""
+        p, le, top = self.p, self.lead(g), max(g)
         ecart = (top >> self.top) - (le >> self.top) if self.local else 0
-        return ecart, le, {m: dom.mul(inv, c) for m, c in g.items()}, top
+        if p:
+            inv = pow(g[le], p - 2, p)
+            return ecart, le, {m: inv * c % p for m, c in g.items()}, top
+        content = math.gcd(*g.values())
+        if g[le] < 0:
+            content = -content
+        return ecart, le, {m: c // content for m, c in g.items()}, top
+
+    def cofactors(self, lh, lg) -> Tuple[int, int]:
+        """(a, b) with a*lh = b*lg, for lg the leading coefficient of a
+        record: over F_p lg is 1 and a = 1; over QQ they are the least such
+        integers, a > 0."""
+        if self.p:
+            return 1, lh
+        d = math.gcd(lh, lg)
+        return lg // d, lh // d
+
+    def cancel(self, h: dict, le: int, r: Record, out: dict):
+        """(h', a, c): h' = (a*h - b*x^q*g) / c cancels the term of h at
+        le = x^q * LM(g), g the polynomial of the record r and a, b its
+        cofactors. Over QQ c is the content of h' and of the remainder
+        terms out, which are scaled by a/c in place as h is; over F_p,
+        a = c = 1. h' may be h, changed in place."""
+        _, ge, g, g_top = r
+        q = le - ge
+        if (q + g_top) & self.degree_guard:
+            raise _Overflow
+        a, b = self.cofactors(h[le], g[ge])
+        if a != 1:
+            h = {m: a * c for m, c in h.items()}
+            for m in out:
+                out[m] *= a
+        _subtract(h, q, g, self.p, b)
+        c = 1 if self.p else math.gcd(*h.values(), *out.values()) or 1
+        if c != 1:
+            h = {m: v // c for m, v in h.items()}
+            for m in out:
+                out[m] //= c
+        return h, a, c
 
     def reduce(self, h: dict, reducers: Sequence[Record]) -> dict:
-        """Mora's weak normal form of h by the reducer records, in place.
+        """Mora's weak normal form of h by the reducer records.
 
         Returns h, empty or with a leading monomial that no reducer's
         divides, such that u*f - h lies in the ideal of the reducers for a
-        unit u, f the h given. Each step is h - lc_h*x^q*g, g monic. The
-        reducer of least ecart goes first, and the running h joins the
-        reducers whenever that ecart exceeds its own; this is what makes the
-        loop terminate under a local order (Greuel & Pfister, Algorithm
-        1.7.6). Under grevlex and lex every ecart is 0, so this is plain top
-        reduction by the first divisor, with u = 1.
+        unit u, f the h given; h may be changed in place. Each step is
+        `cancel`. The reducer of least ecart goes first, and the running h
+        joins the reducers whenever that ecart exceeds its own; this is what
+        makes the loop terminate under a local order (Greuel & Pfister,
+        Algorithm 1.7.6). An integer scale of a step is a unit too.
         """
         lead, guards, top = self.lead, self.guards, self.top
         while h:
@@ -159,28 +233,34 @@ class _Layout:
                         break
             if best is None:
                 break
-            ecart, ge, g, g_top = best
-            if ecart and ecart > (max(h) >> top) - (le >> top):
+            if best[0] and best[0] > (max(h) >> top) - (le >> top):
                 reducers = [*reducers, self.record(h)]
-            q = le - ge
-            if (q + g_top) & self.degree_guard:
-                raise _Overflow
-            _subtract(h, q, g, self.p, h[le])
+            h = self.cancel(h, le, best, {})[0]
         return h
 
-    def remainder(self, h: dict, reducers: Sequence[Record]) -> dict:
-        """Remainder of the division of h by the reducer records under a
-        global order: each leading term that no reducer divides moves to the
-        remainder, and the rest is reduced again."""
-        out = {}
-        while h := self.reduce(h, reducers):
-            le = self.lead(h)
-            out[le] = h.pop(le)
-        return out
+    def remainder(self, h: dict, reducers: Sequence[Record]):
+        """(r, s): r the remainder of the division of s*h by the reducer
+        records under a global order, for a scalar s (1 over F_p). Each
+        leading term that no reducer divides moves to r; the others are
+        cancelled by the first reducer whose leading monomial divides them.
+        Over QQ r is scaled with the running h, and s is the product of the
+        steps' a/c."""
+        out, num, den = {}, 1, 1
+        lead, guards = self.lead, self.guards
+        while h:
+            le = lead(h)
+            for r in reducers:
+                if not (le - r[1]) & guards:
+                    h, a, c = self.cancel(h, le, r, out)
+                    num, den = num * a, den * c
+                    break
+            else:
+                out[le] = h.pop(le)
+        return out, self.domain.div(num, den)
 
     def close(self, hs: Sequence[dict], reduce) -> List[Record]:
-        """Records of monic generators whose S-polynomials all reduce to
-        zero by `reduce`.
+        """Records of generators whose S-polynomials all reduce to zero by
+        `reduce`.
 
         Pairs are processed by minimal lcm total degree, ties broken by the
         lex order on pair indices, from a heap keyed once per pair. A pair
@@ -204,26 +284,31 @@ class _Layout:
             (f_ecart, fe, f, f_top), (g_ecart, ge, g, g_top) = G[i], G[j]
             if lcm == fe + ge and not (f_ecart and g_ecart):
                 continue
-            # the S-polynomial of two monic generators
+            # the S-polynomial a*x^qf*f - b*x^qg*g
             qf, qg = lcm - fe, lcm - ge
             if (qf + f_top | qg + g_top) & self.degree_guard:
                 raise _Overflow
-            h = {m + qf: c for m, c in f.items()}
-            _subtract(h, qg, g, self.p)
+            a, b = self.cofactors(f[fe], g[ge])
+            h = {m + qf: a * c for m, c in f.items()}
+            _subtract(h, qg, g, self.p, b)
             if r := reduce(h, G):
                 G.append(self.record(r))
                 add_pairs(len(G) - 1)
         return G
 
     def staircase(self, leads: Sequence[int]):
-        """The standard monomials of the leading monomials, as packed
-        exponent fields, or None if there are infinitely many.
+        """The box that holds the standard monomials of the leading
+        monomials and the corners cut from it: (b, corners), b_i the
+        least pure power of variable i among the leading monomials, or None
+        if there are infinitely many standard monomials.
 
         Finite iff the staircase is bounded in every variable, i.e. some
         leading monomial is a pure power of each variable; the box below the
         least such powers holds the staircase, and only the leading
-        monomials in two or more variables can divide a monomial of the box.
-        A leading monomial 1 (a unit generator) leaves none.
+        monomials in two or more variables can divide a monomial of the box:
+        those that do, with e_i < b_i in every variable, are the corners,
+        as packed exponent fields. A leading monomial 1 (a unit generator)
+        leaves none.
         """
         mask = (1 << self.bits) - 1
         # per variable, the exponent fields of the other variables
@@ -235,9 +320,20 @@ class _Layout:
             if not pure:
                 return None
             bounds.append(min(pure))
+        inside = lambda le: all(le >> s & mask < b for s, b in zip(self.shifts, bounds))
+        return bounds, [le for le in leads if all(le & other for other in others) and inside(le)]
+
+    def stairs(self, bounds: Sequence[int], corners: Sequence[int]):
+        """The monomials of the box below `bounds` that no corner divides,
+        as packed exponent fields."""
         box = map(sum, itertools.product(*(range(0, b << s, 1 << s) for b, s in zip(bounds, self.shifts))))
-        corners = [le for le in leads if all(le & other for other in others)]
-        return (m for m in box if all((m - c) & self.guards for c in corners)) if corners else box
+        return (m for m in box if all((m - c) & self.guards for c in corners))
+
+
+def _denominator(f: MPoly) -> int:
+    """The least common denominator of the coefficients of f over QQ (1 over
+    F_p, whose elements are ints)."""
+    return math.lcm(*(c.denominator for c in f.terms.values()))
 
 
 def _packed(polys: Sequence[MPoly], kind: str, work: Callable):
@@ -278,26 +374,28 @@ def normal_form(f: MPoly, G, order: Optional[MonomialOrder] = None) -> MPoly:
         return f
     if any(g.nvars != f.nvars or g.domain != f.domain for g in gens):
         raise DomainMismatch("divisor over wrong ring")
-    P, h = _packed([f, *gens], order.kind, lambda P, hs: P.remainder(hs[0], [P.record(g) for g in hs[1:]]))
-    return P.unpack(h)
+    P, (r, s) = _packed([f, *gens], order.kind, lambda P, hs: P.remainder(hs[0], [P.record(g) for g in hs[1:]]))
+    # over QQ the packed f is f times its denominator
+    return P.unpack(r, s * _denominator(f))
 
 
 def _reduced_basis(P: _Layout, hs: Sequence[dict]) -> List[dict]:
-    records = sorted(P.close(hs, P.remainder), key=lambda r: P.key(r[1]))
+    remainder = lambda h, G: P.remainder(h, G)[0]
+    records = sorted(P.close(hs, remainder), key=lambda r: P.key(r[1]))
     # a minimal basis: a divisor of a leading monomial sorts before it
     minimal = []
     for r in records:
         if all((r[1] - m[1]) & P.guards for m in minimal):
             minimal.append(r)
-    # reducing the monic generators of a minimal basis by each other keeps
-    # every leading term, so one pass gives the unique reduced basis
-    return [P.remainder(dict(r[2]), minimal[:i] + minimal[i + 1 :]) for i, r in enumerate(minimal)]
+    # reducing the generators of a minimal basis by each other keeps every
+    # leading term, so one pass gives the unique reduced basis, up to scale
+    return [remainder(dict(r[2]), minimal[:i] + minimal[i + 1 :]) for i, r in enumerate(minimal)]
 
 
 def buchberger(gens: Sequence[MPoly], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis, normal selection strategy."""
     P, G = _packed(_generators(gens), order.kind, _reduced_basis)
-    return GroebnerBasis(tuple(map(P.unpack, G)), order, P.nvars, P.domain)
+    return GroebnerBasis(tuple(P.unpack(h, h[P.lead(h)]) for h in G), order, P.nvars, P.domain)
 
 
 def _leads(G: GroebnerBasis):
@@ -308,18 +406,29 @@ def standard_monomials(G: GroebnerBasis) -> Optional[List[Exponents]]:
     """Monomials divisible by no leading term, in grevlex order, or None if
     infinitely many."""
     P, leads = _leads(G)
-    stairs = P.staircase(leads)
-    return None if stairs is None else sorted(map(P.exponents, stairs), key=GREVLEX.key)
+    box = P.staircase(leads)
+    return None if box is None else sorted(map(P.exponents, P.stairs(*box)), key=GREVLEX.key)
 
 
 def _dimension(P: _Layout, leads: Sequence[int]) -> Dimension:
-    stairs = P.staircase(leads)
-    return INFINITE if stairs is None else sum(1 for _ in stairs)
+    """The number of standard monomials: the box's volume when no corner is
+    cut from it."""
+    box = P.staircase(leads)
+    if box is None:
+        return INFINITE
+    return sum(1 for _ in P.stairs(*box)) if box[1] else math.prod(box[0])
 
 
 def quotient_dimension(G: GroebnerBasis) -> Dimension:
     """Vector-space dimension of the quotient ring, or INFINITE."""
     return _dimension(*_leads(G))
+
+
+def _local_leads(P: _Layout, hs: Sequence[dict]) -> List[int]:
+    """The leading monomials of one standard basis of the nonzero hs under
+    the local order, or None when every h is zero."""
+    hs = [h for h in hs if h]
+    return [r[1] for r in P.close(hs, P.reduce)] if hs else None
 
 
 def local_dimension(gens: Sequence[MPoly]) -> Dimension:
@@ -328,14 +437,17 @@ def local_dimension(gens: Sequence[MPoly]) -> Dimension:
     Counts the standard monomials of one standard basis under the local
     degree order; the count is exact, with no truncation bound.
     """
-    return _dimension(*_packed(_generators(gens), "local", lambda P, hs: [r[1] for r in P.close(hs, P.reduce)]))
+    return _dimension(*_packed(_generators(gens), "local", _local_leads))
 
 
 def milnor_number(f: MPoly) -> Dimension:
     """Local dimension of the Jacobian ideal quotient; INFINITE if the
-    singularity is not isolated."""
-    gens = [g for g in map(f.derivative, range(f.nvars)) if not g.is_zero()]
-    return local_dimension(gens) if gens else INFINITE
+    singularity is not isolated, or every partial derivative is zero.
+
+    f is packed once, and its partials are taken on the packed terms; its
+    degree bounds theirs, so the fields fit them."""
+    P, leads = _packed([f], "local", lambda P, hs: _local_leads(P, [P.partial(hs[0], i) for i in range(P.nvars)]))
+    return INFINITE if leads is None else _dimension(P, leads)
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,9 @@ class DenseMatrix:
         return out
 
 
-def random_poly(rng, nvars, domain, max_deg=3, max_terms=4):
+def random_poly(rng, nvars, domain, max_deg=3, max_terms=4, dens=(1, 5)):
+    """Terms of degree at most max_deg; over QQ with numerators in -5..5 and
+    denominators in range(*dens)."""
     terms = {}
     for _ in range(rng.randrange(0, max_terms + 1)):
         e = tuple(rng.randrange(0, max_deg + 1) for _ in range(nvars))
@@ -111,7 +113,7 @@ def random_poly(rng, nvars, domain, max_deg=3, max_terms=4):
         if isinstance(domain, PrimeField):
             c = rng.randrange(0, domain.p)
         else:
-            c = Fraction(rng.randrange(-5, 6), rng.randrange(1, 5))
+            c = Fraction(rng.randrange(-5, 6), rng.randrange(*dens))
         if c:
             terms[e] = c
     return MPoly(nvars, domain, terms)

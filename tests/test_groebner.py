@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import divides, division_oracle, membership_oracle, random_poly, s_poly, truncation_oracle
+from helpers import derivative_oracle, divides, division_oracle, membership_oracle, random_poly, s_poly, truncation_oracle
 from wildcycles.fields import QQ, PrimeField
 from wildcycles.groebner import (
     INFINITE,
@@ -63,6 +63,15 @@ def test_normal_form_by_any_generators_matches_textbook_division(monkeypatch):
                 f = random_poly(rng, nvars, dom, max_deg=5, max_terms=6)
                 if gens:
                     cases.append((f, gens, order))
+    # over QQ, every coefficient with a denominator past 1: the integer
+    # engine's scale has to come out of the remainder exactly
+    for order in (GREVLEX, LEX):
+        for _ in range(25):
+            nvars = rng.choice((2, 3))
+            gens = [g for g in (random_poly(rng, nvars, QQ, dens=(2, 12)) for _ in range(rng.randrange(1, 4))) if not g.is_zero()]
+            f = random_poly(rng, nvars, QQ, max_deg=5, max_terms=6, dens=(2, 12))
+            if gens:
+                cases.append((f, gens, order))
     for f, gens, order in cases:
         assert normal_form(f, gens, order) == division_oracle(f, gens, order), (f.to_str(), [g.to_str() for g in gens], order)
     # the same remainders when every product has to re-pack wider
@@ -122,6 +131,7 @@ def test_quotient_dimension_agrees_with_enumeration():
             if not any(all(le[i] <= e[i] for i in range(2)) for le in leads)
         ]
         assert sorted(sm) == sorted(expected)
+        assert quotient_dimension(G) == len(expected)
 
 
 def test_membership_agrees_with_cofactor_oracle():
@@ -334,13 +344,14 @@ def _narrowest_fields(monkeypatch):
 
 def test_overflowing_products_repack_wider_with_the_same_results(monkeypatch):
     F5, F32003 = PrimeField(5), PrimeField(32003)
+    # germs whose Jacobian basis has a product past the narrowest fields of f
     germs = [
-        (P("x^3 + x*y^3"), 7),
+        (P("x^5 + y^6 + x^3*y^2"), 18),
         (P("x^4 + y^5 + x^2*y^2"), 10),
-        (P("x^4 + y^5 + x^2*y^2", dom=F5), None),
+        (P("x^4 + y^5 + x^2*y^2", dom=F3), 10),
         (P("z^3 + y^3 + y*z + x^2", names="xyz"), 1),
-        (P("x^3 + x*y^3", dom=F5), 7),
-        (P("x^3 + y^4 + x^2*y^2", dom=PrimeField(7)), None),
+        (P("x^3 + y^7 + x*y^5", dom=PrimeField(7)), 13),
+        (P("x^7 + x^2*y^3 + y^5"), 20),
     ]
     names = ["u0", "u1", "u2", "u3"]
     katsura3 = "u0 + 2*u1 + 2*u2 + 2*u3 - 1; u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0; 2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1; 2*u0*u2 + u1^2 + 2*u1*u3 - u2"
@@ -407,13 +418,13 @@ def test_local_dimension_of_high_exponent_germs_matches_truncation_oracle():
     assert milnor_number(P("x^40 + y^4 + z^2", names="xyz", dom=PrimeField(7))) == 39 * 3
 
 
-def _sympy_basis(sympy, texts, names, p):
-    """sympy's reduced grevlex basis as {exponents: coefficient} dicts."""
+def _sympy_basis(sympy, texts, names, p, order="grevlex"):
+    """sympy's reduced basis as {exponents: coefficient} dicts."""
     from fractions import Fraction
 
     gens = sympy.symbols(names)
     opts = {"modulus": p} if p else {"domain": "QQ"}
-    G = sympy.groebner([sympy.sympify(t.replace("^", "**")) for t in texts], *gens, order="grevlex", **opts)
+    G = sympy.groebner([sympy.sympify(t.replace("^", "**")) for t in texts], *gens, order=order, **opts)
     out = []
     for g in G.exprs:
         terms = sympy.Poly(g, *gens, **opts).terms()
@@ -440,3 +451,135 @@ def test_buchberger_matches_sympy_on_cyclic4_and_katsura3():
             G = buchberger([P(t, names, dom) for t in texts], GREVLEX)
             expected = _sympy_basis(sympy, texts, names, p)
             assert sorted(map(sorted, (g.terms.items() for g in G))) == sorted(map(sorted, (e.items() for e in expected)))
+
+
+def test_packed_partial_matches_the_derivative_oracle():
+    from wildcycles.groebner import _Layout, _denominator, _field_bits
+
+    rng = random.Random(97)
+    for dom in (QQ, F2, F3, PrimeField(5), PrimeField(7)):
+        p = dom.char
+        for _ in range(30):
+            n = rng.choice((1, 2, 3))
+            if p:
+                # many exponents that are multiples of p, whose terms vanish
+                f = MPoly(n, dom, {tuple(rng.choice((0, 1, p, 2 * p, rng.randrange(3 * p))) for _ in range(n)): rng.randrange(1, p) for _ in range(5)})
+            else:
+                f = random_poly(rng, n, dom, max_deg=6, max_terms=6, dens=(1, 12))
+            if f.is_zero():
+                continue
+            for kind in ("local", "grevlex", "lex"):
+                L = _Layout(n, _field_bits(f.total_degree()), kind, dom)
+                h = L.pack(f)
+                assert all(type(c) is int for c in h.values())
+                for i in range(n):
+                    d = L.partial(h, i)
+                    assert L.unpack(d, _denominator(f)) == derivative_oracle(f, i), (f.to_str(), i, kind)
+                    # no zero coefficient is stored
+                    assert all(0 < c < p if p else type(c) is int and c for c in d.values())
+                    assert len(d) == sum(1 for e in f.terms if (e[i] % p if p else e[i]))
+
+
+def test_milnor_number_of_zero_and_constant_polynomials_is_infinite():
+    for dom in (QQ, F2, PrimeField(7)):
+        for n in (1, 2, 3):
+            assert milnor_number(MPoly.zero(n, dom)) == INFINITE
+            assert milnor_number(MPoly.constant(n, dom, dom.from_int(3))) == INFINITE
+    # only terms whose exponents are multiples of p: every partial is zero
+    assert milnor_number(P("x^5 + y^10 + 2", dom=PrimeField(5))) == INFINITE
+
+
+def test_milnor_number_with_rational_coefficients_matches_truncation_oracle():
+    from fractions import Fraction
+
+    rng = random.Random(101)
+    checked = 0
+    while checked < 30:
+        n = rng.choice((2, 2, 3))
+        frac = lambda: Fraction(rng.choice((-1, 1)) * rng.randrange(1, 9), rng.randrange(2, 9))
+        terms = {}
+        for i in range(n):
+            e = [0] * n
+            e[i] = rng.randrange(2, 6 if n == 2 else 4)
+            terms[tuple(e)] = frac()
+        for _ in range(rng.randrange(1, 4)):
+            e = tuple(rng.randrange(0, 4) for _ in range(n))
+            if sum(e) >= 2:
+                terms[e] = frac()
+        f = MPoly(n, QQ, terms)
+        J = [g for g in (f.derivative(i) for i in range(n)) if not g.is_zero()]
+        d = quotient_dimension(buchberger(J))
+        if d == INFINITE or d > (12 if n == 2 else 6):
+            continue
+        assert milnor_number(f) == truncation_oracle(J, d), f.to_str()
+        checked += 1
+
+
+def test_integer_engine_keeps_int_coefficients_over_QQ(monkeypatch):
+    from math import gcd
+
+    from wildcycles.groebner import _Layout
+
+    seen = []
+    record, close = _Layout.record, _Layout.close
+
+    def checked_record(self, g):
+        r = record(self, g)
+        seen.append(g)
+        seen.append(r[2])
+        # primitive, with a positive leading coefficient
+        assert gcd(*r[2].values()) == 1 and r[2][r[1]] > 0
+        return r
+
+    def checked_close(self, hs, reduce):
+        def checked_reduce(h, G):
+            seen.append(dict(h))
+            r = reduce(h, G)
+            seen.append(r)
+            return r
+
+        return close(self, hs, checked_reduce)
+
+    monkeypatch.setattr(_Layout, "record", checked_record)
+    monkeypatch.setattr(_Layout, "close", checked_close)
+    rng = random.Random(103)
+    for order in (GREVLEX, LEX):
+        for _ in range(10):
+            gens = [g for g in (random_poly(rng, 3, QQ, dens=(1, 9)) for _ in range(3)) if not g.is_zero()]
+            if gens:
+                buchberger(gens, order)
+                normal_form(random_poly(rng, 3, QQ, dens=(1, 9)), gens, order)
+    for text in ("1/2*x^5 + 2/3*y^6 + x^3*y^2", "x^7 + 3/4*x^2*y^3 - 5/7*y^5"):
+        milnor_number(P(text))
+    local_dimension([P("3/2*x^2 - 1/3*y^3"), P("x*y + 7/5*y^4")])
+    assert len(seen) > 100
+    assert all(type(c) is int for h in seen for c in h.values())
+
+
+def test_buchberger_matches_sympy_on_seeded_rational_systems():
+    sympy = pytest.importorskip("sympy")
+    from fractions import Fraction
+
+    rng = random.Random(107)
+    checked = 0
+    while checked < 24:
+        n = rng.choice((2, 3))
+        names = ["x", "y", "z"][:n]
+        # a rational multiple of a pure power of each of the first n or
+        # n - 1 variables over lower terms, so most quotients are finite and
+        # not trivial, and one more polynomial
+        gens = []
+        for i in range(rng.choice((n - 1, n))):
+            d = rng.randrange(2, 6 - n)
+            c = Fraction(rng.randrange(1, 9), rng.randrange(1, 9))
+            power = MPoly.monomial(n, QQ, tuple(d * (j == i) for j in range(n)), c)
+            gens.append(power + random_poly(rng, n, QQ, max_deg=d, dens=(1, 9)))
+        gens = [g for g in gens + [random_poly(rng, n, QQ, dens=(1, 9))] if not g.is_zero()]
+        if len(gens) < 2:
+            continue
+        texts = [g.to_str(names) for g in gens]
+        for order in (GREVLEX, LEX):
+            G = buchberger(gens, order)
+            expected = _sympy_basis(sympy, texts, names, None, order.kind)
+            assert sorted(map(sorted, (g.terms.items() for g in G))) == sorted(map(sorted, (e.items() for e in expected))), (texts, order)
+        checked += 1
