@@ -2,17 +2,18 @@
  * table, the functional-graph walk and the two curve enumerations.
  *
  * grid_image keeps the contract of the pure kernel in _kernels_py and
- * writes the same table into the caller's array('I') or array('Q'), but
+ * writes the same table into the caller's array('I') of 32-bit words, but
  * by a plain evaluation per state: for each row of the higher variables it
  * takes one product per term, then a dot product with per-term power
- * tables of x_0, reduced mod p once per state: for p <= 2^32 by one
- * Barrett step, a product in unsigned __int128 (a GCC and Clang type,
- * which the build needs) and no division; past 2^32, by mulmod, one such
- * product and one division per term. No Python object is made per
- * state. poly.grid_table checks the budget and the ring, reduces the
- * exponents and coefficients and picks the word; this side only refuses
- * what would make it read or write outside its buffers or overflow a
- * word, with TypeError or ValueError, before it writes.
+ * tables of x_0, reduced mod p once per state by one Barrett step, a
+ * product in unsigned __int128 (a GCC and Clang type, which the build
+ * needs) and no division. Every index p^m - 1 fits a word, so with one
+ * component or more p <= 2^32, and every product of two residues fits 64
+ * bits. No Python object is made per state. poly.grid_table checks the
+ * budget, the ring and the index bound and reduces the exponents and
+ * coefficients; this side only refuses what would make it read or write
+ * outside its buffers or overflow a word, with TypeError or ValueError,
+ * before it writes.
  *
  * functional_graph_decompose keeps the contract of the pure kernel too and
  * returns the same cycles and longest tail. It reads the table in place
@@ -35,15 +36,13 @@
 
 typedef unsigned long long u64;
 
-/* Above this p, (p - 1)^2 no longer fits 64 bits. */
-#define SMALL_P (1ULL << 32)
 /* Entries of the power tables of x_0 that one block of states uses. */
 #define BLOCK_ENTRIES 16384
 
-/* The buffer of a contiguous array of format 'I' or 'Q', and in *wide
- * which one; TypeError for anything else. */
+/* The buffer of a contiguous array of format 'I'; TypeError for anything
+ * else. */
 static int
-get_words(PyObject *obj, Py_buffer *view, int *wide, const char *name)
+get_words(PyObject *obj, Py_buffer *view, const char *name)
 {
     if (PyObject_GetBuffer(obj, view, PyBUF_FORMAT | PyBUF_ND) < 0) {
         if (PyErr_ExceptionMatches(PyExc_BufferError)) {
@@ -53,48 +52,37 @@ get_words(PyObject *obj, Py_buffer *view, int *wide, const char *name)
         return -1;
     }
     const char *format = view->format == NULL ? "B" : view->format;
-    *wide = strcmp(format, "Q") == 0;
-    if (view->ndim != 1 || !(*wide || strcmp(format, "I") == 0)
-        || view->itemsize != (Py_ssize_t)(*wide ? sizeof(u64) : sizeof(unsigned int))) {
-        PyErr_Format(PyExc_TypeError, "%s must be a one-dimensional array of format 'I' or 'Q', not format '%s'",
-                     name, format);
+    if (view->ndim != 1 || strcmp(format, "I") != 0 || view->itemsize != (Py_ssize_t)sizeof(unsigned int)) {
+        PyErr_Format(PyExc_TypeError, "%s must be a one-dimensional array of format 'I', not format '%s'", name, format);
         PyBuffer_Release(view);
         return -1;
     }
     return 0;
 }
 
-static inline Py_ssize_t
-successor(const void *buf, int wide, Py_ssize_t s)
-{
-    return wide ? (Py_ssize_t)((const u64 *)buf)[s] : (Py_ssize_t)((const unsigned int *)buf)[s];
-}
-
 PyDoc_STRVAR(decompose_doc,
 "functional_graph_decompose(nxt) -> (cycles, max_tail)\n\n"
 "The cycles of the self-map s -> nxt[s] of range(len(nxt)), each a list of\n"
 "states from its least one, sorted by that state, and the largest number of\n"
-"steps from any state to its cycle. nxt is an array of format 'I' or 'Q'.");
+"steps from any state to its cycle. nxt is an array of format 'I'.");
 
 static PyObject *
 functional_graph_decompose(PyObject *Py_UNUSED(module), PyObject *arg)
 {
     Py_buffer view;
-    int wide;
-    if (get_words(arg, &view, &wide, "nxt") < 0)
+    if (get_words(arg, &view, "nxt") < 0)
         return NULL;
-    const void *nxt = view.buf;
+    const unsigned int *nxt = view.buf;
     Py_ssize_t n = view.shape[0];
     for (Py_ssize_t i = 0; i < n; i++) {
-        u64 s = wide ? ((const u64 *)nxt)[i] : ((const unsigned int *)nxt)[i];
-        if (s >= (u64)n) {
-            PyErr_Format(PyExc_IndexError, "successor %llu of state %zd is outside 0..%zd", s, i, n - 1);
+        if (nxt[i] >= (u64)n) {
+            PyErr_Format(PyExc_IndexError, "successor %u of state %zd is outside 0..%zd", nxt[i], i, n - 1);
             PyBuffer_Release(&view);
             return NULL;
         }
     }
     /* dist (-1 unvisited, -2 on the current path), then the path */
-    Py_ssize_t *dist = PyMem_New(Py_ssize_t, 2 * n);
+    Py_ssize_t *dist = PyMem_New(Py_ssize_t, (size_t)(2 * n));
     if (dist == NULL) {
         PyBuffer_Release(&view);
         return PyErr_NoMemory();
@@ -115,7 +103,7 @@ functional_graph_decompose(PyObject *Py_UNUSED(module), PyObject *arg)
         while (d == -1) {
             dist[s] = -2;
             path[len++] = s;
-            s = successor(nxt, wide, s);
+            s = nxt[s];
             d = dist[s];
         }
         if (d == -2) {
@@ -123,7 +111,7 @@ functional_graph_decompose(PyObject *Py_UNUSED(module), PyObject *arg)
             Py_ssize_t c = s;
             do {
                 dist[c] = 0;
-                c = successor(nxt, wide, c);
+                c = nxt[c];
             } while (c != s);
             while (len > 0 && dist[path[len - 1]] == 0)
                 len--;
@@ -146,7 +134,7 @@ functional_graph_decompose(PyObject *Py_UNUSED(module), PyObject *arg)
         do {
             path[end + len++] = c;
             dist[c] = -1;
-            c = successor(nxt, wide, c);
+            c = nxt[c];
         } while (c != i);
         dist[i] = -1 - len;
         end += len;
@@ -176,17 +164,6 @@ done:
     return result;
 }
 
-/* a * b mod p for a, b < p: the plain product where it fits 64 bits, else
- * one product in unsigned __int128, so every p < 2^64 is exact and small p
- * pays no 128-bit division. */
-static u64
-mulmod(u64 a, u64 b, u64 p)
-{
-    if (p <= SMALL_P)
-        return a * b % p;
-    return (u64)((unsigned __int128)a * b % p);
-}
-
 /* a mod p for p <= 2^32 by Barrett's method, with m = (2^64 - 1) / p
  * computed once: 2^64 - m p <= p, so (a m) >> 64 falls short of a / p by
  * less than a / 2^64 < 1, and one conditional subtraction finishes. */
@@ -197,14 +174,15 @@ barrett(u64 a, u64 p, u64 m)
     return r >= p ? r - p : r;
 }
 
+/* x^e mod p for x < p <= 2^32, where each product fits 64 bits. */
 static u64
 powmod(u64 x, u64 e, u64 p)
 {
     u64 r = 1;
     for (; e; e >>= 1) {
         if (e & 1)
-            r = mulmod(r, x, p);
-        x = mulmod(x, x, p);
+            r = r * x % p;
+        x = x * x % p;
     }
     return r;
 }
@@ -244,7 +222,7 @@ read_terms(PyObject *components, Py_ssize_t m, u64 p, Py_ssize_t n, Py_ssize_t *
             *most = terms;
         size += terms * (n + 1);
     }
-    u64 *flat = PyMem_New(u64, size), *at = flat;
+    u64 *flat = PyMem_New(u64, (size_t)size), *at = flat;
     if (flat == NULL) {
         PyErr_NoMemory();
         return NULL;
@@ -281,20 +259,20 @@ fail:
 
 /* out[s] += (f(x) mod p) * pk at every state s = row * L + x_0, f the
  * component whose T terms start at term, each a coefficient and n
- * exponents. The states go by blocks of x_0 of at most `block`: a block
- * takes T power tables of x_0 (pw), then per row the T products of the
- * coefficients with the powers of the higher variables (r), read from
- * tables of every x (hp), and b dot products (acc), each reduced once, by
- * barrett() for p <= 2^32.
+ * exponents, for p <= 2^32. The states go by blocks of x_0 of at most
+ * `block`: a block takes T power tables of x_0 (pw), then per row the T
+ * products of the coefficients with the powers of the higher variables
+ * (r), read from tables of every x (hp), and b dot products (acc), each
+ * reduced once by barrett().
  * scratch holds T * block + block + T + T * (n - 1) * p words. */
 static void
-add_component(void *out, int wide, u64 pk, const u64 *term, Py_ssize_t T, u64 p, Py_ssize_t n,
+add_component(unsigned int *out, u64 pk, const u64 *term, Py_ssize_t T, u64 p, Py_ssize_t n,
               Py_ssize_t L, Py_ssize_t rows, Py_ssize_t block, u64 *scratch)
 {
     u64 *pw = scratch, *acc = pw + T * block, *r = acc + block, *hp = r + T;
     const Py_ssize_t rec = n + 1, high = n - 1;
     /* products added to a sum before it must be reduced again */
-    const u64 chunk = p <= SMALL_P ? (~0ULL - (p - 1)) / ((p - 1) * (p - 1)) : 0;
+    const u64 chunk = (~0ULL - (p - 1)) / ((p - 1) * (p - 1));
     const u64 m = ~0ULL / p;
     for (Py_ssize_t t = 0; t < T; t++)
         for (Py_ssize_t i = 0; i < high; i++)
@@ -309,7 +287,7 @@ add_component(void *out, int wide, u64 pk, const u64 *term, Py_ssize_t T, u64 p,
             for (Py_ssize_t t = 0; t < T; t++) {
                 u64 v = term[t * rec], rest = (u64)row;
                 for (Py_ssize_t i = 0; i < high && v; i++, rest /= p)
-                    v = mulmod(v, hp[(t * high + i) * (Py_ssize_t)p + (Py_ssize_t)(rest % p)], p);
+                    v = v * hp[(t * high + i) * (Py_ssize_t)p + (Py_ssize_t)(rest % p)] % p;
                 r[t] = v;
             }
             memset(acc, 0, (size_t)b * sizeof(u64));
@@ -318,36 +296,18 @@ add_component(void *out, int wide, u64 pk, const u64 *term, Py_ssize_t T, u64 p,
                 const u64 c = r[t], *powers = pw + t * b;
                 if (c == 0)
                     continue;
-                if (p > SMALL_P) {
-                    for (Py_ssize_t j = 0; j < b; j++) {
-                        u64 v = mulmod(c, powers[j], p);
-                        acc[j] = acc[j] >= p - v ? acc[j] - (p - v) : acc[j] + v;
-                    }
-                    continue;
-                }
                 if (since++ == chunk) {
                     for (Py_ssize_t j = 0; j < b; j++)
                         acc[j] = barrett(acc[j], p, m);
                     since = 1;
                 }
-                /* both factors are below 2^32 here */
+                /* both factors are below 2^32 */
                 for (Py_ssize_t j = 0; j < b; j++)
                     acc[j] += (u64)(unsigned int)c * (unsigned int)powers[j];
             }
-            if (p <= SMALL_P)
-                for (Py_ssize_t j = 0; j < b; j++)
-                    acc[j] = barrett(acc[j], p, m);
-            Py_ssize_t at = row * L + x0;
-            if (wide) {
-                u64 *words = (u64 *)out + at;
-                for (Py_ssize_t j = 0; j < b; j++)
-                    words[j] += acc[j] * pk;
-            }
-            else {
-                unsigned int *words = (unsigned int *)out + at;
-                for (Py_ssize_t j = 0; j < b; j++)
-                    words[j] += (unsigned int)(acc[j] * pk);
-            }
+            unsigned int *words = out + row * L + x0;
+            for (Py_ssize_t j = 0; j < b; j++)
+                words[j] += (unsigned int)(barrett(acc[j], p, m) * pk);
         }
     }
 }
@@ -356,8 +316,8 @@ PyDoc_STRVAR(grid_image_doc,
 "grid_image(terms, p, n, out)\n\n"
 "Writes sum_k (f_k(x) mod p) p^k into out for every point x of F_p^n, at\n"
 "the state index sum_i x_i p^i. terms holds one dict per f_k, from tuples of\n"
-"n exponents to coefficients in 0..p-1; out is an array of format 'I' or\n"
-"'Q' of p^n words, each wide enough for p^len(terms) - 1.");
+"n exponents to coefficients in 0..p-1; out is an array of format 'I' of\n"
+"p^n words, and p^len(terms) - 1 must fit 32 bits.");
 
 static PyObject *
 grid_image(PyObject *Py_UNUSED(module), PyObject *args)
@@ -387,18 +347,17 @@ grid_image(PyObject *Py_UNUSED(module), PyObject *args)
     u64 *flat = NULL, *scratch = NULL;
     PyObject *result = NULL;
     Py_buffer view;
-    int wide;
-    if (get_words(out, &view, &wide, "out") < 0)
+    if (get_words(out, &view, "out") < 0)
         goto release;
     if (view.readonly || view.shape[0] != total) {
         PyErr_Format(PyExc_ValueError, "out must be a writable array of %zd words", total);
         goto done;
     }
-    /* the largest index, p^m - 1, must fit the word */
-    u64 top = 0, word_max = wide ? ~0ULL : 0xFFFFFFFFULL;
+    /* the largest index, p^m - 1, must fit a word */
+    u64 top = 0;
     for (Py_ssize_t k = 0; k < m; k++) {
-        if (p - 1 > word_max || top > (word_max - (p - 1)) / p) {
-            PyErr_Format(PyExc_ValueError, "indices below %llu^%zd do not fit %d-bit words", p, m, wide ? 64 : 32);
+        if (p - 1 > 0xFFFFFFFFULL || top > (0xFFFFFFFFULL - (p - 1)) / p) {
+            PyErr_Format(PyExc_ValueError, "indices below %llu^%zd do not fit 32-bit words", p, m);
             goto done;
         }
         top = top * p + (p - 1);
@@ -408,7 +367,7 @@ grid_image(PyObject *Py_UNUSED(module), PyObject *args)
         goto done;
     const Py_ssize_t L = n ? (Py_ssize_t)p : 1, rows = total / L;
     const Py_ssize_t block = L < BLOCK_ENTRIES / most ? L : (BLOCK_ENTRIES / most > 1 ? BLOCK_ENTRIES / most : 1);
-    scratch = PyMem_New(u64, (most + 1) * block + most + most * (n ? n - 1 : 0) * L);
+    scratch = PyMem_New(u64, (size_t)((most + 1) * block + most + most * (n ? n - 1 : 0) * L));
     if (scratch == NULL) {
         PyErr_NoMemory();
         goto done;
@@ -419,7 +378,7 @@ grid_image(PyObject *Py_UNUSED(module), PyObject *args)
     for (Py_ssize_t k = 0; k < m; k++, pk *= p) {
         Py_ssize_t T = (Py_ssize_t)*term++;
         if (T > 0)
-            add_component(view.buf, wide, pk, term, T, p, n, L, rows, block, scratch);
+            add_component(view.buf, pk, term, T, p, n, L, rows, block, scratch);
         term += T * (n + 1);
     }
     result = Py_NewRef(Py_None);

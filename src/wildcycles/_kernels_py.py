@@ -3,15 +3,15 @@
 The compiled lane (_ckernels.c) has its own grid_image,
 functional_graph_decompose, curve_affine_count and curve_slice_counts,
 tested against the ones here, which stay the reference. grid_image writes
-the transition table into the array that poly.grid_table allocates, one
-block of states per value of the last variable, each block from packed
-integer lanes, one lane per state; the compiled one evaluates each state
-plainly. The graph kernels read that array and give back only what the
-orbit report needs, the cycles and the longest tail, with no per-state
-list. The slice counts come from one histogram over half of F_p, and the
-exhaustive count visits its p^2 pairs inside str.count; the compiled lane
-runs the same histogram, and the same comparisons over an array of the
-squares. It re-exports curve_is_singular as it is: the check looks only at
+the transition table into the array of 32-bit words that poly.grid_table
+allocates, one block of states per value of the last variable, each block
+from packed integer lanes, one lane per state; the compiled one evaluates
+each state plainly. The graph kernels read that array and give back only
+what the orbit report needs, the cycles and the longest tail, with no
+per-state list. The slice counts come from one histogram over half of
+F_p, and the exhaustive count visits its p^2 pairs inside str.count; the
+compiled lane runs the same histogram, and the same comparisons over an
+array of the squares. It re-exports curve_is_singular as it is: the check looks only at
 the critical points, at most two, found by a modular square root.
 curve_critical_points, shared with curves' multiplicities, is a helper of
 both lanes, not a kernel. backend.py picks the lane.
@@ -93,15 +93,14 @@ def curve_is_singular(p: int, a: int, b: int) -> bool:
     return any((a * x * x + b) * x % p == 0 for x in xs)
 
 
-def _lane_layout(p: int, groups: int, word: int) -> Tuple[int, int, int]:
+def _lane_layout(p: int, groups: int) -> Tuple[int, int, int]:
     """(width, s, mult) for grid_image: lanes of `width` bits, the least
-    multiple of the `word` that holds v * mult for every v below
-    groups * p^2 < 2^s, with Barrett's shift s and multiplier
-    mult = 2^s // p."""
+    multiple of 32 that holds v * mult for every v below groups * p^2 < 2^s,
+    with Barrett's shift s and multiplier mult = 2^s // p."""
     bound = groups * p * p
     s = bound.bit_length()
     mult = (1 << s) // p
-    return -(-((bound - 1) * mult).bit_length() // word) * word, s, mult
+    return -(-((bound - 1) * mult).bit_length() // 32) * 32, s, mult
 
 
 def grid_image(terms: Sequence[Dict[Tuple[int, ...], int]], p: int, n: int, out: array) -> None:
@@ -110,8 +109,10 @@ def grid_image(terms: Sequence[Dict[Tuple[int, ...], int]], p: int, n: int, out:
     the index of the image of x when the f_k are the components of a
     self-map, and 0 exactly where every f_k vanishes. terms holds one dict
     per f_k, from tuples of n exponents to coefficients in 0..p-1, and out
-    is an array of format 'I' or 'Q' of p^n words, as poly.grid_table
-    makes them.
+    is an array('I') of p^n words, as poly.grid_table makes it. Indices
+    p^len(terms) past 2^32 do not fit its words and are refused with
+    ValueError, as the compiled lane refuses them, before anything is
+    written.
 
     The table is written one block at a time: block w holds the p^(n-1)
     states with x_last = w, or every state when n <= 1, and each state of
@@ -127,14 +128,15 @@ def grid_image(terms: Sequence[Dict[Tuple[int, ...], int]], p: int, n: int, out:
     of the reduced ints, read out through each lane's low word into its
     slice of out, with no Python int per state.
     """
+    if p ** len(terms) > 1 << 32:
+        raise ValueError(f"indices below {p}^{len(terms)} do not fit 32-bit words")
     groups = max([len(f) for f in terms] + [1])
-    code, word = out.typecode, 8 * out.itemsize
-    width, s, mult = _lane_layout(p, groups, word)
+    width, s, mult = _lane_layout(p, groups)
     size, t = width >> 3, p.bit_length()
     # from one lane's low word to the next in the native bytes of an int:
     # little-endian puts lane 0 and each lane's low word first, big-endian
     # puts both last, so there the slices run back from the end
-    step = width // word if sys.byteorder == "little" else -width // word
+    step = width // 32 if sys.byteorder == "little" else -width // 32
     inner = n - 1 if n > 1 else n  # the variables that vary within a block
     block = p**inner
     # bit 0 of each lane, the quotient mask (the bits of a lane below
@@ -149,8 +151,8 @@ def grid_image(terms: Sequence[Dict[Tuple[int, ...], int]], p: int, n: int, out:
         for i, k in enumerate(e):
             powers = list(map(pow, range(p), repeat(k), repeat(p)))
             values = [v * x % p for x in powers for v in values] if i else powers
-        lanes = array(code, bytes(size * block))
-        lanes[::step] = array(code, values)
+        lanes = array("I", bytes(size * block))
+        lanes[::step] = array("I", values)
         return int.from_bytes(lanes, sys.byteorder)
 
     blocks = range(len(out) // block)
@@ -173,7 +175,7 @@ def grid_image(terms: Sequence[Dict[Tuple[int, ...], int]], p: int, n: int, out:
             v = sum([P * scalars[w] for P, scalars in parts])
             v -= (((v * mult) >> s) & qmask) * p
             image += (v - (((v + lift) >> t) & ones) * p) * p**k
-        out[w * block : (w + 1) * block] = array(code, image.to_bytes(size * block, sys.byteorder))[::step]
+        out[w * block : (w + 1) * block] = array("I", image.to_bytes(size * block, sys.byteorder))[::step]
 
 
 def functional_graph_decompose(nxt: array) -> Tuple[List[List[int]], int]:

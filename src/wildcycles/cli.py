@@ -131,7 +131,7 @@ def _cmd_groebner(args) -> dict:
     gens = [poly_parse(t, names, domain) for t in texts]
     order = MonomialOrder(args.order)
     G = buchberger(gens, order)
-    sm = standard_monomials(G)
+    sm = standard_monomials(G, args.budget)
     payload = {
         "basis": [g.to_str(names) for g in G],
         "order": args.order,

@@ -251,7 +251,7 @@ def _lane_width(k: int, j: int) -> int:
 def _parity_levels(k: int) -> Iterator[int]:
     """For j < k, one int whose lane r holds, in its bit 0, the parity of
     T^j(r) for every r < 2^(j+1), T the accelerated map; the lanes of level
-    j are _lane_width(k, j) bits wide.
+    j hold _lane_width(k, j) bits each.
 
     Level j is lifted from level j - 1 by Terras's identity
     T^j(r + 2^j) = T^j(r) + 3^(o_j(r)), o_j(r) the number of odd steps among

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .errors import DomainMismatch
+from .errors import DEFAULT_STATE_BUDGET, DomainMismatch, StateBudgetExceeded
 from .fields import QQ, _subtract
 from .poly import GREVLEX, Exponents, MonomialOrder, MPoly, reduce_mod_p
 
@@ -338,7 +338,8 @@ def _denominator(f: MPoly) -> int:
 
 def _packed(polys: Sequence[MPoly], kind: str, work: Callable):
     """(layout, work(layout, packed polys)) on the layout of the given order
-    whose fields fit the input, re-packed wider until no product overflows."""
+    whose fields fit the input, re-packed with more bits a field until no
+    product overflows."""
     degree = max(f.total_degree() for f in polys)
     while True:
         P = _Layout(polys[0].nvars, _field_bits(degree), kind, polys[0].domain)
@@ -402,12 +403,18 @@ def _leads(G: GroebnerBasis):
     return _packed(G.generators, G.order.kind, lambda P, hs: [P.lead(h) for h in hs])
 
 
-def standard_monomials(G: GroebnerBasis) -> Optional[List[Exponents]]:
+def standard_monomials(G: GroebnerBasis, budget: int = DEFAULT_STATE_BUDGET) -> Optional[List[Exponents]]:
     """Monomials divisible by no leading term, in grevlex order, or None if
-    infinitely many."""
+    infinitely many. The listing walks the box that holds them: a box of
+    more than `budget` monomials is refused with StateBudgetExceeded before
+    the walk."""
     P, leads = _leads(G)
     box = P.staircase(leads)
-    return None if box is None else sorted(map(P.exponents, P.stairs(*box)), key=GREVLEX.key)
+    if box is None:
+        return None
+    if (size := math.prod(box[0])) > budget:
+        raise StateBudgetExceeded(f"the standard monomials lie in a box of {size} monomials, past budget {budget}")
+    return sorted(map(P.exponents, P.stairs(*box)), key=GREVLEX.key)
 
 
 def _dimension(P: _Layout, leads: Sequence[int]) -> Dimension:

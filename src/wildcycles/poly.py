@@ -420,35 +420,27 @@ def grid_points(indices: Sequence[int], p: int, n: int) -> List[Exponents]:
     return list(zip(*[[k // q % p for k in indices] for q in [p**i for i in range(n)]]))
 
 
-def table_word(p: int, m: int) -> str:
-    """The array format of a table of m components over F_p, whose image
-    indices lie below p^m: 'I' (32-bit words) where they fit, else 'Q'
-    (64-bit words); past 2^64 the table is refused with
-    StateBudgetExceeded."""
-    if p**m > 1 << 64:
-        raise StateBudgetExceeded(f"image indices below {p}^{m} do not fit 64 bits")
-    return "I" if p**m <= 1 << 32 else "Q"
-
-
 def grid_table(kernels, fs: Sequence[MPoly], p: int, n: int, budget: int = DEFAULT_STATE_BUDGET) -> array:
     """The table that kernels.grid_image writes for the components fs, each
     over F_p in n variables: at every state index sum_i x_i p^i, the index
-    sum_k (f_k(x) mod p) p^k, in an array of p^n words of table_word.
+    sum_k (f_k(x) mod p) p^k, in an array('I') of p^n 32-bit words.
 
     The kernels take the terms reduced: each exponent e >= 1 becomes
     (e - 1) mod (p - 1) + 1, which has the same powers on F_p (w^p = w),
     and the coefficients of terms that meet are added mod p, those that
     cancel dropped. Before anything is allocated, p^n states past the
-    budget, or a table past sys.maxsize bytes, the most an array holds,
-    are refused with StateBudgetExceeded, and a component not over F_p in
-    n variables with DomainMismatch.
+    budget, image indices p^len(fs) past 2^32, or a table past sys.maxsize
+    bytes, the most an array holds, are refused with StateBudgetExceeded,
+    and a component not over F_p in n variables with DomainMismatch.
     """
     if p**n > budget:
         raise StateBudgetExceeded(f"{p}^{n} = {p**n} states exceed budget {budget}")
     fp = PrimeField(p)
     if any(f.nvars != n or f.domain != fp for f in fs):
         raise DomainMismatch(f"a component is not over F_{p} in {n} variables")
-    out = array(table_word(p, len(fs)), [0])
+    if p ** len(fs) > 1 << 32:
+        raise StateBudgetExceeded(f"image indices below {p}^{len(fs)} do not fit 32 bits")
+    out = array("I", [0])
     if out.itemsize * p**n > sys.maxsize:
         raise StateBudgetExceeded(f"{p}^{n} states of {out.itemsize} bytes exceed {sys.maxsize} bytes, the largest array")
     out *= p**n

@@ -7,7 +7,8 @@ the compiled lane against the pure one (a temporary directory stands in
 when the cache plugin is off). The rest of the suite runs on the
 pure lane unless WILDCYCLES_BACKEND names one. Without a C compiler the
 compiled lane is absent and the lane-agreement tests skip; a compiler that
-fails or warns on the source (the build adds -Wextra -Werror) is an error.
+fails or warns on the source (the build adds -Wextra -Wconversion -Werror,
+so a silent narrowing fails too) is an error.
 The fixture `ubsan_extension` builds a second copy, with undefined
 behaviour trapped, into the same cache.
 """
@@ -45,16 +46,16 @@ def _build(cache_dir: Path, extra=()):
     and then the flags in extra, or None when there is no compiler."""
     if shutil.which(CC[0]) is None:
         return None
-    digest = hashlib.sha256(SOURCE.read_bytes() + sys.version.encode() + " ".join(extra).encode()).hexdigest()[:16]
+    flags = shlex.split(sysconfig.get_config_var("CFLAGS") or "") + list(extra) + [
+        "-Wextra", "-Wconversion", "-Werror", "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"],
+    ]
+    digest = hashlib.sha256(SOURCE.read_bytes() + sys.version.encode() + " ".join(flags).encode()).hexdigest()[:16]
     target = cache_dir / digest / ("_ckernels" + sysconfig.get_config_var("EXT_SUFFIX"))
     if target.exists():
         return target
     target.parent.mkdir(parents=True, exist_ok=True)
     partial = target.with_name(target.name + ".partial")
-    cmd = CC + shlex.split(sysconfig.get_config_var("CFLAGS") or "") + list(extra) + [
-        "-Wextra", "-Werror", "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"], str(SOURCE), "-o", str(partial),
-    ]
-    done = subprocess.run(cmd, capture_output=True, text=True)
+    done = subprocess.run(CC + flags + [str(SOURCE), "-o", str(partial)], capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"compiling {SOURCE.name} failed:\n{done.stderr[-2000:]}")
     os.replace(partial, target)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from wildcycles._kernels_py import _lane_layout
 from wildcycles.dynsys import _lane_width, _parity_levels
 from wildcycles.fields import Matrix, PrimeField, is_prime
-from wildcycles.poly import MPoly, table_word
+from wildcycles.poly import MPoly
 
 
 class DenseMatrix:
@@ -355,12 +355,12 @@ def encode(state, p):
 
 def lane_switch_primes(terms, m, budget):
     """Pairs (q, r) of neighbouring primes, r^m within the budget, on the two
-    sides of each point where the pure grid_image widens its lanes for m
+    sides of each point where the pure grid_image widens its lanes for
     components of at most `terms` terms. The width grows with p, so each
     switch is found by bisection."""
 
     def width(p):
-        return _lane_layout(p, terms, 32 if table_word(p, m) == "I" else 64)[0]
+        return _lane_layout(p, terms)[0]
 
     top = round(budget ** (1 / m))
     while top**m > budget:

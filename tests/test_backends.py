@@ -1,9 +1,9 @@
 """The compiled kernels must agree with the pure-Python references exactly:
-the graph kernel on tables of 32- and 64-bit words, where every lane must
-refuse a successor outside the state range, the table kernel, which must
-refuse malformed input before it writes, and the two curve kernels, which
-must refuse a curve outside 2 <= p <= 0x10FFFF, 0 <= a, b < p before they
-allocate."""
+the graph kernel on tables of 32-bit words, where every lane must refuse a
+successor outside the state range, the table kernel, which must refuse
+malformed input and image indices past 2^32 before it writes, and the two
+curve kernels, which must refuse a curve outside 2 <= p <= 0x10FFFF,
+0 <= a, b < p before they allocate."""
 
 import os
 import random
@@ -18,7 +18,7 @@ from helpers import available_backends, random_poly
 from wildcycles import backend, curves
 from wildcycles import _kernels_py as pure
 from wildcycles.fields import PrimeField, is_prime
-from wildcycles.poly import grid_table, table_word
+from wildcycles.poly import grid_table
 
 backends = available_backends()
 compiled = backends.get("c")
@@ -29,10 +29,8 @@ def test_graph_decompose_agrees():
     rng = random.Random(101)
     for _ in range(30):
         n = rng.randrange(1, 200)
-        nxt = [rng.randrange(n) for _ in range(n)]
-        for code in "IQ":
-            table = array(code, nxt)
-            assert compiled.functional_graph_decompose(table) == pure.functional_graph_decompose(table)
+        table = array("I", [rng.randrange(n) for _ in range(n)])
+        assert compiled.functional_graph_decompose(table) == pure.functional_graph_decompose(table)
 
 
 _CURVE_KERNELS = ("curve_affine_count", "curve_slice_counts")
@@ -110,7 +108,7 @@ spec = importlib.util.spec_from_file_location("wildcycles._ckernels", sys.argv[1
 compiled = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compiled)
 assert compiled.functional_graph_decompose(array("I", [0])) == ([[0]], 0)
-for bad, error in (([0], TypeError), (array("i", [0]), TypeError), (array("Q", [0, 2]), IndexError)):
+for bad, error in (([0], TypeError), (array("i", [0]), TypeError), (array("Q", [0]), TypeError), (array("I", [0, 2]), IndexError)):
     try:
         compiled.functional_graph_decompose(bad)
     except error:
@@ -119,9 +117,8 @@ for bad, error in (([0], TypeError), (array("i", [0]), TypeError), (array("Q", [
         raise AssertionError(bad)
 for n in range(5):
     for nxt in itertools.product(range(n), repeat=n):
-        for code in "IQ":
-            table = array(code, nxt)
-            assert compiled.functional_graph_decompose(table) == pure.functional_graph_decompose(table), nxt
+        table = array("I", nxt)
+        assert compiled.functional_graph_decompose(table) == pure.functional_graph_decompose(table), nxt
 for name in _CURVE_KERNELS:
     for args, error in _CURVE_REFUSALS:
         try:
@@ -154,8 +151,8 @@ def run_check(script, extension, **env):
 @pytest.mark.skipif(compiled is None, reason="compiled extension not built")
 def test_graph_decompose_stays_in_its_buffer():
     # Python's debug allocator guards both ends of every block and aborts
-    # on free when a write overran it; every map on up to 4 states runs, as
-    # 32- and 64-bit tables, and so do the refusals, and the curve kernels
+    # on free when a write overran it; every map on up to 4 states runs, and
+    # so do the refusals, and the curve kernels
     # on every curve at p <= 13, on a few up to the largest p, and on their
     # refusals.
     done = run_check(_DEBUG_HEAP_CHECK, compiled.__file__, PYTHONMALLOC="debug")
@@ -187,17 +184,17 @@ def test_graph_decompose_validity():
 
 
 def test_graph_decompose_rejects_out_of_range_successors():
-    tables = [("I", [5]), ("I", [10**6]), ("I", [3, 0]), ("I", [2**32 - 1]), ("Q", [2**40]), ("Q", [0, 2**64 - 1])]
+    tables = [[5], [10**6], [3, 0], [2**32 - 1], [0, 2**32 - 1]]
     for kernels in backends.values():
-        for code, nxt in tables:
+        for nxt in tables:
             with pytest.raises(IndexError):
-                kernels.functional_graph_decompose(array(code, nxt))
+                kernels.functional_graph_decompose(array("I", nxt))
 
 
 @pytest.mark.skipif(compiled is None, reason="compiled extension not built")
 def test_compiled_graph_decompose_reads_only_unsigned_word_arrays():
     two_d = memoryview(array("I", [0, 1])).cast("B").cast("I", [1, 2])
-    for table in ([0], (0,), array("i", [0]), array("q", [0]), array("H", [0]), bytes(4), two_d):
+    for table in ([0], (0,), array("i", [0]), array("q", [0]), array("Q", [0]), array("H", [0]), bytes(4), two_d):
         with pytest.raises(TypeError):
             compiled.functional_graph_decompose(table)
 
@@ -226,61 +223,82 @@ def random_terms(rng, p, n, m):
 
 def many_terms(rng, p, n, size):
     """One component of `size` distinct terms in n variables over F_p, with
-    exponents below max(3p, 2 * size), beside a zero one."""
+    exponents below max(3p, 2 * size)."""
     bound = max(3 * p, 2 * size)
     keys = rng.sample(range(bound**n), size)
-    return [{tuple(k // bound**i % bound for i in range(n)): rng.randrange(p) for k in keys}, {}]
+    return [{tuple(k // bound**i % bound for i in range(n)): rng.randrange(p) for k in keys}]
 
 
 def barrett_tables(rng):
     """(terms, p, n) about the compiled table kernel's Barrett step: one
     variable on both sides of 2^16 and at 262139 < 2^18, each a sum of
     products that reaches 2 (p - 1)^2 at x = p - 1, plus a random constant;
-    then constants (n = 0) on both sides of 2^32, past which the kernel
-    reduces each product on its own."""
+    then one constant (n = 0) at 2^32 - 5, the largest prime whose indices
+    fit a word."""
     cases = []
     for p in (65521, 65537, 262139):
         cases.append(([{(0,): rng.randrange(p), (1,): p - 1, (3,): p - 1}], p, 1))
-    for p in ((1 << 32) - 5, (1 << 32) + 15):
-        for c in (0, 1, p - 2, p - 1):
-            cases.append(([{(): c}] * (2 if p < 1 << 32 else 1), p, 0))
+    p = (1 << 32) - 5
+    for c in (0, 1, p - 2, p - 1):
+        cases.append(([{(): c}], p, 0))
     return cases
 
 
+# (terms, p, n) whose image indices pass 2^32: two components at
+# p = 65537 > 2^16, where an unchecked 32-bit write would drop the high
+# bits, fourteen over F_5, and constants at primes past 2^32
+PAST_32_BITS = [
+    ([{(1,): 1}] * 2, 65537, 1),
+    ([{(): 1}] * 2, 65537, 0),
+    ([{(1,): 1}] * 14, 5, 1),
+    ([{(): 1}], (1 << 32) + 15, 0),
+    ([{(): (1 << 61) - 3}], (1 << 61) - 1, 0),
+]
+
+
 def filled(kernels, terms, p, n):
-    """The table kernels.grid_image writes for terms, in the word that
-    grid_table would pick."""
-    out = array(table_word(p, len(terms)), [0]) * p**n
+    """The table kernels.grid_image writes for terms, in 32-bit words as
+    grid_table allocates them."""
+    out = array("I", [0]) * p**n
     kernels.grid_image(terms, p, n, out)
     return out
 
 
+def test_grid_image_refuses_indices_past_32_bits_on_every_lane():
+    # every lane refuses with the same message before it writes; the pure
+    # lane once wrote 131072 for x = 65536 in place of 65536 * 65538
+    for terms, p, n in PAST_32_BITS:
+        message = rf"^indices below {p}\^{len(terms)} do not fit 32-bit words$"
+        for name, kernels in backends.items():
+            out = array("I", [7]) * p**n
+            with pytest.raises(ValueError, match=message):
+                kernels.grid_image(terms, p, n, out)
+            assert out == array("I", [7]) * p**n, (name, p, n)
+
+
 @pytest.mark.skipif(compiled is None, reason="compiled extension not built")
 def test_grid_image_lanes_agree():
-    """Both kernels write the same table: from raw terms with exponents past
-    p, from grid_table's reduced ones, with 64-bit words when the components
-    outnumber the variables, past the blocks of x_0 (one term count above
-    the block), past 2^16 where a sum of products leaves 32 bits, and for
-    n = 0 at a p beyond 2^32, and about the Barrett step of the compiled
-    lane (barrett_tables)."""
+    """Both kernels write the same table, or both refuse it when the
+    components outnumber the variables so far that the indices pass 2^32:
+    from raw terms with exponents past p, from grid_table's reduced ones,
+    past the blocks of x_0 (one term count above the block), past 2^16
+    where a sum of products leaves 32 bits, and about the Barrett step of
+    the compiled lane (barrett_tables)."""
     rng = random.Random(149)
     for _ in range(150):
         p = rng.choice([2, 3, 5, 7, 11, 101])
         n = rng.choice([0, 1, 2, 3]) if p < 20 else rng.choice([1, 2])
         m = rng.choice([0, 1, n, n + 1, 3 * n + 2])
         terms = random_terms(rng, p, n, m)
+        if p**m > 1 << 32:
+            for kernels in (compiled, pure):
+                with pytest.raises(ValueError):
+                    filled(kernels, terms, p, n)
+            continue
         assert filled(compiled, terms, p, n) == filled(pure, terms, p, n), (p, n, terms)
-    for p, n, m in ((5, 1, 14), (5, 2, 27), (3, 3, 40), (7, 1, 22)):
-        terms = random_terms(rng, p, n, m)
-        assert p**m > 1 << 32
-        assert filled(compiled, terms, p, n).typecode == "Q"
-        assert filled(compiled, terms, p, n) == filled(pure, terms, p, n), (p, n, m)
     for p, n, size in ((331, 1, 100), (7, 1, 16385), (70001, 1, 3), (211, 2, 30)):
         terms = many_terms(rng, p, n, size)
         assert filled(compiled, terms, p, n) == filled(pure, terms, p, n), (p, n, size)
-    p = (1 << 61) - 1
-    terms = [{(): p - 2}]
-    assert filled(compiled, terms, p, 0).tolist() == filled(pure, terms, p, 0).tolist() == [p - 2]
     for terms, p, n in barrett_tables(rng):
         assert filled(compiled, terms, p, n) == filled(pure, terms, p, n), (p, n, terms)
     for p, n in ((2, 3), (7, 2), (13, 2), (31, 1)):
@@ -315,7 +333,7 @@ _MALFORMED = [
     ([], 5, 1, memoryview(array("I", [0] * 10))[::2], TypeError),
     ([], 5, 1, memoryview(array("I", [0] * 10)).cast("B").cast("I", [5, 2]), TypeError),
     ([{(1,): 1}] * 14, 5, 1, array("I", [0] * 5), ValueError),
-    ([{(1,): 1}] * 28, 5, 1, array("Q", [0] * 5), ValueError),
+    ([], 5, 1, array("Q", [0] * 5), TypeError),
 ]
 
 
@@ -335,7 +353,7 @@ import importlib.util, random, sys
 sys.path.insert(0, sys.argv[2])
 sys.path.insert(0, sys.argv[3])
 from wildcycles import _kernels_py as pure
-from test_backends import _MALFORMED, barrett_tables, filled, many_terms, random_terms
+from test_backends import _MALFORMED, PAST_32_BITS, barrett_tables, filled, many_terms, random_terms
 spec = importlib.util.spec_from_file_location("wildcycles._ckernels", sys.argv[1])
 compiled = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compiled)
@@ -359,9 +377,13 @@ for p in (2, 3, 5):
 for p, n, size in ((331, 1, 100), (7, 1, 16385), (70001, 1, 3)):
     terms = many_terms(rng, p, n, size)
     assert filled(compiled, terms, p, n) == filled(pure, terms, p, n), (p, n, size)
-p = (1 << 61) - 1
-for c in (0, 1, p - 2, p - 1):
-    assert filled(compiled, [{(): c}], p, 0).tolist() == filled(pure, [{(): c}], p, 0).tolist() == [c]
+for terms, p, n in PAST_32_BITS:
+    try:
+        filled(compiled, terms, p, n)
+    except ValueError:
+        pass
+    else:
+        raise AssertionError((p, n))
 for terms, p, n in barrett_tables(rng):
     assert filled(compiled, terms, p, n) == filled(pure, terms, p, n), (p, n, terms)
 """

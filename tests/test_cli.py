@@ -189,13 +189,13 @@ def test_inertia_refuses_past_the_budget(capsys, argv):
     assert_one_line_error(capsys, run(argv), 1)
 
 
-def test_orbits_refuses_indices_past_64_bits(capsys):
-    # 65537^4 states fit a budget of 10^20, but their indices pass 2^64
-    argv = ["orbits", "--p", "65537", "--system", "x;y;z;w", "--mode", "self-map", "--budget", str(10**20)]
+def test_orbits_refuses_indices_past_32_bits(capsys):
+    # 257^4 states fit a budget of 10^20, but their indices pass 2^32
+    argv = ["orbits", "--p", "257", "--system", "x;y;z;w", "--mode", "self-map", "--budget", str(10**20)]
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err == "error: image indices below 65537^4 do not fit 64 bits\n"
+    assert captured.err == "error: image indices below 257^4 do not fit 32 bits\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -204,13 +204,31 @@ def test_orbits_refuses_indices_past_64_bits(capsys):
     ["theorem1-probe", "--f", "x^2 + y^2 + z^2 + w^2", "--p", "65521", "--vars", "x,y,z,w"],
 ])
 def test_tables_past_the_largest_array_are_refused(capsys, argv):
-    # 65521^4 indices fit 64 bits but not an index-sized int, and 46337^4
-    # states of 8 bytes pass sys.maxsize bytes: refused before allocation
+    # 65521^4 and 46337^4 states of 4 bytes pass sys.maxsize bytes, and
+    # their indices pass 2^32 first: a CLI table has as many components as
+    # variables, so that refusal comes before allocation (the sys.maxsize
+    # one is reached from the library, tests/test_poly.py)
     code = run(argv + ["--budget", str(10**20)])
     captured = capsys.readouterr()
+    p = argv[2] if argv[0] == "orbits" else argv[4]
     assert code == 1 and captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.endswith("bytes, the largest array\n")
-    assert captured.err.count("\n") == 1
+    assert captured.err == f"error: image indices below {p}^4 do not fit 32 bits\n"
+
+
+def test_large_primes_are_decided_at_once(capsys):
+    # Miller-Rabin takes the largest 20-digit prime at once; past the bound
+    # of its bases the modulus is refused
+    env = run_json(capsys, "milnor", "--f", "x^2", "--p", "99999999999999999989")
+    assert env["payload"]["char_p_dimension"] == 1
+    assert_one_line_error(capsys, run(["milnor", "--f", "x^2", "--p", str(10**25 + 13)]), 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["groebner", "--gens", "x^99999999999999999999", "--p", "5"],
+    ["groebner", "--gens", "x^3; y^3", "--budget", "8"],
+])
+def test_groebner_refuses_a_staircase_box_past_the_budget(capsys, argv):
+    assert_one_line_error(capsys, run(argv), 1)
 
 
 def test_inertia_runs_at_the_budget(capsys):

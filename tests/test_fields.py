@@ -42,6 +42,29 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
 
 
+# Carmichael numbers, then the least strong pseudoprimes to the bases
+# 2, 3, 5, 7 and to the primes up to 23
+COMPOSITES = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185, 3215031751, 3825123056546413051]
+
+
+def test_is_prime_decides_every_n_below_its_bound():
+    """Miller-Rabin to the prime bases up to 41 is exact below its proven
+    bound: against sympy where it is installed, on composites that fool
+    weaker tests, on large primes at once, and refused past the bound."""
+    for n in COMPOSITES:
+        assert not is_prime(n), n
+    for p in (1669, 10**14 + 31, 99999999999999999989, (1 << 61) - 1):
+        assert is_prime(p), p
+    assert not is_prime(41 * 43) and not is_prime(3317044064679887385961979)
+    with pytest.raises(NotPrime, match="past 3317044064679887385961981"):
+        is_prime(3317044064679887385961981)
+    sympy = pytest.importorskip("sympy")
+    for n in range(-5, 10**5):
+        assert is_prime(n) == sympy.isprime(n), n
+    for n in COMPOSITES + [10**14 + k for k in range(-100, 100)]:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
 def test_sqrt_mod_matches_brute_force():
     """Every t, negative and past p among them, at every prime p < 200:
     the lesser root where t is a square, None where it is not."""

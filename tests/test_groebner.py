@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import derivative_oracle, divides, division_oracle, membership_oracle, random_poly, s_poly, truncation_oracle
+from wildcycles.errors import StateBudgetExceeded
 from wildcycles.fields import QQ, PrimeField
 from wildcycles.groebner import (
     INFINITE,
@@ -109,6 +110,18 @@ def test_quotient_dimension_examples():
     assert standard_monomials(G) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert quotient_dimension(buchberger([P("x", names=["x"])])) == 1
     assert quotient_dimension(buchberger([P("x*y")])) == INFINITE
+
+
+def test_standard_monomials_refuse_a_box_past_the_budget():
+    # the box below x^2, y^2 holds 4 monomials and x*y cuts one: the box,
+    # not the listing, is held to the budget, and refused before its walk
+    G = buchberger([P("x^2", dom=F2), P("y^2", dom=F2), P("x*y", dom=F2)])
+    assert standard_monomials(G, budget=4) == [(0, 0), (0, 1), (1, 0)]
+    with pytest.raises(StateBudgetExceeded, match=r"^the standard monomials lie in a box of 4 monomials, past budget 3$"):
+        standard_monomials(G, budget=3)
+    G = buchberger([P(f"x^{10**20}", names=["x"], dom=F2)])
+    with pytest.raises(StateBudgetExceeded):
+        standard_monomials(G)
 
 
 def test_quotient_dimension_agrees_with_enumeration():
@@ -254,28 +267,38 @@ def test_lex_order_basis():
 
 
 def test_buchberger_basis_is_reduced():
+    """Three random generators per system, many of them monomial or unit
+    ideals; then one random generator beside a pure power x_i^d of each
+    variable with terms of lower degree, so that most bases have tails to
+    reduce."""
     rng = random.Random(71)
-    checked = 0
-    for dom in (QQ, F2, F3):
-        for order in (GREVLEX, LEX):
-            for _ in range(12):
-                nvars = rng.choice((2, 3))
-                gens = [g for g in (random_poly(rng, nvars, dom) for _ in range(3)) if not g.is_zero()]
-                if not gens:
-                    continue
-                G = buchberger(gens, order)
-                leads = [g.leading(order) for g in G]
-                basis = ([g.to_str() for g in G], order)
-                # monic
-                assert all(c == dom.one for _, c in leads), basis
-                for i, g in enumerate(G):
-                    others = [le for j, (le, _) in enumerate(leads) if j != i]
-                    # no leading monomial divides another
-                    assert not any(divides(le, leads[i][0]) for le in others), basis
-                    # no term of a generator lies in another's leading ideal
-                    assert not any(divides(le, e) for le in others for e in g.terms), basis
-                checked += 1
-    assert checked >= 50
+    checked = tails = 0
+    for powers in (False, True):
+        for dom in (QQ, F2, F3):
+            for order in (GREVLEX, LEX):
+                for _ in range(12):
+                    nvars = rng.choice((2, 3))
+                    gens = [g for g in (random_poly(rng, nvars, dom) for _ in range(1 if powers else 3)) if not g.is_zero()]
+                    for i in range(nvars if powers else 0):
+                        d = rng.randrange(2, 5)
+                        power = MPoly.monomial(nvars, dom, tuple(d if j == i else 0 for j in range(nvars)))
+                        gens.append(power + random_poly(rng, nvars, dom, max_deg=d - 1))
+                    if not gens:
+                        continue
+                    G = buchberger(gens, order)
+                    leads = [g.leading(order) for g in G]
+                    basis = ([g.to_str() for g in G], order)
+                    # monic
+                    assert all(c == dom.one for _, c in leads), basis
+                    for i, g in enumerate(G):
+                        others = [le for j, (le, _) in enumerate(leads) if j != i]
+                        # no leading monomial divides another
+                        assert not any(divides(le, leads[i][0]) for le in others), basis
+                        # no term of a generator lies in another's leading ideal
+                        assert not any(divides(le, e) for le in others for e in g.terms), basis
+                    checked += 1
+                    tails += powers and any(len(g.terms) > 1 for g in G)
+    assert checked >= 120 and tails >= 36
 
 
 def test_tame_wild_anomaly_names_the_infinite_characteristic():

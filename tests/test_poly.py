@@ -196,25 +196,35 @@ def test_grid_table_refuses_past_the_budget_and_off_the_field():
                 grid_table(kernels, [f, g], 5, 2)
 
 
-def test_grid_image_reads_64_bit_words_past_2_to_the_32():
-    """With more components than variables the image indices pass 2^32 while
-    the grid stays small: 14 components over F_5 reach 5^14 > 2^32, which
-    every lane's grid_image writes as 64-bit words, and 5^28 > 2^64 is
-    refused."""
-    rng = random.Random(137)
-    for p, n, m in ((5, 1, 14), (5, 2, 14), (7, 1, 12), (3, 3, 21)):
-        fp = PrimeField(p)
-        fs = [random_poly(rng, n, fp, max_deg=2 * p, max_terms=4) for _ in range(m)]
-        assert p**m > 1 << 32
-        expected = [
-            sum(f.eval(point) * p**k for k, f in enumerate(fs))
-            for point in grid_points(range(p**n), p, n)
-        ]
-        for kernels in available_backends().values():
-            assert grid_table(kernels, fs, p, n).tolist() == expected
+def test_grid_table_refuses_indices_past_32_bits():
+    """Every table word holds 32 bits, and m components put the image
+    indices below p^m: two components are taken at p = 65521 < 2^16 and
+    refused at p = 65537 > 2^16, on tables in n = 0 and n = 1 variables, as
+    are 14 components over F_5, on every lane and before the kernel runs."""
+    for n in (0, 1):
+        for p in (65521, 65537):
+            fp = PrimeField(p)
+            f = MPoly(n, fp, {(1,) * n: p - 1})
+            for kernels in available_backends().values():
+                if p < 1 << 16:
+                    expected = [(p - 1) * x**n % p * (p + 1) for x in range(p**n)]
+                    assert grid_table(kernels, [f, f], p, n).tolist() == expected
+                    continue
+                with pytest.raises(StateBudgetExceeded, match=rf"^image indices below {p}\^2 do not fit 32 bits$"):
+                    grid_table(kernels, [f, f], p, n)
     for kernels in available_backends().values():
-        with pytest.raises(StateBudgetExceeded):
-            grid_table(kernels, [MPoly.zero(1, F5)] * 28, 5, 1)
+        with pytest.raises(StateBudgetExceeded, match=r"^image indices below 5\^14 do not fit 32 bits$"):
+            grid_table(kernels, [MPoly.zero(1, F5)] * 14, 5, 1)
+
+
+def test_grid_table_refuses_tables_past_the_largest_array():
+    """With fewer components than variables the indices fit 32 bits while
+    the table passes the largest array: 65521^4 states of 4 bytes pass
+    sys.maxsize bytes, refused before allocation on every lane."""
+    f = MPoly.zero(4, PrimeField(65521))
+    for kernels in available_backends().values():
+        with pytest.raises(StateBudgetExceeded, match=r"^65521\^4 states of 4 bytes exceed \d+ bytes, the largest array$"):
+            grid_table(kernels, [f], 65521, 4, budget=10**20)
 
 
 def test_grid_image_lanes_at_their_bound():
