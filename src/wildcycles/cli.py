@@ -47,7 +47,7 @@ from .groebner import (
     tame_wild_split,
 )
 from .inertia import QuotientModule, inertia_membership
-from .poly import MonomialOrder, MPoly, default_var_names, infer_var_names, poly_parse, reduce_mod_p
+from .poly import MonomialOrder, MPoly, default_var_names, infer_var_names, poly_parse, power_factors, reduce_mod_p
 from .weyl import weyl_parse
 
 ENV_BUDGET = "WILDCYCLES_STATE_BUDGET"
@@ -138,9 +138,7 @@ def _cmd_groebner(args) -> dict:
         "quotient_dimension": dimension_json(INFINITE if sm is None else len(sm)),
     }
     if sm is not None:
-        payload["standard_monomials"] = [
-            MPoly.monomial(len(names), domain, e).to_str(names) for e in sm
-        ]
+        payload["standard_monomials"] = ["*".join(power_factors(names, e)) or "1" for e in sm]
     return payload
 
 

@@ -2,13 +2,16 @@
 
 Global quotients come from reduced Groebner bases under grevlex or lex.
 Local dimensions at the origin come from one standard basis under a local
-degree order, built by the same pair loop. Both rest on one reduction step
-(`_Layout.cancel`): under the local order in Mora's ecart-based weak normal
-form, and under grevlex and lex in plain division by the first reducer that
-divides, the tail included. The local dimension is the number of standard
-monomials of that basis, and it is infinite exactly when the staircase is
-unbounded (Mora 1982; Greuel & Pfister, A Singular Introduction to
-Commutative Algebra, sections 1.6-1.7).
+degree order, built by the same pair loop. Both rest on one reduction loop
+(`_Layout.reduce`) and one step (`_Layout.cancel`), which also makes each
+S-polynomial. The loop takes the reducer of least ecart: under the local
+order it is Mora's weak normal form, and under grevlex and lex, where every
+ecart is 0, it is Buchberger's division by the first reducer that divides,
+the tail included. The local dimension is the number of standard monomials
+of that basis, and it is infinite exactly when the staircase is unbounded
+(Mora 1982; Greuel & Pfister, A Singular Introduction to Commutative
+Algebra, sections 1.6-1.7). Dimensions are counted from the staircase's
+corners, slab by slab in the last variable, never by walking its box.
 
 The engine runs on packed monomials, one int each (`_Layout`), and on
 polynomials as dicts {packed monomial: coefficient}: `buchberger`,
@@ -34,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import DEFAULT_STATE_BUDGET, DomainMismatch, StateBudgetExceeded
 from .fields import QQ, _subtract
@@ -179,26 +182,21 @@ class _Layout:
             content = -content
         return ecart, le, {m: c // content for m, c in g.items()}, top
 
-    def cofactors(self, lh, lg) -> Tuple[int, int]:
-        """(a, b) with a*lh = b*lg, for lg the leading coefficient of a
-        record: over F_p lg is 1 and a = 1; over QQ they are the least such
-        integers, a > 0."""
-        if self.p:
-            return 1, lh
-        d = math.gcd(lh, lg)
-        return lg // d, lh // d
-
     def cancel(self, h: dict, le: int, r: Record, out: dict):
         """(h', a, c): h' = (a*h - b*x^q*g) / c cancels the term of h at
-        le = x^q * LM(g), g the polynomial of the record r and a, b its
-        cofactors. Over QQ c is the content of h' and of the remainder
-        terms out, which are scaled by a/c in place as h is; over F_p,
-        a = c = 1. h' may be h, changed in place."""
+        le = x^q * LM(g), g the polynomial of the record r. The cofactors
+        are a = 1 and b = LC(h) over F_p, where g is monic, and over QQ the
+        least integers with a*LC(h) = b*LC(g), a > 0; c is the content of
+        h' and of the remainder terms out, which are scaled by a/c in place
+        as h is (c = 1 over F_p). h' may be h, changed in place."""
         _, ge, g, g_top = r
         q = le - ge
         if (q + g_top) & self.degree_guard:
             raise _Overflow
-        a, b = self.cofactors(h[le], g[ge])
+        a, b = 1, h[le]
+        if not self.p:
+            d = math.gcd(b, g[ge])
+            a, b = g[ge] // d, b // d
         if a != 1:
             h = {m: a * c for m, c in h.items()}
             for m in out:
@@ -211,18 +209,24 @@ class _Layout:
                 out[m] //= c
         return h, a, c
 
-    def reduce(self, h: dict, reducers: Sequence[Record]) -> dict:
-        """Mora's weak normal form of h by the reducer records.
+    def reduce(self, h: dict, reducers: Sequence[Record]):
+        """(r, a, c): r the normal form of (a/c)*h by the reducer records,
+        a and c the products of the steps' a and c (1 over F_p), as `cancel`
+        returns them for one step; h may be changed in place.
 
-        Returns h, empty or with a leading monomial that no reducer's
-        divides, such that u*f - h lies in the ideal of the reducers for a
-        unit u, f the h given; h may be changed in place. Each step is
-        `cancel`. The reducer of least ecart goes first, and the running h
-        joins the reducers whenever that ecart exceeds its own; this is what
-        makes the loop terminate under a local order (Greuel & Pfister,
-        Algorithm 1.7.6). An integer scale of a step is a unit too.
+        Each step is `cancel` by the reducer of least ecart whose leading
+        monomial divides that of h. Under the local order the loop is Mora's
+        weak normal form: it stops at the first leading monomial that no
+        reducer divides, and u*h - r lies in the ideal of the reducers for a
+        unit u. The running h joins the reducers whenever the least ecart
+        exceeds its own, which makes the loop terminate (Greuel & Pfister,
+        Algorithm 1.7.6). Under grevlex and lex every ecart is 0, so the
+        first reducer that divides is taken, and a leading term that none
+        divides moves to r while the loop goes on: r is the remainder of the
+        division, its tail reduced, and a*h - c*r lies in the ideal.
         """
-        lead, guards, top = self.lead, self.guards, self.top
+        out, num, den = {}, 1, 1
+        lead, guards, top, local = self.lead, self.guards, self.top, self.local
         while h:
             le = lead(h)
             best = None
@@ -232,42 +236,27 @@ class _Layout:
                     if not r[0]:
                         break
             if best is None:
-                break
+                if local:
+                    break
+                out[le] = h.pop(le)
+                continue
             if best[0] and best[0] > (max(h) >> top) - (le >> top):
                 reducers = [*reducers, self.record(h)]
-            h = self.cancel(h, le, best, {})[0]
-        return h
+            h, a, c = self.cancel(h, le, best, out)
+            num, den = num * a, den * c
+        # under the local order nothing moves to out; under a global one h ends empty
+        return out or h, num, den
 
-    def remainder(self, h: dict, reducers: Sequence[Record]):
-        """(r, s): r the remainder of the division of s*h by the reducer
-        records under a global order, for a scalar s (1 over F_p). Each
-        leading term that no reducer divides moves to r; the others are
-        cancelled by the first reducer whose leading monomial divides them.
-        Over QQ r is scaled with the running h, and s is the product of the
-        steps' a/c."""
-        out, num, den = {}, 1, 1
-        lead, guards = self.lead, self.guards
-        while h:
-            le = lead(h)
-            for r in reducers:
-                if not (le - r[1]) & guards:
-                    h, a, c = self.cancel(h, le, r, out)
-                    num, den = num * a, den * c
-                    break
-            else:
-                out[le] = h.pop(le)
-        return out, self.domain.div(num, den)
-
-    def close(self, hs: Sequence[dict], reduce) -> List[Record]:
-        """Records of generators whose S-polynomials all reduce to zero by
-        `reduce`.
+    def close(self, hs: Sequence[dict]) -> List[Record]:
+        """Records of generators whose S-polynomials all reduce to zero.
 
         Pairs are processed by minimal lcm total degree, ties broken by the
         lex order on pair indices, from a heap keyed once per pair. A pair
         with coprime leading monomials is skipped when one of the two has
         ecart 0 (first Buchberger criterion); the ecart condition keeps the
         criterion valid under the local order and always holds under grevlex
-        and lex.
+        and lex. The S-polynomial of f and g is x^q*f with its term at the
+        lcm cancelled by g.
         """
         G = [self.record(h) for h in hs]
         pairs = []
@@ -281,17 +270,14 @@ class _Layout:
             add_pairs(k)
         while pairs:
             _, i, j, lcm = heapq.heappop(pairs)
-            (f_ecart, fe, f, f_top), (g_ecart, ge, g, g_top) = G[i], G[j]
-            if lcm == fe + ge and not (f_ecart and g_ecart):
+            (f_ecart, fe, f, f_top), g = G[i], G[j]
+            if lcm == fe + g[1] and not (f_ecart and g[0]):
                 continue
-            # the S-polynomial a*x^qf*f - b*x^qg*g
-            qf, qg = lcm - fe, lcm - ge
-            if (qf + f_top | qg + g_top) & self.degree_guard:
+            q = lcm - fe
+            if (q + f_top) & self.degree_guard:
                 raise _Overflow
-            a, b = self.cofactors(f[fe], g[ge])
-            h = {m + qf: a * c for m, c in f.items()}
-            _subtract(h, qg, g, self.p, b)
-            if r := reduce(h, G):
+            h = self.cancel({m + q: c for m, c in f.items()}, lcm, g, {})[0]
+            if r := self.reduce(h, G)[0]:
                 G.append(self.record(r))
                 add_pairs(len(G) - 1)
         return G
@@ -375,14 +361,13 @@ def normal_form(f: MPoly, G, order: Optional[MonomialOrder] = None) -> MPoly:
         return f
     if any(g.nvars != f.nvars or g.domain != f.domain for g in gens):
         raise DomainMismatch("divisor over wrong ring")
-    P, (r, s) = _packed([f, *gens], order.kind, lambda P, hs: P.remainder(hs[0], [P.record(g) for g in hs[1:]]))
+    P, (r, a, c) = _packed([f, *gens], order.kind, lambda P, hs: P.reduce(hs[0], [P.record(g) for g in hs[1:]]))
     # over QQ the packed f is f times its denominator
-    return P.unpack(r, s * _denominator(f))
+    return P.unpack(r, P.domain.div(a * _denominator(f), c))
 
 
 def _reduced_basis(P: _Layout, hs: Sequence[dict]) -> List[dict]:
-    remainder = lambda h, G: P.remainder(h, G)[0]
-    records = sorted(P.close(hs, remainder), key=lambda r: P.key(r[1]))
+    records = sorted(P.close(hs), key=lambda r: P.key(r[1]))
     # a minimal basis: a divisor of a leading monomial sorts before it
     minimal = []
     for r in records:
@@ -390,7 +375,7 @@ def _reduced_basis(P: _Layout, hs: Sequence[dict]) -> List[dict]:
             minimal.append(r)
     # reducing the generators of a minimal basis by each other keeps every
     # leading term, so one pass gives the unique reduced basis, up to scale
-    return [remainder(dict(r[2]), minimal[:i] + minimal[i + 1 :]) for i, r in enumerate(minimal)]
+    return [P.reduce(dict(r[2]), minimal[:i] + minimal[i + 1 :])[0] for i, r in enumerate(minimal)]
 
 
 def buchberger(gens: Sequence[MPoly], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
@@ -417,13 +402,34 @@ def standard_monomials(G: GroebnerBasis, budget: int = DEFAULT_STATE_BUDGET) -> 
     return sorted(map(P.exponents, P.stairs(*box)), key=GREVLEX.key)
 
 
+def _count_below(bounds: Sequence[int], corners: Set[Exponents]) -> int:
+    """The number of exponent vectors e with e_i < bounds[i] that no corner
+    divides, every corner inside the bounds. Counted slab by slab in the
+    last variable: the slabs from one last exponent of a corner to the next
+    are cut by the same corners, those at or below them, so they share one
+    count in the other variables. With no corner left the count is the
+    box's volume, and with no variable left the corner () divides the one
+    vector (). The cost depends on the corners, not on the bounds."""
+    if not corners:
+        return math.prod(bounds)
+    if not bounds:
+        return 0
+    *inner, b = bounds
+    steps = sorted({0, b, *(c[-1] for c in corners)})
+    return sum(
+        (hi - lo) * _count_below(inner, {c[:-1] for c in corners if c[-1] <= lo})
+        for lo, hi in itertools.pairwise(steps)
+    )
+
+
 def _dimension(P: _Layout, leads: Sequence[int]) -> Dimension:
-    """The number of standard monomials: the box's volume when no corner is
-    cut from it."""
+    """The number of standard monomials, counted from the staircase's
+    corners without walking its box."""
     box = P.staircase(leads)
     if box is None:
         return INFINITE
-    return sum(1 for _ in P.stairs(*box)) if box[1] else math.prod(box[0])
+    bounds, corners = box
+    return _count_below(bounds, set(map(P.exponents, corners)))
 
 
 def quotient_dimension(G: GroebnerBasis) -> Dimension:
@@ -435,7 +441,7 @@ def _local_leads(P: _Layout, hs: Sequence[dict]) -> List[int]:
     """The leading monomials of one standard basis of the nonzero hs under
     the local order, or None when every h is zero."""
     hs = [h for h in hs if h]
-    return [r[1] for r in P.close(hs, P.reduce)] if hs else None
+    return [r[1] for r in P.close(hs)] if hs else None
 
 
 def local_dimension(gens: Sequence[MPoly]) -> Dimension:

@@ -120,6 +120,8 @@ def test_malformed_poly_exit_2(capsys):
     ["milnor", "--f", "5", "--p", "5", "--vars", ","],
     ["groebner", "--gens", "5", "--vars", " , ,"],
     ["weyl-apply", "--op", "5", "--f", "5", "--vars", ","],
+    # a config file that cannot be read
+    ["milnor", "--f", "x^2", "--p", "3", "--config", "/nonexistent"],
 ])
 def test_bad_argument_is_one_line_usage_error(capsys, argv):
     assert_one_line_usage_error(capsys, run(argv))
@@ -221,6 +223,15 @@ def test_large_primes_are_decided_at_once(capsys):
     env = run_json(capsys, "milnor", "--f", "x^2", "--p", "99999999999999999989")
     assert env["payload"]["char_p_dimension"] == 1
     assert_one_line_error(capsys, run(["milnor", "--f", "x^2", "--p", str(10**25 + 13)]), 1)
+
+
+def test_milnor_counts_a_staircase_of_a_huge_box_from_its_corners(capsys):
+    # mu = N + 1 for x^N + x*y^2 + y^3: the staircase is the box below
+    # x^N, y^2 with the corner x*y cut, counted without a walk
+    env = run_json(capsys, "milnor", "--f", "x^99999999999999999999 + x*y^2 + y^3", "--p", "5")
+    pay = env["payload"]
+    assert pay["char_0_dimension"] == pay["char_p_dimension"] == pay["tame"] == 10**20
+    assert pay["wild"] == 0 and pay["anomaly"] is None
 
 
 @pytest.mark.parametrize("argv", [

@@ -216,6 +216,37 @@ def test_milnor_exact_beyond_any_truncation_bound():
     assert milnor_number(f * f) == INFINITE
 
 
+def test_milnor_number_of_a_long_tail_in_x_is_its_degree_plus_one():
+    # mu(x^N + x*y^2 + y^3) = N + 1
+    for N in range(3, 14):
+        assert milnor_number(P(f"x^{N} + x*y^2 + y^3")) == N + 1
+        assert milnor_number(P(f"x^{N} + x*y^2 + y^3", dom=PrimeField(32003))) == N + 1
+
+
+def test_dimension_counted_from_corners_matches_the_box_walk():
+    from wildcycles.groebner import _dimension, _Layout
+
+    rng = random.Random(131)
+    cut = 0
+    for _ in range(300):
+        n = rng.choice((2, 3, 4))
+        L = _Layout(n, 5, rng.choice(("local", "grevlex", "lex")), QQ)
+        # most staircases bounded by a pure power x_i^b_i of every
+        # variable, with up to six more leading monomials, most of them
+        # inside the box
+        b = [rng.randrange(1, 8) for _ in range(n)]
+        exps = [tuple(b[i] * (j == i) for j in range(n)) for i in range(n) if rng.random() < 0.95]
+        for _ in range(rng.randrange(7)):
+            past = 3 * (rng.random() < 0.2)
+            exps.append(tuple(rng.randrange(b[i] + past) for i in range(n)))
+        leads = [L.pack(MPoly.monomial(n, QQ, e)).popitem()[0] for e in exps]
+        box = L.staircase(leads)
+        walked = INFINITE if box is None else sum(1 for _ in L.stairs(*box))
+        assert _dimension(L, leads) == walked, exps
+        cut += box is not None and len(box[1]) >= 2
+    assert cut > 60
+
+
 def test_milnor_examples():
     assert milnor_number(P("y^3+x^2+x^3", dom=F2)) == 4
     assert milnor_number(P("y^3+x^2+x^3")) == 2
@@ -544,7 +575,7 @@ def test_integer_engine_keeps_int_coefficients_over_QQ(monkeypatch):
     from wildcycles.groebner import _Layout
 
     seen = []
-    record, close = _Layout.record, _Layout.close
+    record, reduce = _Layout.record, _Layout.reduce
 
     def checked_record(self, g):
         r = record(self, g)
@@ -554,17 +585,14 @@ def test_integer_engine_keeps_int_coefficients_over_QQ(monkeypatch):
         assert gcd(*r[2].values()) == 1 and r[2][r[1]] > 0
         return r
 
-    def checked_close(self, hs, reduce):
-        def checked_reduce(h, G):
-            seen.append(dict(h))
-            r = reduce(h, G)
-            seen.append(r)
-            return r
-
-        return close(self, hs, checked_reduce)
+    def checked_reduce(self, h, G):
+        seen.append(dict(h))
+        out = reduce(self, h, G)
+        seen.append(out[0])
+        return out
 
     monkeypatch.setattr(_Layout, "record", checked_record)
-    monkeypatch.setattr(_Layout, "close", checked_close)
+    monkeypatch.setattr(_Layout, "reduce", checked_reduce)
     rng = random.Random(103)
     for order in (GREVLEX, LEX):
         for _ in range(10):

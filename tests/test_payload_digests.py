@@ -77,6 +77,12 @@ FLAG_LINES = [
     'wildcycles milnor --f "z^3 + y^3 + y*z + x^2" --p 7',
     'wildcycles groebner --gens "a + b + c + d; a*b + b*c + c*d + d*a; a*b*c + b*c*d + c*d*a + d*a*b; a*b*c*d - 1" --order lex --p 32003',
     'wildcycles groebner --gens "u0 + 2*u1 + 2*u2 + 2*u3 - 1; u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0; 2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1; 2*u0*u2 + u1^2 + 2*u1*u3 - u2"',
+    # text renderings of nested payloads: lists of lists, lists of dicts,
+    # and flat lists beside scalars
+    'wildcycles orbits --p 5 --system "y; -x" --h 2 --mode vector-field --vars x,y --budget 100 --format text',
+    'wildcycles inertia --p 3 --module x^4 --op "d1^3" --level 3 --element "1 + x^2" --format text',
+    'wildcycles curve-count --p 7 --a 1 --b 4 --format text',
+    'wildcycles groebner --gens "x^2 + y; y^2 + x" --order lex --p 7 --vars y,x --format text',
 ]
 
 
