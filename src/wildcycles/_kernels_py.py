@@ -29,11 +29,13 @@ from .fields import sqrt_mod
 BACKEND_NAME = "pure"
 
 
-def _check_curve_p(p: int) -> None:
-    """ValueError unless 2 <= p <= sys.maxunicode, the range of p that the
-    curve kernels of both lanes take."""
+def _check_curve(p: int, a: int, b: int) -> None:
+    """ValueError unless 2 <= p <= sys.maxunicode and 0 <= a, b < p, the
+    curves that the curve kernels of both lanes take."""
     if not 2 <= p <= sys.maxunicode:
         raise ValueError(f"p = {p} is not in 2..{sys.maxunicode}")
+    if not (0 <= a < p and 0 <= b < p):
+        raise ValueError(f"a = {a} and b = {b} must be reduced mod {p}")
 
 
 def curve_affine_count(p: int, a: int, b: int) -> int:
@@ -42,8 +44,8 @@ def curve_affine_count(p: int, a: int, b: int) -> int:
     The p squares y^2 mod p are one str of code points, and each x counts
     the code point -(a x^3 + b x) in it with str.count: every (x, y) pair
     is visited, by C code. Refuses p outside 2..sys.maxunicode, the range
-    of chr, with ValueError."""
-    _check_curve_p(p)
+    of chr, and a or b outside 0..p-1 with ValueError."""
+    _check_curve(p, a, b)
     squares = "".join([chr(y * y % p) for y in range(p)])
     return sum([squares.count(chr(-(a * x * x * x + b * x) % p)) for x in range(p)])
 
@@ -54,9 +56,9 @@ def curve_slice_counts(p: int, a: int, b: int) -> List[int]:
     v(x) = a x^3 + b x is odd, so for odd p one histogram H of v over
     x = 1..(p-1)/2 serves x and -x: l_i = H[-i^2] + H[i^2], plus 1 at
     i = 0 for x = 0, and l_i = l_(p-i). At p = 2, x = 1 is its own
-    negative: l = [2 - v(1), v(1)]. Refuses p outside 2..sys.maxunicode
-    with ValueError, as the count does."""
-    _check_curve_p(p)
+    negative: l = [2 - v(1), v(1)]. Refuses the curves the count refuses,
+    with ValueError."""
+    _check_curve(p, a, b)
     if p == 2:
         v = (a + b) % 2
         return [2 - v, v]
@@ -109,10 +111,10 @@ def grid_image(terms: Sequence[Dict[Tuple[int, ...], int]], p: int, n: int, out:
     the index of the image of x when the f_k are the components of a
     self-map, and 0 exactly where every f_k vanishes. terms holds one dict
     per f_k, from tuples of n exponents to coefficients in 0..p-1, and out
-    is an array('I') of p^n words, as poly.grid_table makes it. Indices
-    p^len(terms) past 2^32 do not fit its words and are refused with
-    ValueError, as the compiled lane refuses them, before anything is
-    written.
+    is an array('I') of p^n words, as poly.grid_table makes it. An out of
+    any other length, and indices p^len(terms) past 2^32, which do not fit
+    its words, are refused with ValueError, as the compiled lane refuses
+    them, before anything is written.
 
     The table is written one block at a time: block w holds the p^(n-1)
     states with x_last = w, or every state when n <= 1, and each state of
@@ -128,6 +130,8 @@ def grid_image(terms: Sequence[Dict[Tuple[int, ...], int]], p: int, n: int, out:
     of the reduced ints, read out through each lane's low word into its
     slice of out, with no Python int per state.
     """
+    if len(out) != p**n:
+        raise ValueError(f"out must be a writable array of {p**n} words")
     if p ** len(terms) > 1 << 32:
         raise ValueError(f"indices below {p}^{len(terms)} do not fit 32-bit words")
     groups = max([len(f) for f in terms] + [1])

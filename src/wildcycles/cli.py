@@ -87,8 +87,6 @@ def _emit_text(value, indent: str):
                 _emit_text(v, indent + "  ")
             else:
                 print(f"{indent}- {_flat(v)}")
-    else:
-        print(f"{indent}{_flat(value)}")
 
 
 def _is_flat(v) -> bool:

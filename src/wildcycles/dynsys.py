@@ -19,6 +19,17 @@ from .poly import MPoly, grid_points, grid_table
 State = Tuple[int, ...]
 
 
+def _check_components(p: int, n: int, components: Tuple[MPoly, ...]) -> None:
+    """DomainMismatch unless there are n components, each in n variables
+    over F_p: a map of (Z/pZ)^n to itself."""
+    fp = PrimeField(p)
+    if len(components) != n:
+        raise DomainMismatch("component count differs from n")
+    for g in components:
+        if g.nvars != n or g.domain != fp:
+            raise DomainMismatch("component over the wrong ring")
+
+
 @dataclass(frozen=True)
 class DynamicalSystem:
     """n polynomial components over F_p, read as a vector field dx_i/ds = g_i
@@ -30,14 +41,9 @@ class DynamicalSystem:
     mode: str = "vector-field"
 
     def __post_init__(self):
-        fp = PrimeField(self.p)
         if self.mode not in ("vector-field", "self-map"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if len(self.components) != self.n:
-            raise DomainMismatch("component count differs from n")
-        for g in self.components:
-            if g.nvars != self.n or g.domain != fp:
-                raise DomainMismatch("component over the wrong ring")
+        _check_components(self.p, self.n, self.components)
 
 
 @dataclass(frozen=True)
@@ -47,6 +53,9 @@ class SelfMap:
     p: int
     n: int
     components: Tuple[MPoly, ...]
+
+    def __post_init__(self):
+        _check_components(self.p, self.n, self.components)
 
     def __call__(self, state: State) -> State:
         return tuple(g.eval(state) for g in self.components)

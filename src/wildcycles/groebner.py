@@ -10,14 +10,18 @@ ecart is 0, it is Buchberger's division by the first reducer that divides,
 the tail included. The local dimension is the number of standard monomials
 of that basis, and it is infinite exactly when the staircase is unbounded
 (Mora 1982; Greuel & Pfister, A Singular Introduction to Commutative
-Algebra, sections 1.6-1.7). Dimensions are counted from the staircase's
-corners, slab by slab in the last variable, never by walking its box.
+Algebra, sections 1.6-1.7). The staircase is a few exponent vectors, the
+leading monomials as tuples: `_staircase` finds its box and corners, and
+dimensions are counted from the corners, slab by slab in the last
+variable, never by walking the box.
 
-The engine runs on packed monomials, one int each (`_Layout`), and on
-polynomials as dicts {packed monomial: coefficient}: `buchberger`,
-`normal_form` and the dimensions pack their input on entry, and
-`buchberger` and `normal_form` unpack what they return. `milnor_number`
-packs f alone and takes its partial derivatives on the packed terms.
+The engine runs on packed monomials, one int each, and on polynomials as
+dicts {packed monomial: coefficient}; `_Layout` holds that arithmetic
+only. `buchberger`, `normal_form` and the local dimensions pack their
+input on entry, and `buchberger` and `normal_form` unpack what they
+return. `milnor_number` packs f alone and takes its partial derivatives
+on the packed terms. The global dimensions read the leading monomials of
+the basis they are given, with no packing.
 
 Over QQ every coefficient inside the engine is an int: a polynomial is
 packed times the least common denominator of its coefficients, a reducer
@@ -35,6 +39,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
@@ -282,39 +287,6 @@ class _Layout:
                 add_pairs(len(G) - 1)
         return G
 
-    def staircase(self, leads: Sequence[int]):
-        """The box that holds the standard monomials of the leading
-        monomials and the corners cut from it: (b, corners), b_i the
-        least pure power of variable i among the leading monomials, or None
-        if there are infinitely many standard monomials.
-
-        Finite iff the staircase is bounded in every variable, i.e. some
-        leading monomial is a pure power of each variable; the box below the
-        least such powers holds the staircase, and only the leading
-        monomials in two or more variables can divide a monomial of the box:
-        those that do, with e_i < b_i in every variable, are the corners,
-        as packed exponent fields. A leading monomial 1 (a unit generator)
-        leaves none.
-        """
-        mask = (1 << self.bits) - 1
-        # per variable, the exponent fields of the other variables
-        others = [self.fields ^ (mask << s) for s in self.shifts]
-        leads = [le & self.fields for le in leads]
-        bounds = []
-        for s, other in zip(self.shifts, others):
-            pure = [le >> s for le in leads if not le & other]
-            if not pure:
-                return None
-            bounds.append(min(pure))
-        inside = lambda le: all(le >> s & mask < b for s, b in zip(self.shifts, bounds))
-        return bounds, [le for le in leads if all(le & other for other in others) and inside(le)]
-
-    def stairs(self, bounds: Sequence[int], corners: Sequence[int]):
-        """The monomials of the box below `bounds` that no corner divides,
-        as packed exponent fields."""
-        box = map(sum, itertools.product(*(range(0, b << s, 1 << s) for b, s in zip(bounds, self.shifts))))
-        return (m for m in box if all((m - c) & self.guards for c in corners))
-
 
 def _denominator(f: MPoly) -> int:
     """The least common denominator of the coefficients of f over QQ (1 over
@@ -384,8 +356,23 @@ def buchberger(gens: Sequence[MPoly], order: MonomialOrder = GREVLEX) -> Groebne
     return GroebnerBasis(tuple(P.unpack(h, h[P.lead(h)]) for h in G), order, P.nvars, P.domain)
 
 
-def _leads(G: GroebnerBasis):
-    return _packed(G.generators, G.order.kind, lambda P, hs: [P.lead(h) for h in hs])
+def _staircase(leads: Sequence[Exponents]):
+    """The box that holds the standard monomials of the leading monomials
+    and the corners cut from it: (b, corners), b_i the least pure power of
+    variable i among the leading monomials, or None if there are infinitely
+    many standard monomials.
+
+    Finite iff the staircase is bounded in every variable, i.e. some leading
+    monomial is a pure power of each variable; the box below the least such
+    powers holds the staircase. The corners are the leading monomials inside
+    the box, e_i < b_i in every variable: no pure power is among them, and
+    a leading monomial 1 (a unit generator) leaves an empty box.
+    """
+    pure = [[e[i] for e in leads if not any(e[:i] + e[i + 1 :])] for i in range(len(leads[0]))]
+    if not all(pure):
+        return None
+    bounds = list(map(min, pure))
+    return bounds, [e for e in leads if all(map(operator.lt, e, bounds))]
 
 
 def standard_monomials(G: GroebnerBasis, budget: int = DEFAULT_STATE_BUDGET) -> Optional[List[Exponents]]:
@@ -393,13 +380,16 @@ def standard_monomials(G: GroebnerBasis, budget: int = DEFAULT_STATE_BUDGET) -> 
     infinitely many. The listing walks the box that holds them: a box of
     more than `budget` monomials is refused with StateBudgetExceeded before
     the walk."""
-    P, leads = _leads(G)
-    box = P.staircase(leads)
+    box = _staircase([g.leading(G.order)[0] for g in G])
     if box is None:
         return None
-    if (size := math.prod(box[0])) > budget:
+    bounds, corners = box
+    if (size := math.prod(bounds)) > budget:
         raise StateBudgetExceeded(f"the standard monomials lie in a box of {size} monomials, past budget {budget}")
-    return sorted(map(P.exponents, P.stairs(*box)), key=GREVLEX.key)
+    stairs = itertools.product(*map(range, bounds))
+    if corners:
+        stairs = (e for e in stairs if not any(all(map(operator.ge, e, c)) for c in corners))
+    return sorted(stairs, key=GREVLEX.key)
 
 
 def _count_below(bounds: Sequence[int], corners: Set[Exponents]) -> int:
@@ -422,26 +412,26 @@ def _count_below(bounds: Sequence[int], corners: Set[Exponents]) -> int:
     )
 
 
-def _dimension(P: _Layout, leads: Sequence[int]) -> Dimension:
-    """The number of standard monomials, counted from the staircase's
-    corners without walking its box."""
-    box = P.staircase(leads)
+def _dimension(leads: Sequence[Exponents]) -> Dimension:
+    """The number of standard monomials of the leading monomials, counted
+    from the staircase's corners without walking its box."""
+    box = _staircase(leads)
     if box is None:
         return INFINITE
     bounds, corners = box
-    return _count_below(bounds, set(map(P.exponents, corners)))
+    return _count_below(bounds, set(corners))
 
 
 def quotient_dimension(G: GroebnerBasis) -> Dimension:
     """Vector-space dimension of the quotient ring, or INFINITE."""
-    return _dimension(*_leads(G))
+    return _dimension([g.leading(G.order)[0] for g in G])
 
 
-def _local_leads(P: _Layout, hs: Sequence[dict]) -> List[int]:
-    """The leading monomials of one standard basis of the nonzero hs under
-    the local order, or None when every h is zero."""
+def _local_leads(P: _Layout, hs: Sequence[dict]) -> Optional[List[Exponents]]:
+    """The leading monomials, as exponent vectors, of one standard basis of
+    the nonzero hs under the local order, or None when every h is zero."""
     hs = [h for h in hs if h]
-    return [r[1] for r in P.close(hs)] if hs else None
+    return [P.exponents(r[1]) for r in P.close(hs)] if hs else None
 
 
 def local_dimension(gens: Sequence[MPoly]) -> Dimension:
@@ -450,7 +440,7 @@ def local_dimension(gens: Sequence[MPoly]) -> Dimension:
     Counts the standard monomials of one standard basis under the local
     degree order; the count is exact, with no truncation bound.
     """
-    return _dimension(*_packed(_generators(gens), "local", _local_leads))
+    return _dimension(_packed(_generators(gens), "local", _local_leads)[1])
 
 
 def milnor_number(f: MPoly) -> Dimension:
@@ -459,8 +449,8 @@ def milnor_number(f: MPoly) -> Dimension:
 
     f is packed once, and its partials are taken on the packed terms; its
     degree bounds theirs, so the fields fit them."""
-    P, leads = _packed([f], "local", lambda P, hs: _local_leads(P, [P.partial(hs[0], i) for i in range(P.nvars)]))
-    return INFINITE if leads is None else _dimension(P, leads)
+    _, leads = _packed([f], "local", lambda P, hs: _local_leads(P, [P.partial(hs[0], i) for i in range(P.nvars)]))
+    return INFINITE if leads is None else _dimension(leads)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Shared random generators and independent oracles used across tests."""
 
+import functools
+import importlib.util
 import itertools
 import sys
 from array import array
 from fractions import Fraction
+from pathlib import Path
 
 from wildcycles._kernels_py import _lane_layout
 from wildcycles.dynsys import _lane_width, _parity_levels
@@ -562,3 +565,16 @@ def random_operator(rng, nvars, domain, max_order):
         f = random_poly(rng, nvars, domain, max_terms=3)
         terms[tuple(a)] = f if f.terms else MPoly.one(nvars, domain)
     return WeylOperator(nvars, domain, terms)
+
+
+@functools.cache
+def perfbench(name):
+    """The module perfbench/<name>.py, loaded from its file unchanged: the
+    benchmark's job lists (jobs) and its oracle (oracle), which checks a
+    job's output without importing wildcycles."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look up their module
+    spec.loader.exec_module(module)
+    return module

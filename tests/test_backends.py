@@ -69,6 +69,16 @@ def test_curve_kernels_agree():
         assert compiled.curve_affine_count(p, a, b) == count, (p, a, b)
 
 
+def test_curve_kernels_refuse_out_of_range_curves_on_every_lane():
+    # the pure lane once counted a curve with a or b outside 0..p-1, which
+    # the compiled one refuses
+    for kernels in backends.values():
+        for name in _CURVE_KERNELS:
+            for args, error in _CURVE_REFUSALS:
+                with pytest.raises(error):
+                    getattr(kernels, name)(*args)
+
+
 @pytest.mark.skipif(compiled is None, reason="compiled extension not built")
 def test_compiled_curve_kernels_refuse_out_of_range_curves():
     for name in _CURVE_KERNELS:
@@ -274,6 +284,19 @@ def test_grid_image_refuses_indices_past_32_bits_on_every_lane():
             with pytest.raises(ValueError, match=message):
                 kernels.grid_image(terms, p, n, out)
             assert out == array("I", [7]) * p**n, (name, p, n)
+
+
+def test_grid_image_refuses_an_out_of_the_wrong_length_on_every_lane():
+    # the pure lane once left a short out unwritten past its end and filled
+    # only the prefix of a long one
+    for p, n in ((5, 1), (3, 2), (7, 0)):
+        terms = [{(1,) * n: 1}] * n or [{(): 2}]
+        for size in (0, p**n - 1, p**n + 1, 2 * p**n):
+            for name, kernels in backends.items():
+                out = array("I", [7]) * size
+                with pytest.raises(ValueError, match=rf"^out must be a writable array of {p**n} words$"):
+                    kernels.grid_image(terms, p, n, out)
+                assert out == array("I", [7]) * size, (name, p, n, size)
 
 
 @pytest.mark.skipif(compiled is None, reason="compiled extension not built")

@@ -3,27 +3,13 @@ checked by the benchmark's own oracle, which counts vanishing coefficients
 without importing wildcycles. perfbench/jobs.py and perfbench/oracle.py are
 loaded from their files and not changed."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
+from helpers import perfbench
 from wildcycles import cli
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look up their module
-    spec.loader.exec_module(module)
-    return module
-
-
-jobs = load("jobs")
-oracle = load("oracle")
+jobs = perfbench("jobs")
+oracle = perfbench("oracle")
 
 
 @pytest.mark.parametrize("seed", range(1, 6))

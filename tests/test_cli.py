@@ -122,6 +122,9 @@ def test_malformed_poly_exit_2(capsys):
     ["weyl-apply", "--op", "5", "--f", "5", "--vars", ","],
     # a config file that cannot be read
     ["milnor", "--f", "x^2", "--p", "3", "--config", "/nonexistent"],
+    # a token where the parser expects a sign or the end
+    ["milnor", "--f", "x y", "--p", "5"],
+    ["groebner", "--gens", "2 3", "--p", "5"],
 ])
 def test_bad_argument_is_one_line_usage_error(capsys, argv):
     assert_one_line_usage_error(capsys, run(argv))

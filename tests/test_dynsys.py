@@ -32,7 +32,7 @@ from wildcycles.dynsys import (
     parity_bijection_check,
     periodic_point_count,
 )
-from wildcycles.errors import StateBudgetExceeded
+from wildcycles.errors import DomainMismatch, StateBudgetExceeded
 from wildcycles.fields import PrimeField
 from wildcycles.poly import MPoly, grid_table, poly_parse
 
@@ -90,6 +90,27 @@ def test_orbit_squaring_mod_5():
     assert dec.cycles == (((0,),), ((1,),))
     assert dec.max_tail_length == 2
     assert dec.to_json()["tail_state_count"] == 3
+
+
+def test_maps_refuse_components_off_their_ring():
+    # one component for a map F_5^2 -> F_5^2 once read as five 1-cycles, and
+    # two components in one variable once reached the graph kernel as
+    # indices past the state range
+    F5, F7 = PrimeField(5), PrimeField(7)
+    xy = poly_parse("x + y", ["x", "y"], F5)
+    x = poly_parse("x", ["x"], F5)
+    shapes = [
+        (2, (xy,), "component count differs from n"),
+        (1, (x, x), "component count differs from n"),
+        (1, (xy,), "component over the wrong ring"),
+        (2, (xy, poly_parse("x", ["x", "y"], F7)), "component over the wrong ring"),
+    ]
+    for n, comps, message in shapes:
+        with pytest.raises(DomainMismatch, match=message):
+            SelfMap(5, n, comps)
+        for mode in ("vector-field", "self-map"):
+            with pytest.raises(DomainMismatch, match=message):
+                DynamicalSystem(p=5, n=n, components=comps, mode=mode)
 
 
 def test_partition_property_random_maps():
