@@ -42,6 +42,12 @@ FLAG_LINES = [
     'wildcycles inertia --p 3 --module x^7 --op "x*d1^2 + x^2*d1^3" --level 9',
     'wildcycles inertia --p 2 --module x^64 --op "x*d1" --level 4',
     'wildcycles inertia --p 7 --module x^30 --op "x^2*d1 + 3*x*d1^2" --level 4 --element "1 + 2*x^3 + x^9"',
+    # operators with several exponent shifts: -2, 0 and +2; shifts 0 and -1
+    # with three terms on shift 0, whose weights can cancel mod p; and two
+    # terms on shift -3 beside shifts +4 and 0
+    'wildcycles inertia --p 5 --module x^40 --op "d1^2 + x*d1 + x^3*d1" --level 3',
+    'wildcycles inertia --p 7 --module x^50 --op "x*d1 + 6*x^2*d1^2 + x^3*d1^3 + d1" --level 4',
+    'wildcycles inertia --p 11 --module x^90 --op "3*d1^3 + x^5*d1 + 2*x^2*d1^2 + x*d1^4" --level 5',
     'wildcycles weyl-apply --op "dy*x + dx" --f "x*y^2" --p 5 --vars x,y',
     'wildcycles weyl-apply --op "x*d1 + 1/2" --f "x^3"',
     'wildcycles weyl-apply --op "x^2*d1^5 + 3*d1^3" --f "x^7 + x^5 + x^3" --p 5',
