@@ -105,16 +105,62 @@ def _lane_layout(p: int, groups: int) -> Tuple[int, int, int]:
     return -(-((bound - 1) * mult).bit_length() // 32) * 32, s, mult
 
 
+def _int64(v) -> int:
+    """v, if an int in 0..2^64-1: TypeError for a non-int, ValueError
+    for an int out of that range, as the compiled lane reads a word."""
+    if not isinstance(v, int):
+        raise TypeError(f"expected an int, not {type(v).__name__}")
+    if not 0 <= v < 1 << 64:
+        raise ValueError(f"{v!r} is not an int in 0..2^64-1")
+    return v
+
+
+def _check_table(terms, p: int, n: int, out) -> list:
+    """The components of terms as a list, after the checks of the compiled
+    grid_image, in its order and with its exception classes, one pass over
+    the terms and nothing written: p and n words, p >= 2, p^n states that
+    an array holds, out a writable contiguous one-dimensional array('I')
+    of p^n words, indices p^len(terms) - 1 that fit 32 bits, and each term
+    a tuple of n words with a coefficient below p, in a dict."""
+    if _int64(p) < 2:
+        raise ValueError("p must be at least 2")
+    if _int64(n) >= 64 or p**n > sys.maxsize:
+        raise ValueError(f"{p}^{n} states do not fit an array")
+    terms = list(terms)
+    with memoryview(out) as view:
+        if view.format != "I" or view.ndim != 1 or view.itemsize != 4 or not view.c_contiguous:
+            raise TypeError(f"out must be a one-dimensional contiguous array of format 'I', not format {view.format!r}")
+        if view.readonly or len(view) != p**n:
+            raise ValueError(f"out must be a writable array of {p**n} words")
+    if len(terms) > 32 or p ** len(terms) > 1 << 32:
+        raise ValueError(f"indices below {p}^{len(terms)} do not fit 32-bit words")
+    for k, f in enumerate(terms):
+        if not isinstance(f, dict):
+            raise TypeError(f"component {k} is a {type(f).__name__}, not a dict of terms")
+    for k, f in enumerate(terms):
+        for e, c in f.items():
+            if not isinstance(e, tuple):
+                raise TypeError(f"term {e!r} of component {k} is not a tuple of exponents")
+            if len(e) != n:
+                raise ValueError(f"term {e!r} of component {k} does not have {n} exponents")
+            if _int64(c) >= p:
+                raise ValueError(f"coefficient {c!r} is not reduced mod {p}")
+            for x in e:
+                _int64(x)
+    return terms
+
+
 def grid_image(terms: Sequence[Dict[Tuple[int, ...], int]], p: int, n: int, out: array) -> None:
     """Writes sum_k (f_k(x) mod p) p^k into out for every point x of F_p^n,
     listed by the state index sum_i x_i p^i (variable 0 least significant):
     the index of the image of x when the f_k are the components of a
     self-map, and 0 exactly where every f_k vanishes. terms holds one dict
     per f_k, from tuples of n exponents to coefficients in 0..p-1, and out
-    is an array('I') of p^n words, as poly.grid_table makes it. An out of
-    any other length, and indices p^len(terms) past 2^32, which do not fit
-    its words, are refused with ValueError, as the compiled lane refuses
-    them, before anything is written.
+    is an array('I') of p^n words, as poly.grid_table makes it. Whatever
+    the compiled lane refuses is refused here with the same exception
+    class, before anything is written (_check_table): an out of any other
+    length or kind, indices p^len(terms) past 2^32, which do not fit its
+    words, and malformed terms.
 
     The table is written one block at a time: block w holds the p^(n-1)
     states with x_last = w, or every state when n <= 1, and each state of
@@ -130,10 +176,7 @@ def grid_image(terms: Sequence[Dict[Tuple[int, ...], int]], p: int, n: int, out:
     of the reduced ints, read out through each lane's low word into its
     slice of out, with no Python int per state.
     """
-    if len(out) != p**n:
-        raise ValueError(f"out must be a writable array of {p**n} words")
-    if p ** len(terms) > 1 << 32:
-        raise ValueError(f"indices below {p}^{len(terms)} do not fit 32-bit words")
+    terms = _check_table(terms, p, n, out)
     groups = max([len(f) for f in terms] + [1])
     width, s, mult = _lane_layout(p, groups)
     size, t = width >> 3, p.bit_length()

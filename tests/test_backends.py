@@ -360,15 +360,34 @@ _MALFORMED = [
 ]
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled extension not built")
-def test_compiled_grid_image_refuses_malformed_input():
+def refuses_malformed(kernels):
     # each refusal comes before the first write
     for terms, p, n, out, error in _MALFORMED:
         before = bytes(out) if isinstance(out, (array, memoryview)) else None
         with pytest.raises(error):
-            compiled.grid_image(terms, p, n, out)
+            kernels.grid_image(terms, p, n, out)
         if before is not None:
             assert bytes(out) == before
+
+
+@pytest.mark.skipif(compiled is None, reason="compiled extension not built")
+def test_compiled_grid_image_refuses_malformed_input():
+    refuses_malformed(compiled)
+
+
+def test_pure_grid_image_refuses_malformed_input():
+    # the pure lane once wrote tables for 12 of these, or refused them with
+    # OverflowError or AttributeError
+    refuses_malformed(pure)
+
+
+def test_grid_image_writes_into_a_memoryview():
+    # a writable contiguous view of format 'I' is an out on both lanes
+    terms = [{(1, 0): 1}, {(0, 2): 3}]
+    for kernels in backends.values():
+        out = array("I", [0]) * 25
+        kernels.grid_image(terms, 5, 2, memoryview(out))
+        assert out == filled(pure, terms, 5, 2)
 
 
 _DEBUG_TABLE_CHECK = """
