@@ -20,6 +20,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import time
 from types import SimpleNamespace
@@ -140,8 +141,17 @@ def _cmd_groebner(args) -> dict:
     return payload
 
 
+_PLAIN_MODULE = re.compile(r"\s*x\s*(?:\^\s*(\d+)\s*)?")
+
+
 def _module_order(text: str) -> int:
-    """m of F_p[x]/(x^m) from the monomial `x^m` with m >= 1, or `x`."""
+    """m of F_p[x]/(x^m) from the monomial `x^m` with m >= 1, or `x`. Text
+    spelled so is read by one match, with the parser's tokens; any other
+    goes through the parser over QQ, which also takes `x^2*x`, and gives
+    the errors."""
+    plain = _PLAIN_MODULE.fullmatch(text)
+    if plain and int(plain[1] or 1) >= 1:
+        return int(plain[1] or 1)
     f = poly_parse(text, ["x"], QQ)
     m = f.total_degree()
     if m < 1 or f != MPoly.monomial(1, QQ, (m,)):

@@ -188,7 +188,9 @@ class Matrix:
         before it, carrying the combination alongside unless it is None:
         True when the rank grows; else the combination, now a relation
         among the columns, or False when none was carried. Carry one only
-        if every column before it carried one."""
+        if every column before it carried one. The matrix keeps a reference
+        to column, as its pivot when nothing is to be cancelled, and copies
+        it only to reduce it: the caller must not change it afterwards."""
         if self._eliminated < len(self.columns):
             self.rank()
         self.columns.append(column)
@@ -200,7 +202,8 @@ class Matrix:
         kept, so a later add or rank reduces only the columns appended
         since."""
         for column in self.columns[self._eliminated :]:
-            self._reduce(column, None)
+            if column:
+                self._reduce(column, None)
         self._eliminated = len(self.columns)
         return len(self._pivots)
 
@@ -221,18 +224,23 @@ class Matrix:
 
     def _reduce(self, column: dict, combination: Optional[dict]) -> bool | dict:
         """One step of the left-to-right elimination, as add returns it:
-        reduce a copy of column against the pivots (unscaled: the pivot
-        entry is whatever the reduction left at its row), and the
-        combination in place alongside. Each step cancels the largest row
-        with one division; a column left nonzero becomes the pivot there."""
+        reduce column against the pivots (unscaled: the pivot entry is
+        whatever the reduction left at its row), and the combination in
+        place alongside. Each step cancels the largest row with one
+        division; a column left nonzero becomes the pivot there. A column
+        whose largest row has no pivot becomes one as it is; the first
+        cancellation works on a copy, so the caller's dict is never
+        changed."""
         dom, pivots = self.domain, self._pivots
-        column = dict(column)
+        copied = False
         while column:
             r = max(column)
             pivot = pivots.get(r)
             if pivot is None:
                 pivots[r] = (column, combination)
                 return True
+            if not copied:
+                column, copied = dict(column), True
             c = dom.div(column[r], pivot[0][r])
             _subtract(column, 0, pivot[0], dom.char, c)
             if combination is not None:

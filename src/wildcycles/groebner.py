@@ -46,7 +46,7 @@ from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import DEFAULT_STATE_BUDGET, DomainMismatch, StateBudgetExceeded
 from .fields import QQ, _subtract
-from .poly import GREVLEX, Exponents, MonomialOrder, MPoly, reduce_mod_p
+from .poly import GREVLEX, Exponents, MonomialOrder, MPoly, grevlex_walk, reduce_mod_p
 
 INFINITE = float("inf")
 Dimension = Union[int, float]
@@ -377,7 +377,8 @@ def _staircase(leads: Sequence[Exponents]):
 
 def standard_monomials(G: GroebnerBasis, budget: int = DEFAULT_STATE_BUDGET) -> Optional[List[Exponents]]:
     """Monomials divisible by no leading term, in grevlex order, or None if
-    infinitely many. The listing walks the box that holds them: a box of
+    infinitely many. The listing walks the box that holds them degree by
+    degree in grevlex order, with no sort (poly.grevlex_walk): a box of
     more than `budget` monomials is refused with StateBudgetExceeded before
     the walk."""
     box = _staircase([g.leading(G.order)[0] for g in G])
@@ -386,10 +387,10 @@ def standard_monomials(G: GroebnerBasis, budget: int = DEFAULT_STATE_BUDGET) -> 
     bounds, corners = box
     if (size := math.prod(bounds)) > budget:
         raise StateBudgetExceeded(f"the standard monomials lie in a box of {size} monomials, past budget {budget}")
-    stairs = itertools.product(*map(range, bounds))
+    stairs = grevlex_walk(bounds, sum(bounds) + 1)
     if corners:
-        stairs = (e for e in stairs if not any(all(map(operator.ge, e, c)) for c in corners))
-    return sorted(stairs, key=GREVLEX.key)
+        stairs = [e for e in stairs if not any(all(map(operator.ge, e, c)) for c in corners)]
+    return stairs
 
 
 def _count_below(bounds: Sequence[int], corners: Set[Exponents]) -> int:

@@ -5,6 +5,13 @@ zero before and after differentiation). Two semantics are exposed for the
 "only constant solutions" condition: kernel-equals-constants on the whole
 module (inertia_membership) and annihilation of a designated element
 (annihilation_check); they differ in general and both are reported.
+
+The membership test works on whole lists over the basis, not on one call
+per column. An operator's matrix comes from its weights c·falling(e, a) mod
+p, summed per exponent shift s − a of its terms x^s∂^a and read from one
+table of min(m, p) falling factors per variable. The nonzero columns are
+sorted by depth, the largest k with the column in the matrix of D∘∂^k, and
+one echelon takes a batch of them per level.
 """
 
 from __future__ import annotations
@@ -13,22 +20,23 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainMismatch, IndexOutOfRange, NotCritical, ZeroOrderTerm
 from .fields import Matrix, PrimeField
-from .poly import Exponents, MPoly
+from .poly import Exponents, MPoly, grevlex_walk
 from .weyl import WeylOperator
 
 
 class QuotientModule:
     """F_p[x1..xn] / (monomials of degree >= m), with its monomial basis.
 
-    The basis runs in grevlex order, degree by degree. Besides its exponent
-    tuple, monomial x^e has the integer key sum e_i·m^i. Every e_i is below
-    m, so distinct monomials have distinct keys, and as the key is linear in
-    e, a term x^s∂^a sends the key of x^e to key(e) + key(s) − key(a) with
-    no tuple built.
+    The basis runs in grevlex order, degree by degree, as poly.grevlex_walk
+    lists it. Besides its exponent tuple, monomial x^e has the integer key
+    sum e_i·m^i. Every e_i is below m, so distinct monomials have distinct
+    keys, and as the key is linear in e, a term x^s∂^a sends the key of x^e
+    to key(e) + key(s − a) with no tuple built.
     """
 
     def __init__(self, p: int, m: int, nvars: int = 1):
@@ -40,19 +48,15 @@ class QuotientModule:
         self.p = p
         self.m = m
         self.nvars = nvars
-        self.basis: List[Exponents] = []
-        self._degrees: List[int] = []
-        for d in range(m):
-            monomials = _grevlex_degree(nvars, d)
-            self.basis += monomials
-            self._degrees += [d] * len(monomials)
+        self.basis: List[Exponents] = grevlex_walk([m] * nvars, m)
         self._radix = [m**i for i in range(nvars)]
         # one tuple of the exponents e_i over the basis per variable
         self._exponents = list(zip(*self.basis))
-        self._keys = [0] * len(self.basis)
-        for column, r in zip(self._exponents, self._radix):
-            self._keys = [k + x * r for k, x in zip(self._keys, column)]
-        self._position = {k: i for i, k in enumerate(self._keys)}
+        self._degrees = self._keys = self._exponents[0]
+        for column, r in zip(self._exponents[1:], self._radix[1:]):
+            self._degrees = list(map(operator.add, self._degrees, column))
+            self._keys = list(map(operator.add, self._keys, map(r.__mul__, column)))
+        self._position = dict(zip(self._keys, range(len(self._keys))))
 
     @property
     def dimension(self) -> int:
@@ -74,47 +78,43 @@ class QuotientModule:
     def operator_matrix(self, P: WeylOperator) -> Matrix:
         """Matrix of P on the monomial basis; column j is P(basis[j]).
 
-        Built in closed form, one term c·x^s∂^a of P at a time: ∂^a(x^e) =
-        falling(e, a) x^(e − a), whose residues mod p over the whole basis
-        come from one table of math.perm(x, a_i) % p per variable, and x^s
-        moves the key of x^(e − a) by key(s). A nonzero falling factor means
-        e >= a, so the target x^(e − a + s) is a basis monomial exactly when
-        its degree is below m; the basis runs by degree, so those sources
-        are a prefix of it.
+        Built in closed form: a term c·x^s∂^a sends x^e to c·falling(e, a)
+        x^(e + s − a). The weights c·falling(e, a) mod p over the whole
+        basis are summed per exponent shift s − a, not per key shift, as
+        two shifts can move the key alike (x^3·∂_y and ∂_x at m = 4). The
+        falling factor perm(x, a_i) mod p depends on x mod p only, so each
+        variable takes one table of min(m, p) values. A nonzero weight means
+        e >= a for some term, so the target x^(e + s − a) is a basis
+        monomial exactly when its degree is below m; the basis runs by
+        degree, so those sources are a prefix of it. Distinct shifts send
+        x^e to distinct targets, so each nonzero weight is one entry.
         """
         if P.nvars != self.nvars or P.domain != self.field:
             raise DomainMismatch("operator not over this module's ring")
         p, m, keys, position = self.p, self.m, self._keys, self._position
-        cols = [{} for _ in keys]
+        weights = {}  # exponent shift -> its weights over the basis
         for a, f in P.terms.items():
-            falling = [1] * len(keys)
-            for column, a_i in zip(self._exponents, a):
-                if a_i:
-                    table = [math.perm(x, a_i) % p for x in range(m)]
-                    falling = [v * table[x] % p for v, x in zip(falling, column)]
-            key_a, order = self._key(a), sum(a)
             for s, c in f.terms.items():
-                shift = self._key(s) - key_a
-                sources = bisect.bisect_left(self._degrees, m + order - sum(s))
-                for v, k, col in zip(falling[:sources], keys, cols):
-                    if v:
-                        t = position[k + shift]
-                        x = (col.get(t, 0) + c * v) % p
-                        # c·v is a unit, so only a sum can cancel, and the
-                        # matrix stores no zero entries
-                        if x:
-                            col[t] = x
-                        else:
-                            del col[t]
+                w, scale = None, c  # c goes into the first table
+                for column, a_i in zip(self._exponents, a):
+                    if a_i:
+                        table = [scale * math.perm(x, a_i) % p for x in range(min(m, p))]
+                        values = map((table * -(-m // len(table))).__getitem__, column)
+                        w = list(values) if w is None else [u * v % p for u, v in zip(w, values)]
+                        scale = 1
+                if w is None:
+                    w = [c] * len(keys)
+                shift = tuple(map(operator.sub, s, a))
+                if shift in weights:
+                    w = [(u + v) % p for u, v in zip(weights[shift], w)]
+                weights[shift] = w
+        cols = [{} for _ in keys]
+        for shift, w in weights.items():
+            key_shift = self._key(shift)
+            sources = bisect.bisect_left(self._degrees, m - sum(shift))
+            for j in compress(range(sources), w):
+                cols[j][position[keys[j] + key_shift]] = w[j]
         return Matrix(self.dimension, cols, self.field)
-
-
-def _grevlex_degree(n: int, d: int) -> List[Exponents]:
-    """The exponent vectors of n >= 1 variables and degree d, ascending in
-    grevlex: the last exponent falls, and within it the first n − 1 ascend."""
-    if n == 1:
-        return [(d,)]
-    return [head + (last,) for last in range(d, -1, -1) for head in _grevlex_degree(n - 1, d - last)]
 
 
 def kernel_on_quotient(P: WeylOperator, M: QuotientModule) -> List[MPoly]:
@@ -178,21 +178,27 @@ def inertia_membership(
     # the most steps up that stay in M and meet no multiple of p. The sets
     # nest, S_0 ⊇ S_1 ⊇ …, so one echelon serves every level: add the
     # columns of S_level first and read the rank, then those of each S_k
-    # beyond S_(k+1), down to S_0. A rank does not depend on the order its
-    # columns come in. Every S_k past min(m, p) − 1 is empty: rank 0.
+    # beyond S_(k+1), down to S_0, one batch each from the columns sorted
+    # by depth. A rank does not depend on the order its columns come in.
+    # Every S_k past min(m, p) − 1 is empty: rank 0.
     _unit(M.nvars, dvar, 1)  # checks dvar
     A = M.operator_matrix(D)
     p, m = M.p, M.m
     top = min(level, m - 1, p - 1)
-    new_at = [[] for _ in range(top + 1)]  # S_k \ S_(k+1), S_top at the end
-    for i, (degree, x) in enumerate(zip(M._degrees, M._exponents[dvar])):
-        new_at[min(m - 1 - degree, p - 1 - x % p, top)].append(i)
+    # p − 1 − x mod p over x = 0..m − 1, one period of min(m, p) values
+    room = list(range(p - 1, p - 1 - min(m, p), -1)) * -(-m // min(m, p))
+    steps = zip(map((m - 1).__sub__, M._degrees), map(room.__getitem__, M._exponents[dvar]))
+    depth = [a if a < b else b for a, b in steps]
+    # the nonzero columns, by depth: those of S_k are the ones from depth k
+    order = sorted(compress(range(M.dimension), A.columns), key=depth.__getitem__)
     echelon = Matrix(A.rows, [], M.field)
     rank = [0] * (level + 1)
+    end = len(order)
     for k in reversed(range(top + 1)):
-        for i in new_at[k]:
-            echelon.add(A.columns[i])
+        start = bisect.bisect_left(order, k, key=depth.__getitem__)
+        echelon.columns += [A.columns[i] for i in order[start:end]]
         rank[k] = echelon.rank()
+        end = start
     # D has no zero-order term, so D∘∂^k kills 1: a one-vector kernel is
     # exactly the constants
     per_k = [(k, M.dimension - r, M.dimension - r == 1) for k, r in enumerate(rank)]

@@ -7,6 +7,7 @@ deterministic.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 import sys
@@ -42,6 +43,27 @@ class MonomialOrder:
 
 GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
+
+
+def grevlex_walk(bounds: Sequence[int], limit: int) -> List[Exponents]:
+    """The exponent vectors e with e_i < bounds[i] and degree below limit
+    >= 1, ascending in grevlex, with no sort. Grevlex runs by degree, then
+    by the last exponent falling, then by the others ascending in grevlex,
+    so the vectors of k + 1 variables with degree d and last exponent l are
+    those of k variables with degree d − l, l appended: one run of the walk
+    over k variables, which lists each degree in one run."""
+    vectors = [(d,) for d in range(min(bounds[0], limit))] if bounds else [()]
+    for b in bounds[1:]:
+        degrees = list(map(sum, vectors))
+        top = degrees[-1] if degrees else -1
+        runs = [bisect.bisect_left(degrees, d) for d in range(top + 2)]
+        vectors = [
+            h + (l,)
+            for d in range(min(top + b, limit))
+            for l in range(min(d, b - 1), max(d - top, 0) - 1, -1)
+            for h in vectors[runs[d - l] : runs[d - l + 1]]
+        ]
+    return vectors
 
 
 class MPoly:

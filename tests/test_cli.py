@@ -1,12 +1,13 @@
 import json
 import random
+import re
 import time
 
 import pytest
 
 from helpers import random_poly, substring_var_names
 from wildcycles.backend import BACKEND_NAME
-from wildcycles.cli import COMMANDS, ENV_BUDGET, run
+from wildcycles.cli import COMMANDS, ENV_BUDGET, _module_order, run
 from wildcycles.dynsys import DEFAULT_STATE_BUDGET
 from wildcycles.errors import ParseError
 from wildcycles.fields import QQ
@@ -445,3 +446,25 @@ def test_sweep_envelopes_carry_every_flag(capsys):
 def test_last_of_a_repeated_flag_wins(capsys):
     env = run_json(capsys, "milnor", "--f", "x^2", "--p", "2", "--f", "y^3+x^2+x^3", "--p", "3")
     assert (env["payload"]["f"], env["config"]["p"]) == ("x^3 + y^3 + x^2", 3)
+
+
+def test_module_order_reads_what_the_parser_reads():
+    # plain x^m is read by one match; every text, plain or not, gives the m
+    # or the error of the parse over QQ
+    def parsed(text):
+        f = poly_parse(text, ["x"], QQ)
+        m = f.total_degree()
+        if m < 1 or f.terms != {(m,): 1}:
+            raise ParseError(f"--module must be a monomial x^m with m >= 1, not {text!r}", 0)
+        return m
+
+    texts = ["x", "x^1", "x ^ 7", " x^3 ", "x^3\n", "x^03", "x^0", "x^00", "x^٣", f"x^{10**20}",
+             "x^2*x", "1/1*x^4", "x^3 - x^3 + x", "2*x^3", "1", "", "x^", "x^-1", "x3", "X^2", "x^3^2", "x*d1"]
+    for text in texts:
+        try:
+            expected = parsed(text)
+        except Exception as exc:  # the same class and message, or no pass
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                _module_order(text)
+        else:
+            assert _module_order(text) == expected, text

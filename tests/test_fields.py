@@ -250,3 +250,23 @@ def test_rational_arithmetic_exact_two_routes():
 
         assert gcd(direct.numerator, direct.denominator) == 1
 
+
+
+def test_matrix_leaves_the_callers_columns_unchanged():
+    # pivots keep the caller's dicts uncopied; every reduction works on a
+    # copy, so add, rank and kernel_basis change no column they are given
+    rng = random.Random(33)
+    for trial in range(40):
+        dom = PrimeField((2, 3, 7)[trial % 3])
+        rows, n = rng.randrange(1, 6), rng.randrange(1, 9)
+        columns = [{r: rng.randrange(1, dom.p) for r in rng.sample(range(rows), rng.randrange(rows + 1))} for _ in range(n)]
+        columns += [dict(c) for c in rng.sample(columns, min(2, n))]  # dependent ones
+        before = [sorted(c.items()) for c in columns]
+        rank = Matrix(rows, [dict(c) for c in columns], dom).rank()
+        M = Matrix(rows, [], dom)
+        for c in columns:
+            M.add(c)
+        assert M.rank() == rank
+        Matrix(rows, columns, dom).rank()
+        Matrix(rows, columns, dom).kernel_basis()
+        assert [sorted(c.items()) for c in columns] == before, (dom, columns)

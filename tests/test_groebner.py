@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -110,6 +111,21 @@ def test_quotient_dimension_examples():
     assert standard_monomials(G) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert quotient_dimension(buchberger([P("x", names=["x"])])) == 1
     assert quotient_dimension(buchberger([P("x*y")])) == INFINITE
+
+
+def test_standard_monomials_are_the_grevlex_sort_of_the_staircase():
+    # random staircases in 1-3 variables, corners inside the box among them,
+    # against every exponent vector of the box divided by no leading monomial
+    rng = random.Random(53)
+    names = ["x", "y", "z"]
+    for _ in range(60):
+        n = rng.randrange(1, 4)
+        leads = [tuple(rng.randrange(1, 7) * (j == i) for j in range(n)) for i in range(n)]
+        leads += [tuple(rng.randrange(4) for _ in range(n)) for _ in range(rng.randrange(3))]
+        gens = [MPoly.monomial(n, F3, e) for e in leads]
+        box = itertools.product(*[range(max(e[i] for e in leads) + 1) for i in range(n)])
+        every = [e for e in box if not any(divides(a, e) for a in leads)]
+        assert standard_monomials(buchberger(gens)) == sorted(every, key=GREVLEX.key), (names[:n], leads)
 
 
 def test_standard_monomials_refuse_a_box_past_the_budget():

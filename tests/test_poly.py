@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from helpers import available_backends, lane_switch_primes, multiplication_operator, random_poly
 from wildcycles.errors import DomainMismatch, IndexOutOfRange, ParseError, StateBudgetExceeded, UnknownVariable
 from wildcycles.fields import QQ, PrimeField, is_prime
-from wildcycles.poly import MPoly, grid_points, grid_table, poly_parse
+from wildcycles.poly import GREVLEX, MPoly, grevlex_walk, grid_points, grid_table, poly_parse
 from wildcycles.weyl import WeylOperator, weyl_parse
 
 
@@ -254,3 +255,14 @@ def test_grid_image_lanes_at_their_bound():
             for name, kernels in available_backends().items():
                 image = grid_table(kernels, [f], p, 1)
                 assert [image[x] for x in points] == [f.eval((x,)) for x in points], (name, g, p)
+
+
+def test_grevlex_walk_is_the_grevlex_sort_of_its_box():
+    # boxes with empty sides, one side, and degree limits below, at and
+    # past the box's top degree
+    rng = random.Random(41)
+    for _ in range(300):
+        bounds = [rng.randrange(6) for _ in range(rng.randrange(5))]
+        limit = rng.randrange(1, 16)
+        every = [e for e in itertools.product(*map(range, bounds)) if sum(e) < limit]
+        assert grevlex_walk(bounds, limit) == sorted(every, key=GREVLEX.key), (bounds, limit)
