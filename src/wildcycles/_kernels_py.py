@@ -105,7 +105,7 @@ def _lane_layout(p: int, groups: int) -> Tuple[int, int, int]:
     return -(-((bound - 1) * mult).bit_length() // 32) * 32, s, mult
 
 
-def _int64(v) -> int:
+def _as_u64(v) -> int:
     """v, if an int in 0..2^64-1: TypeError for a non-int, ValueError
     for an int out of that range, as the compiled lane reads a word."""
     if not isinstance(v, int):
@@ -122,13 +122,13 @@ def _check_table(terms, p: int, n: int, out) -> list:
     an array holds, out a writable contiguous one-dimensional array('I')
     of p^n words, indices p^len(terms) - 1 that fit 32 bits, and each term
     a tuple of n words with a coefficient below p, in a dict."""
-    if _int64(p) < 2:
+    if _as_u64(p) < 2:
         raise ValueError("p must be at least 2")
-    if _int64(n) >= 64 or p**n > sys.maxsize:
+    if _as_u64(n) >= 64 or p**n > sys.maxsize:
         raise ValueError(f"{p}^{n} states do not fit an array")
     terms = list(terms)
     with memoryview(out) as view:
-        if view.format != "I" or view.ndim != 1 or view.itemsize != 4 or not view.c_contiguous:
+        if view.format != "I" or view.ndim != 1 or not view.c_contiguous:
             raise TypeError(f"out must be a one-dimensional contiguous array of format 'I', not format {view.format!r}")
         if view.readonly or len(view) != p**n:
             raise ValueError(f"out must be a writable array of {p**n} words")
@@ -143,10 +143,10 @@ def _check_table(terms, p: int, n: int, out) -> list:
                 raise TypeError(f"term {e!r} of component {k} is not a tuple of exponents")
             if len(e) != n:
                 raise ValueError(f"term {e!r} of component {k} does not have {n} exponents")
-            if _int64(c) >= p:
+            if _as_u64(c) >= p:
                 raise ValueError(f"coefficient {c!r} is not reduced mod {p}")
             for x in e:
-                _int64(x)
+                _as_u64(x)
     return terms
 
 

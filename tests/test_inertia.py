@@ -260,7 +260,9 @@ def test_operator_matrix_groups_terms_by_exponent_shift():
     # sends x*y (key 5) to x^4, outside the module, where d1 sends x (key 1)
     # to 1; terms grouped by key shift would put x^3*d2's weight at row 4 =
     # key of y. Then several terms on one exponent shift, whose weights add
-    # and may cancel mod p, beside terms on other shifts.
+    # and may cancel mod p, beside terms on other shifts; and modules past
+    # p, where each table of min(m, p) falling factors repeats, beside
+    # zero-order terms, which take no table.
     cases = [
         (5, 4, ["x", "y"], "x^3*d2 + d1"),
         (7, 6, ["x", "y"], "x^3*d2 + d1 + 2*x^2*y*d1*d2 + y*d2^2"),
@@ -268,17 +270,11 @@ def test_operator_matrix_groups_terms_by_exponent_shift():
         (7, 12, ["x"], "x*d1 + 6*x^2*d1^2 + x^3*d1^3 + d1 + 3*x^4*d1"),
         (2, 5, ["x", "y", "z"], "x*d1 + y*d2 + z*d3 + x*y*d1*d2 + d3 + y^2*d2"),
         (11, 7, ["x", "y", "z"], "y*d1 + x*d2 + 4*x*z*d1*d3 + 7*y*z*d2*d3"),
+        (2, 9, ["x"], "x^2 + d1^3 + 1"),
+        (3, 7, ["x", "y"], "d1^4 + y + x*d2^3"),
+        (5, 3, ["x", "y"], "x*y + d1 + 2"),
     ]
     for p, m, names, text in cases:
         M = QuotientModule(p, m, len(names))
         P = weyl_parse(text, names, M.field)
-        assert M.operator_matrix(P).columns == operator_matrix_oracle(M, P).sparse().columns, (p, m, text)
-
-
-def test_operator_matrix_past_p_and_with_zero_order_terms():
-    # modules larger than p, where each falling table of min(m, p) values
-    # repeats, and zero-order terms, which carry no table
-    for p, m, nvars, text in ((2, 9, 1, "x^2 + d1^3 + 1"), (3, 7, 2, "d1^4 + y + x*d2^3"), (5, 3, 2, "x*y + d1 + 2")):
-        M = QuotientModule(p, m, nvars)
-        P = weyl_parse(text, ["x", "y"][:nvars], M.field)
         assert M.operator_matrix(P).columns == operator_matrix_oracle(M, P).sparse().columns, (p, m, text)
