@@ -146,9 +146,9 @@ _PLAIN_MODULE = re.compile(r"\s*x\s*(?:\^\s*(\d+)\s*)?")
 
 def _module_order(text: str) -> int:
     """m of F_p[x]/(x^m) from the monomial `x^m` with m >= 1, or `x`. Text
-    spelled so is read by one match, with the parser's tokens; any other
-    goes through the parser over QQ, which also takes `x^2*x`, and gives
-    the errors."""
+    spelled just so, with spaces and digits as the parser's tokens take
+    them, is read by one match; any other goes through the parser over QQ,
+    which also takes `x^2*x` and gives the errors."""
     plain = _PLAIN_MODULE.fullmatch(text)
     if plain and int(plain[1] or 1) >= 1:
         return int(plain[1] or 1)

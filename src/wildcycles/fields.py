@@ -200,10 +200,15 @@ class Matrix:
     def rank(self) -> int:
         """Rank: the number of columns that keep a pivot. The echelon is
         kept, so a later add or rank reduces only the columns appended
-        since."""
-        for column in self.columns[self._eliminated :]:
-            if column:
+        since. Empty columns are skipped, and a column whose largest row
+        has no pivot yet becomes the pivot there as it is, uncopied."""
+        pivots = self._pivots
+        for column in filter(None, self.columns[self._eliminated :]):
+            r = max(column)
+            if r in pivots:
                 self._reduce(column, None)
+            else:
+                pivots[r] = (column, None)
         self._eliminated = len(self.columns)
         return len(self._pivots)
 
