@@ -382,7 +382,7 @@ def test_pure_grid_image_refuses_malformed_input():
 
 
 def test_grid_image_writes_into_a_memoryview():
-    # a writable contiguous view of format 'I' is an out on both lanes
+    # a writable contiguous view of format 'I' is an out on every lane
     terms = [{(1, 0): 1}, {(0, 2): 3}]
     for kernels in backends.values():
         out = array("I", [0]) * 25

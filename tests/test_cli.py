@@ -463,7 +463,7 @@ def test_module_order_reads_what_the_parser_reads():
     for text in texts:
         try:
             expected = parsed(text)
-        except Exception as exc:  # the same class and message, or no pass
+        except Exception as exc:  # refused alike: same class, same message
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                 _module_order(text)
         else:
